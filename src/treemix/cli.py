@@ -24,7 +24,6 @@ from .concentration import (
 from .mixing import eta_report
 from .model import (
     EnumerationLimitError,
-    MarkovTreeModel,
     contraction_coefficient,
     enumeration_cap,
     sample_paths,
@@ -78,19 +77,11 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _load(path: str) -> tuple[MarkovTreeModel, dict[int, int]]:
-    return parse_model_file(path)
-
-
-def _source_matrices(m: MarkovTreeModel, source_key: str):
-    return build_mixing_matrices(m, _SOURCE_NAMES[source_key])
-
-
 # ----------------------------------------------------------------- commands
 
 
 def _cmd_inspect(args) -> int:
-    model, relabel = _load(args.model)
+    model, relabel = parse_model_file(args.model)
     tree = model.tree
     print(f"nodes:          {model.n}")
     print(f"alphabet size:  {model.alphabet_size}")
@@ -115,7 +106,7 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    model, _ = _load(args.model)
+    model, _ = parse_model_file(args.model)
     rows = []
     print("parent  child  theta")
     for u, v in model.tree.edges():
@@ -129,7 +120,7 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_eta(args) -> int:
-    model, _ = _load(args.model)
+    model, _ = parse_model_file(args.model)
     if args.pair is not None:
         i, j = args.pair
         report = eta_report(model, i, j)
@@ -164,22 +155,15 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_norms(args) -> int:
-    model, _ = _load(args.model)
+    model, _ = parse_model_file(args.model)
     keys = ["exact", "level", "uniform"] if args.source == "all" else [args.source]
     rows = []
     print("source         delta_inf      gamma_l2")
     for key in keys:
-        if key == "exact" and model.table_cells() > enumeration_cap():
-            if args.source == "all":
-                print(
-                    "exact          (skipped: table exceeds enumeration cap)",
-                )
-                continue
-            raise EnumerationLimitError(
-                f"joint table needs {model.table_cells()} cells, "
-                f"cap is {enumeration_cap()}"
-            )
-        delta, gamma = _source_matrices(model, key)
+        if key == "exact" and args.source == "all" and model.table_cells() > enumeration_cap():
+            print("exact          (skipped: table exceeds enumeration cap)")
+            continue
+        delta, gamma = build_mixing_matrices(model, _SOURCE_NAMES[key])
         dn = delta_inf_norm(delta)
         gn = gamma_l2_norm(gamma)
         print(f"{_SOURCE_NAMES[key]:<14s} {dn:<14.8g} {gn:<14.8g}")
@@ -191,7 +175,7 @@ def _cmd_norms(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    model, _ = _load(args.model)
+    model, _ = parse_model_file(args.model)
     source = _SOURCE_NAMES[args.source]
     delta, gamma = build_mixing_matrices(model, source)
     if args.metric == HAMMING:
@@ -231,7 +215,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    model, _ = _load(args.model)
+    model, _ = parse_model_file(args.model)
     batch = sample_paths(model, args.seed, args.count)
     header = ["path"] + [f"x{v}" for v in range(1, model.n + 1)]
     rows = [
@@ -248,7 +232,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    model, _ = _load(args.model)
+    model, _ = parse_model_file(args.model)
     results = run_verification(model, trials=args.trials, seed=args.seed)
     width = max(len(r.name) for r in results)
     failed = False
@@ -310,27 +294,19 @@ def _build_parser() -> _Parser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"treemix {__version__}")
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="maximum worker threads (reserved; computations currently run serially)",
-    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("inspect", parents=[common], help="print the tree structure")
+    p = sub.add_parser("inspect", help="print the tree structure")
     p.add_argument("model", help="model JSON file")
     p.add_argument("-v", "--verbose", action="store_true", help="echo relabeling and kernels")
     p.set_defaults(func=_cmd_inspect)
 
-    p = sub.add_parser("coeffs", parents=[common], help="per-edge contraction coefficients")
+    p = sub.add_parser("coeffs", help="per-edge contraction coefficients")
     p.add_argument("model")
     p.add_argument("--csv", metavar="PATH", help="write CSV output")
     p.set_defaults(func=_cmd_coeffs)
 
-    p = sub.add_parser("eta", parents=[common], help="eta_bar matrix or a single-pair report")
+    p = sub.add_parser("eta", help="eta_bar matrix or a single-pair report")
     p.add_argument("model")
     p.add_argument(
         "--source",
@@ -348,7 +324,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--csv", metavar="PATH")
     p.set_defaults(func=_cmd_eta)
 
-    p = sub.add_parser("norms", parents=[common], help="mixing-matrix norms per source")
+    p = sub.add_parser("norms", help="mixing-matrix norms per source")
     p.add_argument("model")
     p.add_argument(
         "--source",
@@ -359,7 +335,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--csv", metavar="PATH")
     p.set_defaults(func=_cmd_norms)
 
-    p = sub.add_parser("bound", parents=[common], help="tail bounds over a t-grid")
+    p = sub.add_parser("bound", help="tail bounds over a t-grid")
     p.add_argument("model")
     p.add_argument(
         "--metric", choices=[HAMMING, EUCLIDEAN], default=HAMMING,
@@ -375,21 +351,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--csv", metavar="PATH")
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("sample", parents=[common], help="draw configurations")
+    p = sub.add_parser("sample", help="draw configurations")
     p.add_argument("model")
     p.add_argument("--count", type=_positive_int, default=10, metavar="N")
     p.add_argument("--seed", type=_seed_int, default=0, metavar="N")
     p.add_argument("--csv", metavar="PATH")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("verify", parents=[common], help="run the self-check suites")
+    p = sub.add_parser("verify", help="run the self-check suites")
     p.add_argument("model")
     p.add_argument("--trials", type=_positive_int, default=500, metavar="N")
     p.add_argument("--seed", type=_seed_int, default=42, metavar="N")
     p.add_argument("--csv", metavar="PATH")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a random model file")
+    p = sub.add_parser("gen", help="generate a random model file")
     p.add_argument("--nodes", type=_positive_int, required=True, metavar="N")
     p.add_argument("--alphabet-size", type=_positive_int, default=2, metavar="K")
     p.add_argument("--width", type=_positive_int, default=None, metavar="W")

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .mixing import eta_bar_bound_levels, eta_bar_bound_uniform, eta_bar_exact
+from .mixing import eta_bar_exact, level_bound_row, uniform_bound_or_one
 from .model import (
     MarkovTreeModel,
     enumeration_cap,
@@ -80,14 +80,27 @@ class MixingMatrix:
             raise ValueError("diagonal entries must equal 1")
         if np.any(mat[np.tril_indices(n, k=-1)] != 0.0):
             raise ValueError("entries below the diagonal must be zero")
-        if mat.min() < 0.0 or mat.max() > 1.0:
-            raise ValueError("entries must lie in [0, 1]")
+        if not np.isfinite(mat).all() or mat.min() < 0.0 or mat.max() > 1.0:
+            raise ValueError("entries must be finite and lie in [0, 1]")
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+
+def _eta_bar_row(
+    m: MarkovTreeModel, source: str, max_cells: int | None
+) -> Callable[[int], Sequence[float]]:
+    """Function ``i -> [eta_bar(i, j) for j = i+1..n]`` for one source."""
+    n = m.n
+    if source == "exact":
+        return lambda i: [eta_bar_exact(m, i, j, max_cells) for j in range(i + 1, n + 1)]
+    if source == "level-bound":
+        return lambda i: level_bound_row(m, i)
+    theta, wid = max_contraction(m), m.tree.width
+    return lambda i: [uniform_bound_or_one(theta, wid, i, j) for j in range(i + 1, n + 1)]
 
 
 def build_mixing_matrices(
@@ -104,24 +117,10 @@ def build_mixing_matrices(
     if source not in SOURCES:
         raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
     n = m.n
+    row = _eta_bar_row(m, source, max_cells)
     delta = np.eye(n)
-    if source == "exact":
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                delta[i - 1, j - 1] = eta_bar_exact(m, i, j, max_cells)
-    elif source == "level-bound":
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                delta[i - 1, j - 1] = eta_bar_bound_levels(m, i, j)
-    else:
-        theta = max_contraction(m)
-        wid = m.tree.width
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                if theta < 1.0:
-                    delta[i - 1, j - 1] = eta_bar_bound_uniform(theta, wid, i, j)
-                else:
-                    delta[i - 1, j - 1] = 1.0
+    for i in range(1, n):
+        delta[i - 1, i:] = row(i)
     gamma = np.eye(n)
     iu = np.triu_indices(n, k=1)
     gamma[iu] = np.sqrt(delta[iu])
@@ -216,10 +215,10 @@ def tail_bound(n: int, norm_value: float, t: float, metric: str) -> BoundReport:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     t = float(t)
-    if t < 0.0:
+    if not t >= 0.0:  # also rejects NaN
         raise ValueError(f"t must be nonnegative, got {t}")
     norm_value = float(norm_value)
-    if norm_value < 1.0:
+    if not norm_value >= 1.0:
         raise ValueError(f"norm value must be >= 1, got {norm_value}")
     if metric == HAMMING:
         bound = 2.0 * math.exp(-n * t * t / (2.0 * norm_value * norm_value))

@@ -18,7 +18,8 @@ Three computations are provided, cheapest last:
 * the level product bound (``eta_bar_bound_levels``): only the subtree
   of ``i`` matters, only down to the depth of the first subtree node
   ``j0`` numbered at or after ``j``, and each level contributes the
-  ``alpha``-combination of its edge contraction coefficients;
+  ``alpha``-combination of its edge contraction coefficients.  One
+  level sweep per node ``i`` (``level_bound_row``) serves every ``j``;
 * closed forms from a uniform contraction bound theta and a width cap L
   (``eta_bar_bound_uniform``, ``geometric_rate``) or from linear level
   growth (``eta_bar_bound_linear_growth``).
@@ -35,6 +36,7 @@ certifies one inequality in the chain down to the level product bound.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +44,7 @@ import numpy as np
 from .model import (
     MarkovTreeModel,
     conditional_future_law,
-    contraction_coefficient,
+    edge_thetas,
     enumeration_cap,
     max_contraction,
 )
@@ -163,17 +165,36 @@ def reduce_via_j0(m: MarkovTreeModel, i: int, j: int) -> J0Reduction:
     return J0Reduction(i=i, j=j, j0=first_descendant_at_or_after(m.tree, i, j))
 
 
-def _level_edges(
-    m: MarkovTreeModel, i: int, depth_lo: int, depth_hi: int
-) -> list[list[tuple[int, int]]]:
-    """Subtree edges of ``i`` grouped by child depth ``depth_lo..depth_hi``."""
-    tree = m.tree
-    ti = subtree(tree, i)
-    groups: list[list[tuple[int, int]]] = []
-    for d in range(depth_lo, depth_hi + 1):
-        level = sorted(ti & tree.levels[d])
-        groups.append([(tree.parent[v], v) for v in level])
-    return groups
+def _subtree_levels(m: MarkovTreeModel, i: int) -> tuple[list[int], list[list[float]]]:
+    """Sorted subtree of ``i``; ``levels[k]`` holds the contraction
+    coefficients of its edges ending at depth ``depth(i) + 1 + k``, in
+    node order.  Shallower nodes are numbered first, so sorting by number
+    sorts by depth too.
+    """
+    tree, theta = m.tree, edge_thetas(m)
+    nodes = sorted(subtree(tree, i))
+    d_i = tree.depth_of[i]
+    levels: list[list[float]] = [[] for _ in range(tree.depth_of[nodes[-1]] - d_i)]
+    for v in nodes[1:]:
+        levels[tree.depth_of[v] - d_i - 1].append(theta[v])
+    return nodes, levels
+
+
+def level_bound_row(m: MarkovTreeModel, i: int) -> np.ndarray:
+    """Level bounds on eta_bar(i, j) for ``j = i+1..n`` from one sweep.
+
+    The running product over depths starts from 1.0, so it multiplies in
+    a per-pair product's order; each ``j`` reads it at the depth of its
+    pivot ``j0``.
+    """
+    nodes, levels = _subtree_levels(m, i)
+    products = [1.0]
+    for thetas in levels:
+        products.append(products[-1] * alpha(thetas))
+    d_i = m.tree.depth_of[i]
+    bounds = [products[m.tree.depth_of[v] - d_i] for v in nodes] + [0.0]
+    pivots = np.searchsorted(nodes, np.arange(i + 1, m.n + 1))
+    return np.array(bounds)[pivots]
 
 
 def eta_bar_bound_levels(m: MarkovTreeModel, i: int, j: int) -> float:
@@ -184,14 +205,7 @@ def eta_bar_bound_levels(m: MarkovTreeModel, i: int, j: int) -> float:
     ending at that depth; zero when ``j0`` is absent.
     """
     i, j = _check_pair(m, i, j)
-    j0 = first_descendant_at_or_after(m.tree, i, j)
-    if j0 is None:
-        return 0.0
-    d_i, d_j0 = m.tree.depth_of[i], m.tree.depth_of[j0]
-    bound = 1.0
-    for edges in _level_edges(m, i, d_i + 1, d_j0):
-        bound *= alpha(contraction_coefficient(m, e) for e in edges)
-    return bound
+    return float(level_bound_row(m, i)[j - i - 1])
 
 
 def eta_bar_bound_uniform(theta: float, width_cap: int, i: int, j: int) -> float:
@@ -213,6 +227,11 @@ def eta_bar_bound_uniform(theta: float, width_cap: int, i: int, j: int) -> float
     if L == 1:
         return theta ** (j - i)
     return (1.0 - (1.0 - theta) ** L) ** ((j - i) // L)
+
+
+def uniform_bound_or_one(theta: float, width_cap: int, i: int, j: int) -> float:
+    """:func:`eta_bar_bound_uniform`, or the trivial bound 1.0 once theta reaches 1."""
+    return eta_bar_bound_uniform(theta, width_cap, i, j) if theta < 1.0 else 1.0
 
 
 def geometric_rate(theta: float, width_cap: int) -> float:
@@ -280,20 +299,21 @@ def eta_bar_bound_linear_growth(
             raise LevelGrowthError(
                 f"level {d} has {len(tree.levels[d])} nodes, exceeding c*d = {c * d}"
             )
-    j0 = first_descendant_at_or_after(tree, i, j)
-    if j0 is None:
+    nodes, levels = _subtree_levels(m, i)
+    pivot = bisect_left(nodes, j)
+    if pivot == len(nodes):
         return LinearGrowthBound(
             i=i, j=j, j0=None, c=c, product_bound=0.0, beta=None,
             exponent=None, closed_form=None, beta_premise_holds=True,
             vacuous=False,
         )
+    j0 = nodes[pivot]
     d_i, d_j0 = tree.depth_of[i], tree.depth_of[j0]
     product = 1.0
     beta = 0.0
-    for k, edges in enumerate(_level_edges(m, i, d_i + 1, d_j0), start=1):
-        thetas = [contraction_coefficient(m, e) for e in edges]
+    for k, thetas in enumerate(levels[: d_j0 - d_i], start=1):
         product *= sum(thetas)
-        beta = max(beta, c * k * max(thetas, default=0.0))
+        beta = max(beta, c * k * max(thetas))
     product = min(product, 1.0)
     exponent = math.sqrt(2.0 * (j - i) / c) - d_i - 1.0
     if beta >= 1.0:
@@ -378,15 +398,14 @@ def eta_factorization(
     level_nodes = {
         d: tuple(sorted(ti & tree.levels[d])) for d in range(d_i, d_j0 + 1)
     }
+    _, levels = _subtree_levels(m, i)
 
     operators: list[StochasticOperator] = []
-    alpha_bounds: list[float] = []
     for d in range(d_i + 1, d_j0 + 1):
         edges = [(tree.parent[v], v) for v in level_nodes[d]]
         op = stochastic_tensor_product([_edge_operator(m, u, v) for u, v in edges])
         op = expand_operator_inputs(op, level_nodes[d - 1])
         operators.append(op)
-        alpha_bounds.append(alpha(contraction_coefficient(m, e) for e in edges))
 
     first = operators[0]  # input index is (i,)
     h = IndexedTensor(
@@ -413,7 +432,7 @@ def eta_factorization(
         value=bf.tv_norm,
         h_norm=h.tv_norm,
         operator_norms=tuple(operator_tv_norm(op) for op in operators[1:]),
-        alpha_bounds=tuple(alpha_bounds),
+        alpha_bounds=tuple(alpha(thetas) for thetas in levels[: d_j0 - d_i]),
         b_norm=operator_tv_norm(b),
     )
 
@@ -462,10 +481,7 @@ def eta_report(
     level = eta_bar_bound_levels(m, i, j)
     theta = max_contraction(m)
     wid = m.tree.width
-    if theta < 1.0:
-        uniform = eta_bar_bound_uniform(theta, wid, i, j)
-    else:
-        uniform = 1.0
+    uniform = uniform_bound_or_one(theta, wid, i, j)
     geometric: float | None = None
     if 0.0 < theta < 1.0 and j - i >= wid:
         geometric = geometric_rate(theta, wid) ** (j - i)

@@ -21,12 +21,13 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .treegraph import TreeTopology, subtree
-from .tvalgebra import STOCHASTIC_ATOL, IndexedTensor
+from .tvalgebra import STOCHASTIC_ATOL, IndexedTensor, column_tv_norm
 
 DEFAULT_ENUM_CAP = 10_000_000
 ENUM_CAP_ENV = "TREEMIX_MAX_ENUM"
@@ -75,6 +76,8 @@ class Kernel:
         mat = np.array(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError(f"kernel for edge ({u}, {v}) must be square, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError(f"kernel for edge ({u}, {v}) has non-finite entries")
         if mat.min() < -1e-12:
             raise ValueError(
                 f"kernel for edge ({u}, {v}) has negative entry {mat.min()}"
@@ -113,6 +116,8 @@ class MarkovTreeModel:
             raise ValueError(
                 f"root distribution has {dist.size} entries, expected {s}"
             )
+        if not np.isfinite(dist).all():
+            raise ValueError("root distribution has non-finite entries")
         if dist.min() < -1e-12 or abs(dist.sum() - 1.0) > STOCHASTIC_ATOL:
             raise ValueError("root distribution is not a probability vector")
         dist.flags.writeable = False
@@ -198,20 +203,24 @@ def joint_probability(m: MarkovTreeModel, x: Sequence[int]) -> float:
 
 def contraction_coefficient(m: MarkovTreeModel, edge: tuple[int, int]) -> float:
     """Largest TV distance between two columns of the edge's kernel."""
-    mat = m.kernel(edge).matrix
-    s = mat.shape[1]
-    worst = 0.0
-    for x in range(s - 1):
-        d = 0.5 * np.abs(mat[:, x + 1 :] - mat[:, x : x + 1]).sum(axis=0)
-        worst = max(worst, float(d.max()))
-    return worst
+    return column_tv_norm(m.kernel(edge).matrix)
+
+
+def edge_thetas(m: MarkovTreeModel) -> Mapping[int, float]:
+    """Contraction coefficient of every edge, keyed by the edge's child.
+
+    Computed once per model and cached, like the joint table.
+    """
+    cached = m.__dict__.get("_edge_thetas")
+    if cached is None:
+        thetas = {v: contraction_coefficient(m, (u, v)) for u, v in m.tree.edges()}
+        cached = m.__dict__["_edge_thetas"] = MappingProxyType(thetas)
+    return cached
 
 
 def max_contraction(m: MarkovTreeModel) -> float:
     """Largest contraction coefficient over all edges (0 for n = 1)."""
-    return max(
-        (contraction_coefficient(m, e) for e in m.tree.edges()), default=0.0
-    )
+    return max(edge_thetas(m).values(), default=0.0)
 
 
 def conditional_future_law(

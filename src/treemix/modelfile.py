@@ -34,6 +34,7 @@ import numpy as np
 
 from .model import Kernel, MarkovTreeModel
 from .treegraph import TreeStructureError, build_tree
+from .tvalgebra import column_tv_norm
 
 FORMAT_VERSION = 1
 
@@ -63,7 +64,8 @@ def _probability_row(raw: Any, length: int, what: str) -> np.ndarray:
         vec = np.array([float(x) for x in raw])
     except (TypeError, ValueError):
         raise ModelFileError(f"{what} contains non-numeric entries") from None
-    if vec.min() < 0.0 or vec.max() > 1.0 + _RENORM_MAX:
+    # NaN fails this test: min and max propagate it and it compares false.
+    if not (vec.min() >= 0.0 and vec.max() <= 1.0 + _RENORM_MAX):
         raise ModelFileError(f"{what} has entries outside [0, 1]")
     return _normalize(vec, what)
 
@@ -92,8 +94,12 @@ def parse_model_file(path: str) -> tuple[MarkovTreeModel, dict[int, int]]:
             text = fh.read()
     except OSError as exc:
         raise ModelFileError(f"{path}: {exc.strerror or exc}") from None
+
+    def reject_constant(name: str):
+        raise ModelFileError(f"{path}: non-finite number {name} is not allowed")
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ModelFileError(
             f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}"
@@ -218,10 +224,7 @@ def _random_kernel(rng: np.random.Generator, s: int, theta_max: float) -> np.nda
     """
     raw = rng.random((s, s)) + 1e-3
     raw /= raw.sum(axis=0)
-    worst = 0.0
-    for x in range(s - 1):
-        d = 0.5 * np.abs(raw[:, x + 1 :] - raw[:, x : x + 1]).sum(axis=0)
-        worst = max(worst, float(d.max()))
+    worst = column_tv_norm(raw)
     target = float(rng.uniform(0.0, theta_max))
     lam = 1.0 if worst <= target else target / worst
     mean_col = raw.mean(axis=1, keepdims=True)

@@ -164,6 +164,8 @@ class StochasticOperator:
         want = (s ** len(out_nodes), s ** len(in_nodes))
         if mat.shape != want:
             raise ValueError(f"expected entries of shape {want}, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("stochastic operator has non-finite entries")
         if mat.min() < -_RANGE_ATOL:
             raise ValueError(f"negative entry {mat.min()} in stochastic operator")
         colsums = mat.sum(axis=0)
@@ -186,20 +188,22 @@ class StochasticOperator:
         return cls(nodes, nodes, alphabet_size, np.eye(dim))
 
 
-def operator_tv_norm(a: StochasticOperator) -> float:
-    """Largest TV distance between two columns (contraction coefficient).
+def column_tv_norm(mat: np.ndarray) -> float:
+    """Largest TV distance between two columns of a matrix.
 
-    Zero for a single-column operator; always in [0, 1].
+    Zero for a single column; in [0, 1] for a column-stochastic matrix.
     """
-    mat = a.entries
     ncols = mat.shape[1]
     worst = 0.0
     for x in range(ncols - 1):
         d = 0.5 * np.abs(mat[:, x + 1 :] - mat[:, x : x + 1]).sum(axis=0)
-        m = float(d.max())
-        if m > worst:
-            worst = m
+        worst = max(worst, float(d.max()))
     return worst
+
+
+def operator_tv_norm(a: StochasticOperator) -> float:
+    """Contraction coefficient of ``a``: the column TV norm of its entries."""
+    return column_tv_norm(a.entries)
 
 
 def apply_operator(a: StochasticOperator, u: IndexedTensor) -> IndexedTensor:

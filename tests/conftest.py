@@ -128,3 +128,42 @@ def oracle_eta_bar(m, i, j) -> float:
                     continue
                 best = max(best, oracle_eta(m, i, j, prefix, w, wp))
     return best
+
+
+def oracle_level_bound(m, i, j) -> float:
+    """Level product bound on eta_bar(i, j), straight from its definition.
+
+    The subtree comes from walking parent pointers up from each node, the
+    levels from counting those steps, theta from pairwise kernel columns
+    and alpha from ``1 - prod(1 - theta)``; no library helper is used.
+    """
+    def steps_below_i(v):
+        steps = 0
+        while v != i:
+            if v == 1:
+                return None
+            v = m.tree.parent[v]
+            steps += 1
+        return steps
+
+    def theta(v):
+        mat = m.kernels[(m.tree.parent[v], v)].matrix
+        s = mat.shape[1]
+        return max(
+            0.5 * sum(abs(mat[r, a] - mat[r, b]) for r in range(mat.shape[0]))
+            for a in range(s)
+            for b in range(s)
+        )
+
+    below = {v: steps_below_i(v) for v in range(1, m.n + 1)}
+    tail = [v for v in range(j, m.n + 1) if below[v] is not None]
+    if not tail:
+        return 0.0
+    bound = 1.0
+    for depth in range(1, below[min(tail)] + 1):
+        keep = 1.0
+        for v in range(1, m.n + 1):
+            if below[v] == depth:
+                keep *= 1.0 - theta(v)
+        bound *= 1.0 - keep
+    return bound

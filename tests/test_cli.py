@@ -65,6 +65,21 @@ class TestExitCodes:
         assert "FAILED" in captured.err
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command", ["inspect", "norms", "bound"])
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", '"NaN"'])
+    def test_exits_two(self, tmp_path, capsys, command, entry):
+        path = tmp_path / "model.json"
+        path.write_text(
+            '{"format_version": 1, "alphabet_size": 2, "nodes": 2, '
+            '"root_dist": [0.5, 0.5], "edges": [{"parent": 1, "child": 2, '
+            f'"kernel": [[{entry}, {entry}], [0.5, 0.5]]}}]}}',
+            encoding="utf-8",
+        )
+        assert main([command, str(path)]) == 2
+        assert "model.json" in capsys.readouterr().err
+
+
 class TestInspect:
     def test_tree_summary(self, model_path, capsys):
         assert main(["inspect", model_path]) == 0
@@ -146,6 +161,10 @@ class TestBound:
         for t in ("0.05", "0.1", "0.2", "0.3", "0.5"):
             assert t in out
 
+    def test_nan_threshold_is_data_error(self, model_path, capsys):
+        assert main(["bound", model_path, "--t", "0.1", "nan"]) == 2
+        assert "t must be nonnegative" in capsys.readouterr().err
+
     def test_euclidean_notes_convexity(self, model_path, capsys):
         assert main(["bound", model_path, "--metric", "euclidean"]) == 0
         assert "convex" in capsys.readouterr().out
@@ -193,6 +212,3 @@ class TestGen:
     def test_env_cap_applies(self, model_path, monkeypatch):
         monkeypatch.setenv("TREEMIX_MAX_ENUM", "not-a-number")
         assert main(["eta", model_path, "--source", "exact"]) == 2
-
-    def test_threads_flag_accepted(self, model_path):
-        assert main(["coeffs", model_path, "--threads", "4"]) == 0

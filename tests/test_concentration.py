@@ -38,6 +38,8 @@ class TestMixingMatrix:
             MixingMatrix("delta", "exact", np.array([[1.0, 0.5], [0.1, 1.0]]))
         with pytest.raises(ValueError, match="0, 1"):
             MixingMatrix("delta", "exact", np.array([[1.0, 1.5], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            MixingMatrix("delta", "exact", np.array([[1.0, np.nan], [0.0, 1.0]]))
 
     def test_entries_read_only(self):
         d = upper_unit(np.eye(3))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treemix.mixing import (
     LevelGrowthError,
@@ -16,6 +18,7 @@ from treemix.mixing import (
     geometric_rate,
     reduce_via_j0,
 )
+from treemix.concentration import build_mixing_matrices
 from treemix.model import EnumerationLimitError, max_contraction
 from treemix.modelfile import random_model
 
@@ -26,6 +29,7 @@ from conftest import (
     make_model,
     oracle_eta,
     oracle_eta_bar,
+    oracle_level_bound,
 )
 
 
@@ -132,6 +136,24 @@ class TestLevelBound:
             m = random_model(seed, n=6, alphabet_size=2)
             for i, j in [(1, 4), (2, 5), (1, 6), (3, 6)]:
                 assert eta_bar_exact(m, i, j) <= eta_bar_bound_levels(m, i, j) + 1e-12
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    n=st.integers(min_value=1, max_value=14),
+    s=st.integers(min_value=2, max_value=4),
+    shape=st.sampled_from(["chain", "star", "full"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_level_sweep_matches_oracle(seed, n, s, shape):
+    caps = {"chain": {"width": 1}, "star": {"depth": 1}, "full": {}}[shape]
+    m = random_model(seed, n=n, alphabet_size=s, **caps)
+    delta, _ = build_mixing_matrices(m, "level-bound")
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            entry = delta.entries[i - 1, j - 1]
+            assert abs(entry - oracle_level_bound(m, i, j)) <= 1e-12
+            assert entry == eta_bar_bound_levels(m, i, j)
 
 
 class TestUniformBound:

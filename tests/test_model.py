@@ -35,6 +35,11 @@ class TestKernel:
         with pytest.raises(ValueError, match="square"):
             Kernel((1, 2), np.array([[0.5, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Kernel((1, 2), np.array([[bad, 0.2], [bad, 0.8]]))
+
 
 class TestModelConstruction:
     def test_kernel_coverage_enforced(self):
@@ -47,6 +52,8 @@ class TestModelConstruction:
         topo, _ = build_tree(1, [])
         with pytest.raises(ValueError, match="probability"):
             MarkovTreeModel(topo, 2, np.array([0.5, 0.6]), {})
+        with pytest.raises(ValueError, match="non-finite"):
+            MarkovTreeModel(topo, 2, np.array([np.nan, np.nan]), {})
 
     def test_single_node_model(self):
         topo, _ = build_tree(1, [])

@@ -145,6 +145,10 @@ class TestStochasticOperator:
         with pytest.raises(ValueError, match="negative"):
             StochasticOperator((1,), (2,), 2, np.array([[1.1, 0.2], [-0.1, 0.8]]))
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            StochasticOperator((1,), (2,), 2, np.array([[np.nan, 0.2], [np.nan, 0.8]]))
+
     def test_apply_requires_matching_index(self):
         a = StochasticOperator((1,), (2,), 2, np.eye(2))
         with pytest.raises(ValueError, match="expects input"):

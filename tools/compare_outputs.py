@@ -1,0 +1,121 @@
+"""Check that two checkouts compute byte-identical mixing outputs.
+
+    python3 tools/compare_outputs.py OLD_CHECKOUT NEW_CHECKOUT
+
+Each checkout is hashed in its own interpreter, importing ``treemix``
+from its ``src/`` and the model population from its ``perfbench/``.  The
+models are every benchmark model at seeds 1 and 777 plus 20
+``random_model`` draws (chains, stars, full-width and width-3 trees).
+Per model it hashes ``entries.tobytes()`` of the Delta and Gamma
+matrices for each source (exact only up to 3e6 table cells), the bytes
+of ``treemix coeffs --csv``, and the repr of ``eta_report``,
+``eta_bar_bound_levels`` and ``eta_bar_bound_linear_growth`` on a spread
+of pairs.  Prints the differing entries and exits 1 if there are any.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+EXACT_MAX_CELLS = 3 * 10**6
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _model_files(out_dir: str) -> dict[str, str]:
+    import workloads
+    from treemix import modelfile
+
+    paths = {}
+    for seed in (1, 777):
+        for wname, wl in workloads.WORKLOADS.items():
+            d = os.path.join(out_dir, f"{wname}-{seed}")
+            os.makedirs(d)
+            for name, path in workloads.generate_models(wl, seed, d).items():
+                paths[f"{wname}/{seed}/{name}"] = path
+    shapes = [{"width": 1}, {"depth": 1}, {}, {"width": 3}]
+    for k in range(20):
+        m = modelfile.random_model(
+            seed=5000 + k, n=6 + 3 * k, alphabet_size=2 + k % 3, **shapes[k % 4]
+        )
+        paths[f"random/{k}"] = os.path.join(out_dir, f"random{k}.json")
+        modelfile.save_model(m, paths[f"random/{k}"])
+    return paths
+
+
+def _hash_model(path: str, csv_path: str) -> dict[str, str]:
+    from treemix import cli, concentration, mixing, modelfile
+
+    m, _ = modelfile.parse_model_file(path)
+    rec = {}
+    sources = ["level-bound", "uniform-bound"]
+    if m.table_cells() <= EXACT_MAX_CELLS:
+        sources.insert(0, "exact")
+    for source in sources:
+        delta, gamma = concentration.build_mixing_matrices(m, source)
+        rec[source] = _digest(delta.entries.tobytes() + gamma.entries.tobytes())
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(["coeffs", path, "--csv", csv_path]) != 0:
+            raise RuntimeError(f"coeffs failed on {path}")
+    with open(csv_path, "rb") as fh:
+        rec["coeffs_csv"] = _digest(fh.read())
+    n = m.n
+    c = float(max(len(level) for level in m.tree.levels))
+    values = []
+    for i in range(1, n, max(1, n // 7)):
+        for j in range(i + 1, n + 1, max(1, n // 9)):
+            values.append(mixing.eta_report(m, i, j, include_exact=False))
+            values.append(mixing.eta_bar_bound_levels(m, i, j))
+            values.append(mixing.eta_bar_bound_linear_growth(m, i, j, c))
+    rec["pairs"] = _digest(repr(values).encode())
+    return rec
+
+
+def _hash_checkout(checkout: str) -> dict[str, dict[str, str]]:
+    sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _model_files(tmp)
+        csv_path = os.path.join(tmp, "coeffs.csv")
+        return {key: _hash_model(path, csv_path) for key, path in sorted(paths.items())}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--hash":
+        json.dump(_hash_checkout(os.path.abspath(argv[1])), sys.stdout)
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    old, new = (
+        json.loads(
+            subprocess.run(
+                [sys.executable, __file__, "--hash", checkout],
+                check=True, capture_output=True, text=True,
+            ).stdout
+        )
+        for checkout in argv
+    )
+    differing = [
+        f"{key} {field}"
+        for key in sorted(set(old) | set(new))
+        for field in sorted(set(old.get(key, {})) | set(new.get(key, {})))
+        if old.get(key, {}).get(field) != new.get(key, {}).get(field)
+    ]
+    total = sum(len(rec) for rec in old.values())
+    print(f"{len(old)} models, {total} hashes compared, {len(differing)} differ")
+    for line in differing:
+        print("  differs:", line)
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
