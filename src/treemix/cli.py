@@ -137,17 +137,18 @@ def _cmd_eta(args) -> int:
     source = _SOURCE_NAMES[args.source]
     delta, _ = build_mixing_matrices(model, source)
     n = model.n
+    entries = delta.entries.tolist()
     print(f"eta_bar matrix, source={source} (unit diagonal)")
     head = "     " + "".join(f"{j:>10d}" for j in range(1, n + 1))
     print(head)
-    for i in range(1, n + 1):
-        cells = "".join(f"{delta.entries[i - 1, j - 1]:>10.4g}" for j in range(1, n + 1))
+    for i, row in enumerate(entries, start=1):
+        cells = "".join(f"{x:>10.4g}" for x in row)
         print(f"{i:4d} {cells}")
     if args.csv:
         rows = [
-            [str(i), str(j), _fmt(delta.entries[i - 1, j - 1]), source]
-            for i in range(1, n)
-            for j in range(i + 1, n + 1)
+            [str(i), str(j), _fmt(x), source]
+            for i, row in enumerate(entries, start=1)
+            for j, x in enumerate(row[i:], start=i + 1)
         ]
         _write_csv(args.csv, ["i", "j", "eta_bar", "provenance"], rows)
         print(f"wrote {args.csv} ({len(rows)} rows)")
@@ -394,7 +395,6 @@ def main(argv: list[str] | None = None) -> int:
         TreeStructureError,
         EnumerationLimitError,
         ValueError,
-        RuntimeError,
         OSError,
     ) as exc:
         print(f"treemix: error: {exc}", file=sys.stderr)

@@ -90,21 +90,21 @@ class MixingMatrix:
         return self.entries.shape[0]
 
 
-def _eta_bar_row(
-    m: MarkovTreeModel, source: str, max_cells: int | None
-) -> Callable[[int], Sequence[float]]:
+def _eta_bar_row(m: MarkovTreeModel, source: str) -> Callable[[int], Sequence[float]]:
     """Function ``i -> [eta_bar(i, j) for j = i+1..n]`` for one source."""
     n = m.n
     if source == "exact":
-        return lambda i: [eta_bar_exact(m, i, j, max_cells) for j in range(i + 1, n + 1)]
+        return lambda i: [eta_bar_exact(m, i, j) for j in range(i + 1, n + 1)]
     if source == "level-bound":
         return lambda i: level_bound_row(m, i)
+    # The closed form depends on j - i only: one value per offset.
     theta, wid = max_contraction(m), m.tree.width
-    return lambda i: [uniform_bound_or_one(theta, wid, i, j) for j in range(i + 1, n + 1)]
+    by_offset = [uniform_bound_or_one(theta, wid, 1, 1 + k) for k in range(1, n)]
+    return lambda i: by_offset[: n - i]
 
 
 def build_mixing_matrices(
-    m: MarkovTreeModel, source: str, max_cells: int | None = None
+    m: MarkovTreeModel, source: str
 ) -> tuple[MixingMatrix, MixingMatrix]:
     """Fill (delta, gamma) from the chosen eta_bar source.
 
@@ -117,7 +117,7 @@ def build_mixing_matrices(
     if source not in SOURCES:
         raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
     n = m.n
-    row = _eta_bar_row(m, source, max_cells)
+    row = _eta_bar_row(m, source)
     delta = np.eye(n)
     for i in range(1, n):
         delta[i - 1, i:] = row(i)
@@ -153,22 +153,16 @@ def linf_operator_norm(matrix: np.ndarray) -> float:
     return max(math.fsum(np.abs(mat[i]).tolist()) for i in range(mat.shape[0]))
 
 
-def gamma_l2_norm(
-    g: MixingMatrix,
-    tolerance: float = POWER_ITERATION_TOL,
-    max_iterations: int = POWER_ITERATION_CAP,
-) -> float:
+def gamma_l2_norm(g: MixingMatrix) -> float:
     """Spectral norm of a gamma matrix by power iteration on G^T G.
 
     Starts from the normalized all-ones vector (never orthogonal to the
     top eigenvector: G^T G is entrywise nonnegative) and stops when the
-    Rayleigh quotient is stable to the given relative tolerance; raises
-    after ``max_iterations`` without convergence.
+    Rayleigh quotient is stable to ``POWER_ITERATION_TOL`` (relative);
+    raises after ``POWER_ITERATION_CAP`` iterations without convergence.
     """
     if g.kind != "gamma":
         raise ValueError(f"expected a gamma matrix, got kind {g.kind!r}")
-    if tolerance <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
     mat = g.entries
     n = g.n
     if n == 1:
@@ -176,16 +170,16 @@ def gamma_l2_norm(
     gram = mat.T @ mat
     v = np.full(n, 1.0 / math.sqrt(n))
     lam_prev = 0.0
-    for _ in range(max_iterations):
+    for _ in range(POWER_ITERATION_CAP):
         w = gram @ v
         lam = float(v @ w)
         norm_w = float(np.linalg.norm(w))
         v = w / norm_w
-        if abs(lam - lam_prev) <= tolerance * lam:
+        if abs(lam - lam_prev) <= POWER_ITERATION_TOL * lam:
             return math.sqrt(lam)
         lam_prev = lam
     raise RuntimeError(
-        f"power iteration did not converge within {max_iterations} iterations"
+        f"power iteration did not converge within {POWER_ITERATION_CAP} iterations"
     )
 
 
@@ -282,15 +276,14 @@ def monte_carlo_deviation(
     t: float,
     samples: int,
     seed: int,
-    lipschitz_atol: float = 1e-9,
 ) -> DeviationEstimate:
     """Estimate ``P(|f - E f| > t)`` by sampling.
 
     ``f`` must be 1-Lipschitz in the normalized Hamming metric (within
-    ``lipschitz_atol``); other tables are rejected.  The mean is exact
-    (joint-table dot product) when enumeration fits the cell cap, and
-    otherwise estimated from an independent pre-batch drawn from a
-    disjoint slice of the seed's sample streams.  The radius is the
+    1e-9); other tables are rejected.  The mean is exact (joint-table
+    dot product) when enumeration fits the cell cap, and otherwise
+    estimated from an independent pre-batch drawn from a disjoint slice
+    of the seed's sample streams.  The radius is the
     3-sigma binomial half-width ``3 sqrt(p (1 - p) / samples)``.
     """
     t = float(t)
@@ -304,7 +297,7 @@ def monte_carlo_deviation(
             f"function table has {vals.size} entries, expected {m.table_cells()}"
         )
     constant = hamming_lipschitz_constant(vals, m.n)
-    if constant > 1.0 + lipschitz_atol:
+    if constant > 1.0 + 1e-9:
         raise ValueError(
             f"function is {constant:.6g}-Lipschitz in the normalized Hamming "
             f"metric; normalize it to constant <= 1"

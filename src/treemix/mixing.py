@@ -48,7 +48,8 @@ from .model import (
     enumeration_cap,
     max_contraction,
 )
-from .treegraph import cut_sets, first_descendant_at_or_after, subtree
+from .treegraph import cut_sets, first_descendant_at_or_after, subtree_runs
+from .treegraph import subtree  # unused here; perfbench/test_perfbench.py patches this binding
 from .tvalgebra import (
     IndexedTensor,
     StochasticOperator,
@@ -76,7 +77,6 @@ def eta_exact(
     prefix: tuple[int, ...] = (),
     w: int = 0,
     w_prime: int = 0,
-    max_cells: int | None = None,
 ) -> float:
     """eta(i, j; prefix, w, w') by enumeration.
 
@@ -89,14 +89,12 @@ def eta_exact(
             f"prefix must fix nodes 1..{i - 1} ({i - 1} states), got {len(prefix)}"
         )
     targets = tuple(range(j, m.n + 1))
-    law_w = conditional_future_law(m, (*prefix, w), targets, max_cells)
-    law_wp = conditional_future_law(m, (*prefix, w_prime), targets, max_cells)
+    law_w = conditional_future_law(m, (*prefix, w), targets)
+    law_wp = conditional_future_law(m, (*prefix, w_prime), targets)
     return tv_distance(law_w, law_wp)
 
 
-def _eta_tables(
-    m: MarkovTreeModel, i: int, j: int, max_cells: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _eta_tables(m: MarkovTreeModel, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     """All eta(i, j; y, w, w') at once.
 
     Returns ``(tv, feasible)`` where ``tv[y, w, w']`` is the coefficient
@@ -106,7 +104,7 @@ def _eta_tables(
     """
     i, j = _check_pair(m, i, j)
     s, n = m.alphabet_size, m.n
-    table = m.joint_table(max_cells)
+    table = m.joint_table()
     flat = table.reshape(s ** (i - 1), s, s ** (j - 1 - i), s ** (n - j + 1))
     tail = flat.sum(axis=2)  # (prefix, w, tail configurations)
     mass = tail.sum(axis=2)  # (prefix, w)
@@ -124,9 +122,7 @@ def _eta_tables(
     return tv, feasible
 
 
-def eta_bar_exact(
-    m: MarkovTreeModel, i: int, j: int, max_cells: int | None = None
-) -> float:
+def eta_bar_exact(m: MarkovTreeModel, i: int, j: int) -> float:
     """Supremum of eta(i, j; y, w, w') over feasible prefixes and states.
 
     Exactly zero when the subtree of ``i`` ends before ``j`` (the tail
@@ -137,7 +133,7 @@ def eta_bar_exact(
     i, j = _check_pair(m, i, j)
     if first_descendant_at_or_after(m.tree, i, j) is None:
         return 0.0
-    tv, _ = _eta_tables(m, i, j, max_cells)
+    tv, _ = _eta_tables(m, i, j)
     return float(tv.max())
 
 
@@ -165,19 +161,15 @@ def reduce_via_j0(m: MarkovTreeModel, i: int, j: int) -> J0Reduction:
     return J0Reduction(i=i, j=j, j0=first_descendant_at_or_after(m.tree, i, j))
 
 
-def _subtree_levels(m: MarkovTreeModel, i: int) -> tuple[list[int], list[list[float]]]:
-    """Sorted subtree of ``i``; ``levels[k]`` holds the contraction
+def _subtree_levels(
+    m: MarkovTreeModel, i: int
+) -> tuple[tuple[range, ...], list[list[float]]]:
+    """Subtree runs of ``i``; ``levels[k]`` holds the contraction
     coefficients of its edges ending at depth ``depth(i) + 1 + k``, in
-    node order.  Shallower nodes are numbered first, so sorting by number
-    sorts by depth too.
+    node order.
     """
-    tree, theta = m.tree, edge_thetas(m)
-    nodes = sorted(subtree(tree, i))
-    d_i = tree.depth_of[i]
-    levels: list[list[float]] = [[] for _ in range(tree.depth_of[nodes[-1]] - d_i)]
-    for v in nodes[1:]:
-        levels[tree.depth_of[v] - d_i - 1].append(theta[v])
-    return nodes, levels
+    runs, theta = subtree_runs(m.tree, i), edge_thetas(m)
+    return runs, [[theta[v] for v in run] for run in runs[1:]]
 
 
 def level_bound_row(m: MarkovTreeModel, i: int) -> np.ndarray:
@@ -187,14 +179,14 @@ def level_bound_row(m: MarkovTreeModel, i: int) -> np.ndarray:
     a per-pair product's order; each ``j`` reads it at the depth of its
     pivot ``j0``.
     """
-    nodes, levels = _subtree_levels(m, i)
+    runs, levels = _subtree_levels(m, i)
     products = [1.0]
     for thetas in levels:
         products.append(products[-1] * alpha(thetas))
-    d_i = m.tree.depth_of[i]
-    bounds = [products[m.tree.depth_of[v] - d_i] for v in nodes] + [0.0]
-    pivots = np.searchsorted(nodes, np.arange(i + 1, m.n + 1))
-    return np.array(bounds)[pivots]
+    # j in (runs[k-1][-1], runs[k][-1]] pivots at depth(i) + k; past the
+    # last run the subtree has ended and the bound is 0.
+    ends = [run[-1] for run in runs] + [m.n]
+    return np.repeat(products[1:] + [0.0], np.diff(ends))
 
 
 def eta_bar_bound_levels(m: MarkovTreeModel, i: int, j: int) -> float:
@@ -299,19 +291,19 @@ def eta_bar_bound_linear_growth(
             raise LevelGrowthError(
                 f"level {d} has {len(tree.levels[d])} nodes, exceeding c*d = {c * d}"
             )
-    nodes, levels = _subtree_levels(m, i)
-    pivot = bisect_left(nodes, j)
-    if pivot == len(nodes):
+    runs, levels = _subtree_levels(m, i)
+    pivot = bisect_left([run[-1] for run in runs], j)
+    if pivot == len(runs):
         return LinearGrowthBound(
             i=i, j=j, j0=None, c=c, product_bound=0.0, beta=None,
             exponent=None, closed_form=None, beta_premise_holds=True,
             vacuous=False,
         )
-    j0 = nodes[pivot]
-    d_i, d_j0 = tree.depth_of[i], tree.depth_of[j0]
+    j0 = max(runs[pivot].start, j)
+    d_i = tree.depth_of[i]
     product = 1.0
     beta = 0.0
-    for k, thetas in enumerate(levels[: d_j0 - d_i], start=1):
+    for k, thetas in enumerate(levels[:pivot], start=1):
         product *= sum(thetas)
         beta = max(beta, c * k * max(thetas))
     product = min(product, 1.0)
@@ -393,18 +385,15 @@ def eta_factorization(
             f"subtree of {i} ends before {j}; the coefficient is identically zero"
         )
     tree = m.tree
-    d_i, d_j0 = tree.depth_of[i], tree.depth_of[cs.j0]
-    ti = subtree(tree, i)
-    level_nodes = {
-        d: tuple(sorted(ti & tree.levels[d])) for d in range(d_i, d_j0 + 1)
-    }
-    _, levels = _subtree_levels(m, i)
+    runs, levels = _subtree_levels(m, i)
+    k0 = tree.depth_of[cs.j0] - tree.depth_of[i]
+    level_nodes = [tuple(run) for run in runs[: k0 + 1]]
 
     operators: list[StochasticOperator] = []
-    for d in range(d_i + 1, d_j0 + 1):
-        edges = [(tree.parent[v], v) for v in level_nodes[d]]
+    for k in range(1, k0 + 1):
+        edges = [(tree.parent[v], v) for v in level_nodes[k]]
         op = stochastic_tensor_product([_edge_operator(m, u, v) for u, v in edges])
-        op = expand_operator_inputs(op, level_nodes[d - 1])
+        op = expand_operator_inputs(op, level_nodes[k - 1])
         operators.append(op)
 
     first = operators[0]  # input index is (i,)
@@ -420,7 +409,7 @@ def eta_factorization(
     ]
     frontier += [_edge_operator(m, tree.parent[v], v) for v in sorted(cs.c1)]
     b = stochastic_tensor_product(frontier)
-    b = expand_operator_inputs(b, level_nodes[d_j0])
+    b = expand_operator_inputs(b, level_nodes[k0])
     bf = apply_operator(b, f)
 
     return FactorizationTrace(
@@ -432,7 +421,7 @@ def eta_factorization(
         value=bf.tv_norm,
         h_norm=h.tv_norm,
         operator_norms=tuple(operator_tv_norm(op) for op in operators[1:]),
-        alpha_bounds=tuple(alpha(thetas) for thetas in levels[: d_j0 - d_i]),
+        alpha_bounds=tuple(alpha(thetas) for thetas in levels[:k0]),
         b_norm=operator_tv_norm(b),
     )
 
@@ -455,7 +444,6 @@ def eta_report(
     i: int,
     j: int,
     include_exact: bool | str = "auto",
-    max_cells: int | None = None,
 ) -> EtaReport:
     """Assemble exact value (cap permitting) and the bound ladder.
 
@@ -473,10 +461,10 @@ def eta_report(
         )
     exact: float | None = None
     if include_exact == "auto":
-        if m.table_cells() <= enumeration_cap(max_cells):
-            exact = eta_bar_exact(m, i, j, max_cells)
+        if m.table_cells() <= enumeration_cap():
+            exact = eta_bar_exact(m, i, j)
     elif include_exact:
-        exact = eta_bar_exact(m, i, j, max_cells)
+        exact = eta_bar_exact(m, i, j)
 
     level = eta_bar_bound_levels(m, i, j)
     theta = max_contraction(m)

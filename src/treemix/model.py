@@ -8,8 +8,9 @@ kernel per tree edge; the joint law of the node variables is
 Everything downstream (conditional laws, exact mixing coefficients,
 verification suites) enumerates this joint table, so table-building is
 guarded by a cell cap: ``alphabet_size ** n`` must not exceed
-``enumeration_cap()`` (default 1e7, overridable through the
-``TREEMIX_MAX_ENUM`` environment variable or a ``max_cells`` argument).
+``enumeration_cap()``, which is 1e7 unless the ``TREEMIX_MAX_ENUM``
+environment variable sets it.  It is the only cap setting, so whether a
+table fits does not depend on which computation builds it first.
 
 Sampling uses one counter-based RNG stream per path, keyed by
 ``(seed, path_index)``, so batches are reproducible, order-independent,
@@ -37,24 +38,15 @@ class EnumerationLimitError(RuntimeError):
     """Joint-table enumeration would exceed the configured cell cap."""
 
 
-def enumeration_cap(override: int | None = None) -> int:
-    """Effective cap on joint-table cells.
-
-    ``override`` wins when given; otherwise the ``TREEMIX_MAX_ENUM``
-    environment variable; otherwise 1e7.
-    """
-    if override is not None:
-        cap = int(override)
-    else:
-        raw = os.environ.get(ENUM_CAP_ENV)
-        if raw is None:
-            return DEFAULT_ENUM_CAP
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{ENUM_CAP_ENV} must be an integer, got {raw!r}"
-            ) from None
+def enumeration_cap() -> int:
+    """Effective cap on joint-table cells: ``TREEMIX_MAX_ENUM``, else 1e7."""
+    raw = os.environ.get(ENUM_CAP_ENV)
+    if raw is None:
+        return DEFAULT_ENUM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from None
     if cap < 1:
         raise ValueError(f"enumeration cap must be positive, got {cap}")
     return cap
@@ -155,7 +147,7 @@ class MarkovTreeModel:
     def table_cells(self) -> int:
         return self.alphabet_size ** self.n
 
-    def joint_table(self, max_cells: int | None = None) -> np.ndarray:
+    def joint_table(self) -> np.ndarray:
         """Full joint law as an ndarray with one axis per node.
 
         Cached after the first call.  Raises
@@ -164,12 +156,12 @@ class MarkovTreeModel:
         cached = self.__dict__.get("_joint_table")
         if cached is not None:
             return cached
-        cap = enumeration_cap(max_cells)
+        cap = enumeration_cap()
         cells = self.table_cells()
         if cells > cap:
             raise EnumerationLimitError(
                 f"joint table needs {cells} cells, cap is {cap} "
-                f"(raise {ENUM_CAP_ENV} or pass max_cells to override)"
+                f"(raise {ENUM_CAP_ENV} to override)"
             )
         s, n = self.alphabet_size, self.n
         table = np.ones((s,) * n)
@@ -227,7 +219,6 @@ def conditional_future_law(
     m: MarkovTreeModel,
     prefix: Sequence[int],
     targets: Sequence[int],
-    max_cells: int | None = None,
 ) -> IndexedTensor:
     """Law of the target nodes given ``x_1..x_i = prefix``, by enumeration.
 
@@ -249,7 +240,7 @@ def conditional_future_law(
         raise ValueError(
             f"targets must be distinct nodes in {i + 1}..{n}, got {tg}"
         )
-    table = m.joint_table(max_cells)
+    table = m.joint_table()
     block = table[tuple(px)]
     total = float(block.sum())
     if total <= 0.0:
@@ -343,19 +334,15 @@ def _independence_violation(
     return worst
 
 
-def verify_markov_property(
-    m: MarkovTreeModel,
-    u: int,
-    atol: float = 1e-12,
-    max_cells: int | None = None,
-) -> tuple[bool, float]:
+def verify_markov_property(m: MarkovTreeModel, u: int) -> tuple[bool, float]:
     """Check that child subtrees of ``u`` are independent given ``x_u``.
 
-    Returns ``(ok, max_violation)``.  ``u`` must have at least two
-    children; the check enumerates the joint table.
+    Returns ``(ok, max_violation)``, with ``ok`` meaning a violation of
+    at most 1e-12.  ``u`` must have at least two children; the check
+    enumerates the joint table.
     """
     u = m.tree.check_node(u)
     if len(m.tree.children[u]) < 2:
         raise ValueError(f"node {u} has fewer than two children")
-    violation = _independence_violation(m.joint_table(max_cells), m.tree, u)
-    return violation <= atol, violation
+    violation = _independence_violation(m.joint_table(), m.tree, u)
+    return violation <= 1e-12, violation

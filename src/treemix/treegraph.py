@@ -11,6 +11,12 @@ closed under taking ancestors.  Ties inside a level are broken by the
 parent's canonical number first and the original input label second, so
 rebuilding an already-canonical tree is the identity.
 
+Ordering each level by parent number makes parents non-decreasing along
+the numbering, so the children of a run of consecutive nodes are again
+consecutive.  By induction from ``{i}``, the subtree of ``i`` is one
+run of consecutive numbers per depth (``subtree_runs``); every subtree
+and pivot query below reads those runs instead of walking the tree.
+
 The cut-set machinery at the bottom of the module answers the question:
 given a conditioning node ``i`` and a horizon ``j > i``, which part of the
 subtree of ``i`` actually carries information about the nodes ``j..n``?
@@ -177,16 +183,22 @@ def build_tree(
     return topo, dict(canon)
 
 
+def subtree_runs(t: TreeTopology, i: int) -> tuple[range, ...]:
+    """The subtree of ``i`` as one run of consecutive nodes per depth.
+
+    ``runs[k]`` holds the subtree nodes at depth ``depth(i) + k``;
+    ``runs[0]`` is ``range(i, i + 1)``.
+    """
+    i = t.check_node(i)
+    runs = [range(i, i + 1)]
+    while kids := [c for v in runs[-1] for c in t.children[v]]:
+        runs.append(range(kids[0], kids[-1] + 1))
+    return tuple(runs)
+
+
 def subtree(t: TreeTopology, u: int) -> frozenset[int]:
     """All descendants of ``u`` including ``u`` itself."""
-    u = t.check_node(u)
-    out = []
-    stack = [u]
-    while stack:
-        v = stack.pop()
-        out.append(v)
-        stack.extend(t.children[v])
-    return frozenset(out)
+    return frozenset(v for run in subtree_runs(t, u) for v in run)
 
 
 def first_descendant_at_or_after(t: TreeTopology, i: int, j: int) -> int | None:
@@ -200,8 +212,10 @@ def first_descendant_at_or_after(t: TreeTopology, i: int, j: int) -> int | None:
     j = t.check_node(j)
     if not i < j:
         raise ValueError(f"need i < j, got i={i}, j={j}")
-    tail = [v for v in subtree(t, i) if v >= j]
-    return min(tail) if tail else None
+    for run in subtree_runs(t, i):
+        if run[-1] >= j:
+            return max(run.start, j)
+    return None
 
 
 @dataclass(frozen=True)
@@ -236,12 +250,10 @@ def cut_sets(t: TreeTopology, i: int, j: int) -> CutSets:
     empty = frozenset()
     if j0 is None:
         return CutSets(j0=None, z=empty, c=empty, c0=empty, c1=empty, z0=empty)
-    ti = subtree(t, i)
-    z = frozenset(v for v in ti if i < v < j0)
-    c = frozenset(v for v in ti if v >= j0 and t.parent[v] < j0)
-    d0 = t.depth_of[j0]
-    level_d0 = ti & t.levels[d0]
-    c0 = frozenset(v for v in level_d0 if v >= j0)
-    c1 = c - c0
-    z0 = level_d0 - c0
-    return CutSets(j0=j0, z=z, c=c, c0=c0, c1=c1, z0=z0)
+    runs = subtree_runs(t, i)
+    k = t.depth_of[j0] - t.depth_of[i]
+    z0 = frozenset(range(runs[k].start, j0))
+    c0 = frozenset(range(j0, runs[k].stop))
+    c1 = frozenset(c for v in z0 for c in t.children[v])
+    z = frozenset(v for run in runs[1:k] for v in run) | z0
+    return CutSets(j0=j0, z=z, c=c0 | c1, c0=c0, c1=c1, z0=z0)

@@ -167,3 +167,24 @@ def oracle_level_bound(m, i, j) -> float:
                 keep *= 1.0 - theta(v)
         bound *= 1.0 - keep
     return bound
+
+
+def oracle_subtree_depths(tree, i) -> dict[int, int]:
+    """Subtree node -> steps below ``i``, by walking parent pointers up."""
+    out = {}
+    for v in range(1, tree.n + 1):
+        u, steps = v, 0
+        while u != i and u != 1:
+            u, steps = tree.parent[u], steps + 1
+        if u == i:
+            out[v] = steps
+    return out
+
+
+def oracle_subtree_runs(tree, i) -> list[list[int]]:
+    """Subtree of ``i`` grouped by depth, each group in node order."""
+    below = oracle_subtree_depths(tree, i)
+    groups: list[list[int]] = [[] for _ in range(max(below.values()) + 1)]
+    for v in sorted(below):
+        groups[below[v]].append(v)
+    return groups

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from treemix import verification
+from treemix import concentration, verification
 from treemix.cli import main
 from treemix.verification import SuiteResult
 
@@ -152,6 +152,13 @@ class TestNorms:
         monkeypatch.setenv("TREEMIX_MAX_ENUM", "8")
         assert main(["norms", model_path, "--source", "exact"]) == 2
         assert "cap" in capsys.readouterr().err
+
+    def test_internal_error_is_not_data_error(self, model_path, monkeypatch):
+        # A power iteration that fails to converge is a bug, not bad input:
+        # it propagates instead of being reported as exit 2.
+        monkeypatch.setattr(concentration, "POWER_ITERATION_CAP", 1)
+        with pytest.raises(RuntimeError, match="converge"):
+            main(["norms", model_path])
 
 
 class TestBound:

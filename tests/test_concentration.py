@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from treemix import concentration
 from treemix.concentration import (
     EUCLIDEAN,
     HAMMING,
@@ -177,17 +178,13 @@ class TestGammaL2Norm:
         with pytest.raises(ValueError, match="gamma"):
             gamma_l2_norm(upper_unit(np.eye(2)))
 
-    def test_tolerance_validated(self):
-        g = MixingMatrix("gamma", "exact", np.eye(2))
-        with pytest.raises(ValueError, match="tolerance"):
-            gamma_l2_norm(g, tolerance=0.0)
-
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(concentration, "POWER_ITERATION_CAP", 3)
         mat = np.eye(3)
         mat[0, 1] = mat[1, 2] = mat[0, 2] = 0.5
         g = MixingMatrix("gamma", "exact", mat)
         with pytest.raises(RuntimeError, match="converge"):
-            gamma_l2_norm(g, tolerance=1e-18, max_iterations=3)
+            gamma_l2_norm(g)
 
 
 class TestTailBound:

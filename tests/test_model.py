@@ -84,10 +84,11 @@ class TestJointTable:
         for cfg, p in oracle_joint(m).items():
             assert table[cfg] == pytest.approx(p, abs=1e-15)
 
-    def test_enumeration_cap_enforced(self):
+    def test_enumeration_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv("TREEMIX_MAX_ENUM", "16")
         m = chain_model([ROWS_07] * 4)  # 2**5 = 32 cells
         with pytest.raises(EnumerationLimitError, match="cap"):
-            m.joint_table(max_cells=16)
+            m.joint_table()
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("TREEMIX_MAX_ENUM", "16")

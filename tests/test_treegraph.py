@@ -2,13 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treemix.modelfile import random_model
 from treemix.treegraph import (
     TreeStructureError,
     build_tree,
     cut_sets,
     first_descendant_at_or_after,
     subtree,
+    subtree_runs,
 )
+
+from conftest import oracle_subtree_depths, oracle_subtree_runs
 
 
 class TestBuildTree:
@@ -204,6 +208,38 @@ def test_cut_set_invariants(tree_spec):
             while anc is not None and anc in ti and anc != i:
                 assert anc < j
                 anc = topo.parent.get(anc)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    n=st.integers(min_value=1, max_value=40),
+    shape=st.sampled_from(["chain", "star", "full", "width-3"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_runs_match_parent_walk_oracle(seed, n, shape):
+    caps = {"chain": {"width": 1}, "star": {"depth": 1}, "full": {},
+            "width-3": {"width": 3}}[shape]
+    topo = random_model(seed, n=n, **caps).tree
+    for i in range(1, n + 1):
+        runs = subtree_runs(topo, i)
+        assert all(isinstance(run, range) for run in runs)
+        assert [list(run) for run in runs] == oracle_subtree_runs(topo, i)
+        below = oracle_subtree_depths(topo, i)
+        for j in range(i + 1, n + 1):
+            tail = [v for v in below if v >= j]
+            j0 = min(tail) if tail else None
+            assert first_descendant_at_or_after(topo, i, j) == j0
+            cs = cut_sets(topo, i, j)
+            if j0 is None:
+                assert cs.z == cs.c == cs.c0 == cs.c1 == cs.z0 == frozenset()
+                continue
+            c = {v for v in below if v >= j0 and topo.parent[v] < j0}
+            assert cs.j0 == j0
+            assert cs.z == {v for v in below if i < v < j0}
+            assert cs.c == c
+            assert cs.c0 == {v for v in c if below[v] == below[j0]}
+            assert cs.c1 == {v for v in c if below[v] == below[j0] + 1}
+            assert cs.z0 == {v for v in below if below[v] == below[j0] and v < j0}
 
 
 def test_floor_ratio_inequality_exhaustive():
