@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .mixing import eta_bar_exact, level_bound_row, uniform_bound_or_one
+from .mixing import exact_row, level_bound_row, uniform_bound_or_one
 from .model import (
     MarkovTreeModel,
     enumeration_cap,
@@ -93,10 +93,9 @@ class MixingMatrix:
 def _eta_bar_row(m: MarkovTreeModel, source: str) -> Callable[[int], Sequence[float]]:
     """Function ``i -> [eta_bar(i, j) for j = i+1..n]`` for one source."""
     n = m.n
-    if source == "exact":
-        return lambda i: [eta_bar_exact(m, i, j) for j in range(i + 1, n + 1)]
-    if source == "level-bound":
-        return lambda i: level_bound_row(m, i)
+    rows = {"exact": exact_row, "level-bound": level_bound_row}
+    if source in rows:
+        return lambda i: rows[source](m, i)
     # The closed form depends on j - i only: one value per offset.
     theta, wid = max_contraction(m), m.tree.width
     by_offset = [uniform_bound_or_one(theta, wid, 1, 1 + k) for k in range(1, n)]

@@ -14,7 +14,9 @@ matrices that drive the concentration bounds in
 Three computations are provided, cheapest last:
 
 * exact values by joint-table enumeration (``eta_exact``,
-  ``eta_bar_exact``), feasible below the cell cap;
+  ``eta_bar_exact``), feasible below the cell cap.  One sweep per node
+  ``i`` (``exact_row``) sums one more node out of the tail law at each
+  step and reads every ``j`` at its pivot ``j0`` (defined below);
 * the level product bound (``eta_bar_bound_levels``): only the subtree
   of ``i`` matters, only down to the depth of the first subtree node
   ``j0`` numbered at or after ``j``, and each level contributes the
@@ -38,6 +40,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -94,71 +98,81 @@ def eta_exact(
     return tv_distance(law_w, law_wp)
 
 
-def _eta_tables(m: MarkovTreeModel, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """All eta(i, j; y, w, w') at once.
+def _tail_laws(m: MarkovTreeModel, i: int) -> Iterator[np.ndarray]:
+    """Unnormalised laws of (x_{1..i-1}, x_i, x_{j..n}) for j = i+1, i+2, ...
+
+    Each is shaped ``(prefix, w, tail configurations)``.  The first is a
+    view of the joint table; each next one sums out one more node.
+    """
+    s = m.alphabet_size
+    tail = m.joint_table().reshape(s ** (i - 1), s, -1)
+    yield tail
+    for _ in range(i + 1, m.n):
+        tail = tail.reshape(tail.shape[0], s, s, -1).sum(axis=2)
+        yield tail
+
+
+def _tv_tables(tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All eta(i, j; y, w, w') from one tail law of :func:`_tail_laws`.
 
     Returns ``(tv, feasible)`` where ``tv[y, w, w']`` is the coefficient
     for prefix ``y`` (flat over nodes ``1..i-1``) and ``feasible[y, w]``
     marks prefixes with positive probability.  Infeasible entries of
     ``tv`` are zero.
     """
-    i, j = _check_pair(m, i, j)
-    s, n = m.alphabet_size, m.n
-    table = m.joint_table()
-    flat = table.reshape(s ** (i - 1), s, s ** (j - 1 - i), s ** (n - j + 1))
-    tail = flat.sum(axis=2)  # (prefix, w, tail configurations)
+    s = tail.shape[1]
     mass = tail.sum(axis=2)  # (prefix, w)
     feasible = mass > 0.0
     laws = np.zeros_like(tail)
     np.divide(tail, mass[:, :, None], out=laws, where=feasible[:, :, None])
-    tv = np.zeros((s ** (i - 1), s, s))
+    tv = np.zeros((tail.shape[0], s, s))
     for w in range(s):
         for wp in range(w + 1, s):
             d = 0.5 * np.abs(laws[:, w, :] - laws[:, wp, :]).sum(axis=1)
             both = feasible[:, w] & feasible[:, wp]
-            d = np.where(both, d, 0.0)
+            # Laws with disjoint supports can sum to just over 1 in rounding.
+            d = np.where(both, np.minimum(d, 1.0), 0.0)
             tv[:, w, wp] = d
             tv[:, wp, w] = d
     return tv, feasible
 
 
+def _eta_tables(m: MarkovTreeModel, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_tv_tables` of the tail law at ``j``."""
+    i, j = _check_pair(m, i, j)
+    return _tv_tables(next(islice(_tail_laws(m, i), j - i - 1, None)))
+
+
+def exact_row(m: MarkovTreeModel, i: int) -> np.ndarray:
+    """Exact eta_bar(i, j) for ``j = i+1..n`` from one tail-law sweep.
+
+    TV is taken only at subtree nodes; each ``j`` between runs reads its
+    pivot ``j0``, the next run's first node, and each ``j`` past the
+    subtree reads 0, so the sweep stops at the last subtree node.
+    """
+    runs = subtree_runs(m.tree, i)
+    row = np.zeros(m.n - i)
+    laws = _tail_laws(m, i)
+    for prev, run in zip(runs, runs[1:]):
+        for _ in range(prev[-1] + 1, run.start):
+            next(laws)
+        for j in run:
+            row[j - i - 1] = _tv_tables(next(laws))[0].max()
+        row[prev[-1] - i : run.start - i - 1] = row[run.start - i - 1]
+    return row
+
+
 def eta_bar_exact(m: MarkovTreeModel, i: int, j: int) -> float:
     """Supremum of eta(i, j; y, w, w') over feasible prefixes and states.
 
-    Exactly zero when the subtree of ``i`` ends before ``j`` (the tail
-    is then conditionally independent of the state at ``i``; enumeration
-    would only report rounding dust), and zero when no positive-
-    probability prefix admits two feasible states at node ``i``.
+    Read at the pivot ``j0``, as in :func:`exact_row`; exactly zero when
+    the subtree of ``i`` ends before ``j`` (enumeration would only report
+    rounding dust), and zero when no positive-probability prefix admits
+    two feasible states at node ``i``.
     """
     i, j = _check_pair(m, i, j)
-    if first_descendant_at_or_after(m.tree, i, j) is None:
-        return 0.0
-    tv, _ = _eta_tables(m, i, j)
-    return float(tv.max())
-
-
-@dataclass(frozen=True)
-class J0Reduction:
-    """Outcome of restricting the pair (i, j) to the subtree of ``i``."""
-
-    i: int
-    j: int
-    j0: int | None
-
-    @property
-    def eta_is_zero(self) -> bool:
-        """True when the subtree of ``i`` ends before ``j``."""
-        return self.j0 is None
-
-
-def reduce_via_j0(m: MarkovTreeModel, i: int, j: int) -> J0Reduction:
-    """Find the pivot ``j0``; eta(i, j; . ) equals eta(i, j0; . ).
-
-    When ``j0`` is None the tail ``j..n`` is conditionally independent
-    of the state at ``i`` and every coefficient is zero.
-    """
-    i, j = _check_pair(m, i, j)
-    return J0Reduction(i=i, j=j, j0=first_descendant_at_or_after(m.tree, i, j))
+    j0 = first_descendant_at_or_after(m.tree, i, j)
+    return 0.0 if j0 is None else float(_eta_tables(m, i, j0)[0].max())
 
 
 def _subtree_levels(

@@ -70,7 +70,7 @@ class Kernel:
             raise ValueError(f"kernel for edge ({u}, {v}) must be square, got {mat.shape}")
         if not np.isfinite(mat).all():
             raise ValueError(f"kernel for edge ({u}, {v}) has non-finite entries")
-        if mat.min() < -1e-12:
+        if not mat.min() >= 0.0:
             raise ValueError(
                 f"kernel for edge ({u}, {v}) has negative entry {mat.min()}"
             )
@@ -110,7 +110,7 @@ class MarkovTreeModel:
             )
         if not np.isfinite(dist).all():
             raise ValueError("root distribution has non-finite entries")
-        if dist.min() < -1e-12 or abs(dist.sum() - 1.0) > STOCHASTIC_ATOL:
+        if not dist.min() >= 0.0 or abs(dist.sum() - 1.0) > STOCHASTIC_ATOL:
             raise ValueError("root distribution is not a probability vector")
         dist.flags.writeable = False
         kernels = dict(self.kernels)

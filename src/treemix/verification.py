@@ -25,6 +25,7 @@ from .model import (
     sample_paths,
     verify_markov_property,
 )
+from .treegraph import first_descendant_at_or_after, subtree_runs
 from .tvalgebra import alpha
 
 _TOL = 1e-12
@@ -67,21 +68,13 @@ def _suite_markov_property(m, trials, rng) -> SuiteResult:
 
 def _suite_j0_reduction(m, trials, rng) -> SuiteResult:
     worst = 0.0
-    checked = 0
     for i in range(1, m.n):
-        for j in range(i + 1, m.n + 1):
-            red = mixing.reduce_via_j0(m, i, j)
-            if red.eta_is_zero:
-                worst = max(worst, mixing.eta_bar_exact(m, i, j))
-                checked += 1
-                continue
-            tv_j, feas = mixing._eta_tables(m, i, j)
-            tv_j0, _ = mixing._eta_tables(m, i, red.j0)
-            mask = feas[:, :, None] & feas[:, None, :]
-            diff = np.abs(tv_j - tv_j0)[mask]
-            worst = max(worst, float(diff.max()) if diff.size else 0.0)
-            checked += 1
-    return _result("j0-reduction", worst, checked)
+        tables = [mixing._tv_tables(tail)[0] for tail in mixing._tail_laws(m, i)]
+        for j, tv in enumerate(tables, start=i + 1):
+            j0 = first_descendant_at_or_after(m.tree, i, j)
+            pivot = 0.0 if j0 is None else tables[j0 - i - 1]
+            worst = max(worst, float(np.abs(tv - pivot).max()))
+    return _result("j0-reduction", worst, m.n * (m.n - 1) // 2)
 
 
 def _suite_factorization(m, trials, rng) -> SuiteResult:
@@ -89,11 +82,9 @@ def _suite_factorization(m, trials, rng) -> SuiteResult:
     worst = 0.0
     checked = 0
     for i in range(1, m.n):
-        for j in range(i + 1, m.n + 1):
-            red = mixing.reduce_via_j0(m, i, j)
-            if red.eta_is_zero:
-                continue
-            tv, feas = mixing._eta_tables(m, i, j)
+        last = subtree_runs(m.tree, i)[-1][-1]  # every j up to it has a pivot
+        for j, tail in zip(range(i + 1, last + 1), mixing._tail_laws(m, i)):
+            tv, feas = mixing._tv_tables(tail)
             for w in range(s):
                 for wp in range(w + 1, s):
                     trace = mixing.eta_factorization(m, i, j, w, wp)

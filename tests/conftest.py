@@ -69,7 +69,13 @@ def binary7_05():
 
 
 def oracle_joint(m) -> dict[tuple[int, ...], float]:
-    """Configuration -> probability by the plain product formula."""
+    """Configuration -> probability by the plain product formula.
+
+    Cached on the model, which is immutable, as its joint table is.
+    """
+    cached = m.__dict__.get("_oracle_joint")
+    if cached is not None:
+        return cached
     s, n = m.alphabet_size, m.n
     out = {}
     for cfg in itertools.product(range(s), repeat=n):
@@ -77,6 +83,7 @@ def oracle_joint(m) -> dict[tuple[int, ...], float]:
         for (u, v), k in m.kernels.items():
             p *= float(k.matrix[cfg[v - 1], cfg[u - 1]])
         out[cfg] = p
+    m.__dict__["_oracle_joint"] = out
     return out
 
 
@@ -105,28 +112,27 @@ def oracle_eta(m, i, j, prefix, w, w_prime) -> float:
     return 0.5 * sum(abs(law_w.get(k, 0.0) - law_wp.get(k, 0.0)) for k in keys)
 
 
-def oracle_prefix_mass(m) -> dict[tuple[int, ...], float]:
-    """Prefix (length i) -> probability, for every i in 1..n."""
-    masses: dict[tuple[int, ...], float] = defaultdict(float)
-    for cfg, p in oracle_joint(m).items():
-        for i in range(1, m.n + 1):
-            masses[cfg[:i]] += p
-    return masses
-
-
 def oracle_eta_bar(m, i, j) -> float:
-    """Sup of oracle_eta over positive-probability prefixes and pairs."""
-    s = m.alphabet_size
-    masses = oracle_prefix_mass(m)
+    """Sup of eta(i, j; y, w, w') over positive-probability prefixes and pairs.
+
+    One pass over the joint groups the mass of each tail ``x_j..x_n`` by
+    the extended prefix ``x_1..x_i``; the conditional laws and their TV
+    distances then follow the definition.
+    """
+    tails: dict = defaultdict(lambda: defaultdict(float))
+    for cfg, p in oracle_joint(m).items():
+        tails[cfg[:i]][cfg[j - 1 :]] += p
+    laws = {}
+    for key, tail in tails.items():
+        total = sum(tail.values())
+        if total > 0:
+            laws[key] = {t: q / total for t, q in tail.items()}
     best = 0.0
+    s = m.alphabet_size
     for prefix in itertools.product(range(s), repeat=i - 1):
-        for w in range(s):
-            if masses[prefix + (w,)] <= 0:
-                continue
-            for wp in range(w + 1, s):
-                if masses[prefix + (wp,)] <= 0:
-                    continue
-                best = max(best, oracle_eta(m, i, j, prefix, w, wp))
+        feasible = [laws[key] for key in (prefix + (w,) for w in range(s)) if key in laws]
+        for law_w, law_wp in itertools.combinations(feasible, 2):
+            best = max(best, 0.5 * sum(abs(law_w[t] - law_wp[t]) for t in law_w))
     return best
 
 

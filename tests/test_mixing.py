@@ -15,12 +15,13 @@ from treemix.mixing import (
     eta_exact,
     eta_factorization,
     eta_report,
+    exact_row,
     geometric_rate,
-    reduce_via_j0,
 )
 from treemix.concentration import build_mixing_matrices
-from treemix.model import EnumerationLimitError, max_contraction
+from treemix.model import EnumerationLimitError, Kernel, MarkovTreeModel, max_contraction
 from treemix.modelfile import random_model
+from treemix.treegraph import first_descendant_at_or_after
 
 from conftest import (
     ROWS_05,
@@ -82,7 +83,16 @@ class TestEtaBarExact:
             {(1, 2): ROWS_07, (1, 3): ROWS_05},
         )
         assert eta_bar_exact(m, 2, 3) == 0.0
-        assert reduce_via_j0(m, 2, 3).eta_is_zero
+        assert first_descendant_at_or_after(m.tree, 2, 3) is None
+
+    def test_disjoint_tail_laws_give_one(self):
+        # x_1 = 0 puts x_2 in {0, 1} and x_1 = 1 puts it at 2: the tail laws
+        # are disjoint, and the rounded laws once summed to 1 + 2.2e-16
+        rows = [[0.73, 0.27, 0.0], [0.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3]]
+        m = chain_model([rows, rows])
+        assert eta_bar_exact(m, 1, 2) == 1.0
+        delta, _ = build_mixing_matrices(m, "exact")
+        assert delta.entries.max() == 1.0
 
     def test_infeasible_pairs_ignored(self):
         # deterministic root: only state 0 is ever seen at node 1, so
@@ -100,15 +110,15 @@ class TestJ0Reduction:
             m = random_model(seed, n=6, alphabet_size=2)
             for i in range(1, m.n):
                 for j in range(i + 1, m.n + 1):
-                    red = reduce_via_j0(m, i, j)
-                    if red.j0 is None or red.j0 == j:
+                    j0 = first_descendant_at_or_after(m.tree, i, j)
+                    if j0 is None or j0 == j:
                         continue
                     tv_j, feas = _eta_tables(m, i, j)
-                    tv_j0, _ = _eta_tables(m, i, red.j0)
+                    tv_j0, _ = _eta_tables(m, i, j0)
                     np.testing.assert_allclose(tv_j, tv_j0, atol=1e-12)
 
     def test_chain_pivot_is_j(self, chain3_07):
-        assert reduce_via_j0(chain3_07, 1, 3).j0 == 3
+        assert first_descendant_at_or_after(chain3_07.tree, 1, 3) == 3
 
 
 class TestLevelBound:
@@ -154,6 +164,42 @@ def test_level_sweep_matches_oracle(seed, n, s, shape):
             entry = delta.entries[i - 1, j - 1]
             assert abs(entry - oracle_level_bound(m, i, j)) <= 1e-12
             assert entry == eta_bar_bound_levels(m, i, j)
+
+
+def _sparsified(m, seed, deterministic_root):
+    """``m`` with about a third of its kernel entries zeroed, so some
+    prefixes have zero probability; optionally with a one-point root."""
+    rng = np.random.default_rng(seed)
+    s = m.alphabet_size
+    kernels = {}
+    for edge, k in m.kernels.items():
+        keep = rng.random((s, s)) < 0.65
+        keep[rng.integers(s, size=s), np.arange(s)] = True  # no empty column
+        mat = np.where(keep, k.matrix, 0.0)
+        kernels[edge] = Kernel(edge, mat / mat.sum(axis=0))
+    root = np.eye(s)[0] if deterministic_root else m.root_dist
+    return MarkovTreeModel(m.tree, s, root, kernels)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    n=st.integers(min_value=2, max_value=8),
+    s=st.integers(min_value=2, max_value=3),
+    shape=st.sampled_from(["chain", "star", "full"]),
+    support=st.sampled_from(["full", "sparse", "sparse, deterministic root"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_exact_sweep_matches_oracle(seed, n, s, shape, support):
+    caps = {"chain": {"width": 1}, "star": {"depth": 1}, "full": {}}[shape]
+    m = random_model(seed, n=n, alphabet_size=s, **caps)
+    if support != "full":
+        m = _sparsified(m, seed, support.endswith("root"))
+    delta, _ = build_mixing_matrices(m, "exact")
+    for i in range(1, n):
+        row = exact_row(m, i)
+        for j in range(i + 1, n + 1):
+            assert abs(delta.entries[i - 1, j - 1] - oracle_eta_bar(m, i, j)) <= 1e-12
+            assert row[j - i - 1] == eta_bar_exact(m, i, j)
 
 
 class TestUniformBound:
@@ -271,7 +317,7 @@ class TestFactorization:
             m = random_model(seed, n=6, alphabet_size=2)
             for i in range(1, m.n):
                 for j in range(i + 1, m.n + 1):
-                    if reduce_via_j0(m, i, j).j0 is None:
+                    if first_descendant_at_or_after(m.tree, i, j) is None:
                         continue
                     trace = eta_factorization(m, i, j, 0, 1)
                     tv, feasible = _eta_tables(m, i, j)
@@ -286,7 +332,7 @@ class TestFactorization:
         for seed in (1, 4):
             m = random_model(seed, n=6, alphabet_size=3)
             for i, j in [(1, 4), (2, 5), (1, 6)]:
-                if reduce_via_j0(m, i, j).j0 is None:
+                if first_descendant_at_or_after(m.tree, i, j) is None:
                     continue
                 t = eta_factorization(m, i, j, 0, 2)
                 assert t.value <= t.norm_chain_bound + 1e-12
@@ -296,7 +342,7 @@ class TestFactorization:
     def test_b_norm_at_most_one(self):
         m = random_model(2, n=7, alphabet_size=2)
         for i, j in [(1, 5), (2, 6)]:
-            if reduce_via_j0(m, i, j).j0 is None:
+            if first_descendant_at_or_after(m.tree, i, j) is None:
                 continue
             assert eta_factorization(m, i, j, 0, 1).b_norm <= 1.0 + 1e-12
 

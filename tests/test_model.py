@@ -40,6 +40,10 @@ class TestKernel:
         with pytest.raises(ValueError, match="non-finite"):
             Kernel((1, 2), np.array([[bad, 0.2], [bad, 0.8]]))
 
+    def test_tiny_negative_entry_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            Kernel((1, 2), np.array([[-1e-13, 0.2], [1.0 + 1e-13, 0.8]]))
+
 
 class TestModelConstruction:
     def test_kernel_coverage_enforced(self):
@@ -54,6 +58,11 @@ class TestModelConstruction:
             MarkovTreeModel(topo, 2, np.array([0.5, 0.6]), {})
         with pytest.raises(ValueError, match="non-finite"):
             MarkovTreeModel(topo, 2, np.array([np.nan, np.nan]), {})
+
+    def test_tiny_negative_root_entry_rejected(self):
+        topo, _ = build_tree(1, [])
+        with pytest.raises(ValueError, match="probability"):
+            MarkovTreeModel(topo, 2, np.array([-1e-13, 1.0 + 1e-13]), {})
 
     def test_single_node_model(self):
         topo, _ = build_tree(1, [])

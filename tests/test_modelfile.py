@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from treemix.cli import main as cli_main
 from treemix.model import max_contraction
 from treemix.modelfile import (
     ModelFileError,
@@ -11,6 +19,7 @@ from treemix.modelfile import (
     save_model,
     serialize_model,
 )
+from treemix.tvalgebra import STOCHASTIC_ATOL
 
 from conftest import ROWS_05, ROWS_07
 
@@ -237,3 +246,98 @@ class TestRandomModel:
         m = random_model(0, n=1)
         assert m.n == 1
         assert m.tree.edges() == ()
+
+
+# ------------------------------------------------------------------ fuzzer
+
+
+def tree_doc(kind, s):
+    """A chain or a star on four nodes over ``s`` states, in fresh lists."""
+    rows = np.full((s, s), 0.5 / (s - 1))
+    np.fill_diagonal(rows, 0.5)
+    pairs = [(1, 2), (2, 3), (3, 4)] if kind == "chain" else [(1, 2), (1, 3), (1, 4)]
+    return {
+        "format_version": 1,
+        "alphabet_size": s,
+        "nodes": 4,
+        "root_dist": [1.0 / s] * s,
+        "edges": [
+            {"parent": u, "child": v, "kernel": rows.tolist()} for u, v in pairs
+        ],
+    }
+
+
+# Replacement values: other types, out-of-range and non-finite probabilities,
+# and small integers that make labels, counts and versions wrong.  Integers
+# stay small so that no mutant asks for a huge alphabet or node count.
+_JUNK = st.one_of(
+    st.sampled_from(
+        [None, True, "0.5", "x", -1e-13, -0.1, 1.5, 1e-300, 0.0, 1.0,
+         math.nan, math.inf, -math.inf, [], {}, [0.5, 0.5], [[1.0, 0.0]]]
+    ),
+    st.integers(min_value=-2, max_value=12),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _paths(node, prefix=()):
+    """Every position inside a JSON document, as a tuple of keys/indices."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate(doc, data):
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    actions = ["drop", "replace"] + (["duplicate"] if isinstance(parent, list) else [])
+    action = data.draw(st.sampled_from(actions))
+    if action == "drop":
+        del parent[key]  # a missing field, row, entry or edge
+    elif action == "replace":
+        parent[key] = data.draw(_JUNK)
+    else:
+        parent.append(json.loads(json.dumps(parent[key])))  # one row or edge too many
+
+
+def _check_invariants(m, relabel, doc):
+    assert (m.n, m.alphabet_size) == (doc["nodes"], doc["alphabet_size"])
+    assert sorted(relabel) == sorted(relabel.values()) == list(range(1, m.n + 1))
+    assert set(m.kernels) == set(m.tree.edges())
+    for mat in [m.root_dist[:, None]] + [k.matrix for k in m.kernels.values()]:
+        assert np.isfinite(mat).all() and mat.min() >= 0.0
+        assert np.abs(mat.sum(axis=0) - 1.0).max() <= STOCHASTIC_ATOL
+
+
+@given(
+    kind=st.sampled_from(["chain", "star"]),
+    s=st.integers(min_value=2, max_value=3),
+    mutations=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_document_loads_or_is_rejected(kind, s, mutations, data):
+    doc = tree_doc(kind, s)
+    for _ in range(mutations):
+        if doc:
+            _mutate(doc, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        try:
+            m, relabel = parse_model_file(path)
+        except ModelFileError:
+            loaded = False
+        else:
+            loaded = True
+            _check_invariants(m, relabel, doc)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main(["inspect", path, "-v"])
+        assert code == (0 if loaded else 2)

@@ -10,7 +10,8 @@ Per model it hashes ``entries.tobytes()`` of the Delta and Gamma
 matrices for each source (exact only up to 3e6 table cells), the bytes
 of ``treemix coeffs --csv``, and the repr of ``eta_report``,
 ``eta_bar_bound_levels`` and ``eta_bar_bound_linear_growth`` on a spread
-of pairs.  Prints the differing entries and exits 1 if there are any.
+of pairs.  Prints the differing entries, with the largest entrywise gap
+of each differing Delta/Gamma, and exits 1 if there are any.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 EXACT_MAX_CELLS = 3 * 10**6
 
@@ -52,7 +55,8 @@ def _model_files(out_dir: str) -> dict[str, str]:
     return paths
 
 
-def _hash_model(path: str, csv_path: str) -> dict[str, str]:
+def _hash_model(path: str, csv_path: str, matrices: dict) -> dict[str, str]:
+    """Hashes of one model's outputs; its Delta/Gamma entries go into ``matrices``."""
     from treemix import cli, concentration, mixing, modelfile
 
     m, _ = modelfile.parse_model_file(path)
@@ -63,6 +67,7 @@ def _hash_model(path: str, csv_path: str) -> dict[str, str]:
     for source in sources:
         delta, gamma = concentration.build_mixing_matrices(m, source)
         rec[source] = _digest(delta.entries.tobytes() + gamma.entries.tobytes())
+        matrices[source] = [delta.entries.tolist(), gamma.entries.tolist()]
     with contextlib.redirect_stdout(io.StringIO()):
         if cli.main(["coeffs", path, "--csv", csv_path]) != 0:
             raise RuntimeError(f"coeffs failed on {path}")
@@ -80,12 +85,33 @@ def _hash_model(path: str, csv_path: str) -> dict[str, str]:
     return rec
 
 
-def _hash_checkout(checkout: str) -> dict[str, dict[str, str]]:
+def _hash_checkout(checkout: str) -> dict[str, dict]:
+    """``{"hashes": {model: {field: hash}}, "matrices": {model: {source: [delta, gamma]}}}``."""
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
+    out: dict[str, dict] = {"hashes": {}, "matrices": {}}
     with tempfile.TemporaryDirectory() as tmp:
         paths = _model_files(tmp)
         csv_path = os.path.join(tmp, "coeffs.csv")
-        return {key: _hash_model(path, csv_path) for key, path in sorted(paths.items())}
+        for key, path in sorted(paths.items()):
+            matrices = out["matrices"][key] = {}
+            out["hashes"][key] = _hash_model(path, csv_path, matrices)
+    return out
+
+
+def _gap(old: dict, new: dict, key: str, field: str) -> str:
+    """Largest entrywise Delta and Gamma gaps of one differing source."""
+    pair = old["matrices"].get(key, {}).get(field), new["matrices"].get(key, {}).get(field)
+    if None in pair:
+        return ""
+    (d_old, g_old), (d_new, g_new) = (
+        (np.array(d), np.array(g)) for d, g in pair
+    )
+    if d_old.shape != d_new.shape:
+        return f" (shape {d_old.shape} -> {d_new.shape})"
+    return (
+        f" (max |delta gap| {np.abs(d_old - d_new).max():.3e},"
+        f" max |gamma gap| {np.abs(g_old - g_new).max():.3e})"
+    )
 
 
 def main(argv: list[str]) -> int:
@@ -104,14 +130,15 @@ def main(argv: list[str]) -> int:
         )
         for checkout in argv
     )
+    old_h, new_h = old["hashes"], new["hashes"]
     differing = [
-        f"{key} {field}"
-        for key in sorted(set(old) | set(new))
-        for field in sorted(set(old.get(key, {})) | set(new.get(key, {})))
-        if old.get(key, {}).get(field) != new.get(key, {}).get(field)
+        f"{key} {field}" + _gap(old, new, key, field)
+        for key in sorted(set(old_h) | set(new_h))
+        for field in sorted(set(old_h.get(key, {})) | set(new_h.get(key, {})))
+        if old_h.get(key, {}).get(field) != new_h.get(key, {}).get(field)
     ]
-    total = sum(len(rec) for rec in old.values())
-    print(f"{len(old)} models, {total} hashes compared, {len(differing)} differ")
+    total = sum(len(rec) for rec in old_h.values())
+    print(f"{len(old_h)} models, {total} hashes compared, {len(differing)} differ")
     for line in differing:
         print("  differs:", line)
     return 1 if differing else 0
