@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -301,7 +302,8 @@ def _mutate(doc, data):
     if action == "drop":
         del parent[key]  # a missing field, row, entry or edge
     elif action == "replace":
-        parent[key] = data.draw(_JUNK)
+        # A copy: the list and dict samples are shared between examples.
+        parent[key] = copy.deepcopy(data.draw(_JUNK))
     else:
         parent.append(json.loads(json.dumps(parent[key])))  # one row or edge too many
 
