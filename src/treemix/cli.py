@@ -219,8 +219,10 @@ def _cmd_sample(args) -> int:
     model, _ = parse_model_file(args.model)
     batch = sample_paths(model, args.seed, args.count)
     header = ["path"] + [f"x{v}" for v in range(1, model.n + 1)]
+    label = [str(x) for x in range(model.alphabet_size)]
     rows = [
-        [str(p)] + [str(int(x)) for x in batch[p]] for p in range(args.count)
+        [str(p), *map(label.__getitem__, row)]
+        for p, row in enumerate(batch.tolist())
     ]
     if args.csv:
         _write_csv(args.csv, header, rows)

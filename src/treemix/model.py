@@ -15,12 +15,12 @@ table fits does not depend on which computation builds it first.
 Sampling uses one counter-based RNG stream per path, keyed by
 ``(seed, path_index)``, so batches are reproducible, order-independent,
 and disjoint batches can be drawn from one seed via ``stream_offset``.
+The streams are computed together, as uint64 array arithmetic.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -254,45 +254,104 @@ def conditional_future_law(
     return IndexedTensor(tuple(tg), s, marg.reshape(-1) / total)
 
 
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
+# 1, 2, 3", SC 2011): the multipliers and the key increments (Weyl
+# constants) of one round, as in Random123 and numpy's Philox.
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LO32 = np.uint64(0xFFFFFFFF)
+_U64 = 2**64
+# Paths drawn per sweep; temporaries are O(_SAMPLE_BLOCK * n).
+_SAMPLE_BLOCK = 2048
+
+
+def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products ``a * b``, from 32-bit
+    halves so that no partial product overflows uint64."""
+    a_lo, a_hi = a & _LO32, a >> np.uint64(32)
+    b_lo, b_hi = b & _LO32, b >> np.uint64(32)
+    lo_lo = a_lo * b_lo
+    hi_lo = a_hi * b_lo
+    # at most (2**32 - 1)**2 + 2 * (2**32 - 1) = 2**64 - 1: no carry lost
+    mid = (lo_lo >> np.uint64(32)) + (hi_lo & _LO32) + a_lo * b_hi
+    hi = a_hi * b_hi + (hi_lo >> np.uint64(32)) + (mid >> np.uint64(32))
+    return hi, a * b
+
+
+def _philox_uniforms(seed: int, first: int, count: int, n: int) -> np.ndarray:
+    """The first ``n`` doubles of ``count`` Philox streams, shape ``(n, count)``.
+
+    Column ``p`` equals ``np.random.Generator(np.random.Philox(key=seed +
+    ((first + p) << 64))).random(n)``: key words ``(seed, first + p)``,
+    output block ``b`` at counter ``(b + 1, 0, 0, 0)`` (numpy increments
+    the counter before it fills its four-word buffer), and each word
+    ``w`` mapped to ``(w >> 11) * 2**-53``.
+    """
+    blocks = -(-n // 4)
+    zero = np.zeros((1, 1), dtype=np.uint64)
+    ctr = [np.arange(1, blocks + 1, dtype=np.uint64)[:, None], zero, zero, zero]
+    path_key = np.uint64(first) + np.arange(count, dtype=np.uint64)[None, :]
+    for r in range(_PHILOX_ROUNDS):
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) % _U64)
+        k1 = path_key + np.uint64(r * _PHILOX_W[1] % _U64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], ctr[2])
+        ctr = [hi1 ^ ctr[1] ^ k0, lo1, hi0 ^ ctr[3] ^ k1, lo0]
+    words = np.stack(np.broadcast_arrays(*ctr), axis=1).reshape(4 * blocks, count)
+    return (words[:n] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _int_arg(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def sample_paths(
     m: MarkovTreeModel, seed: int, count: int, stream_offset: int = 0
 ) -> np.ndarray:
     """Draw ``count`` configurations, shape ``(count, n)``, dtype int64.
 
-    Path ``p`` is generated from its own Philox stream keyed by
-    ``(seed, stream_offset + p)``: results do not depend on batch
-    splitting, and distinct offsets give non-overlapping randomness.
+    Path ``p`` is generated from its own Philox4x64-10 stream, the one
+    ``np.random.Philox(key=seed + ((stream_offset + p) << 64))`` gives:
+    results do not depend on batch splitting, and distinct offsets give
+    non-overlapping randomness.  Node ``v`` takes uniform ``v`` of the
+    stream and inverts the cumulative law of its kernel column for the
+    parent's state.  One vectorised sweep draws all paths, in blocks of
+    ``_SAMPLE_BLOCK`` paths.  ``seed``, ``count`` and ``stream_offset``
+    must be integers (not bool).
     """
-    if not 0 <= int(seed) < 2**64:
+    seed = _int_arg("seed", seed)
+    count = _int_arg("sample count", count)
+    stream_offset = _int_arg("stream offset", stream_offset)
+    if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
     if stream_offset < 0 or stream_offset + count > 2**64:
         raise ValueError("stream offset out of range")
-    seed = int(seed)
-    s, n = m.alphabet_size, m.n
-    root_cdf = np.cumsum(m.root_dist).tolist()
-    # Per node v >= 2: parent position and one cdf per parent state.
-    parent_pos = [0] * (n + 1)
-    cdfs: list[list[list[float]]] = [[] for _ in range(n + 1)]
-    for v in range(2, n + 1):
-        u = m.tree.parent[v]
-        parent_pos[v] = u - 1
-        mat = m.kernels[(u, v)].matrix
-        cdfs[v] = [np.cumsum(mat[:, x]).tolist() for x in range(s)]
-    top = s - 1
+    n, parent = m.n, m.tree.parent
+    # x_v = #{k < s - 1 : cdf[x_parent][k] <= u_v}, which is bisect_right
+    # over the whole cdf clamped at s - 1, since the cdf is non-decreasing.
+    # cdf_rows[v][k] holds cdf[y][k] for every parent state y.
+    root_cdf = np.cumsum(m.root_dist)[:-1]
+    cdf_rows = [None, None] + [
+        np.cumsum(m.kernels[(parent[v], v)].matrix, axis=0)[:-1]
+        for v in range(2, n + 1)
+    ]
     out = np.empty((count, n), dtype=np.int64)
-    row = [0] * n
-    for p in range(count):
-        gen = np.random.Generator(
-            np.random.Philox(key=seed + ((stream_offset + p) << 64))
-        )
-        u = gen.random(n)
-        row[0] = min(bisect_right(root_cdf, u[0]), top)
+    for start in range(0, count, _SAMPLE_BLOCK):
+        size = min(_SAMPLE_BLOCK, count - start)
+        u = _philox_uniforms(seed, stream_offset + start, size, n)
+        x = np.zeros((n, size), dtype=np.int64)
+        for c in root_cdf:
+            x[0] += c <= u[0]
         for v in range(2, n + 1):
-            cdf = cdfs[v][row[parent_pos[v]]]
-            row[v - 1] = min(bisect_right(cdf, u[v - 1]), top)
-        out[p] = row
+            x_parent = x[parent[v] - 1]
+            for c in cdf_rows[v]:
+                x[v - 1] += c[x_parent] <= u[v - 1]
+        out[start : start + size] = x.T
     return out
 
 

@@ -98,7 +98,10 @@ class IndexedTensor:
 
 
 def tv_distance(p: IndexedTensor, q: IndexedTensor) -> float:
-    """Total-variation distance ``0.5 * sum |p - q|`` on a common index set."""
+    """Total-variation distance ``0.5 * sum |p - q|`` on a common index set.
+
+    Clamped at 1.0: laws with disjoint supports can round to 1 + 2e-16.
+    """
     if p.index_set != q.index_set:
         raise ValueError(
             f"index sets differ: {p.index_set} vs {q.index_set}"
@@ -107,7 +110,7 @@ def tv_distance(p: IndexedTensor, q: IndexedTensor) -> float:
         raise ValueError(
             f"alphabet sizes differ: {p.alphabet_size} vs {q.alphabet_size}"
         )
-    return 0.5 * float(np.abs(p.values - q.values).sum())
+    return min(1.0, 0.5 * float(np.abs(p.values - q.values).sum()))
 
 
 def tensor_product(factors: Sequence[IndexedTensor]) -> IndexedTensor:

@@ -9,6 +9,7 @@ genuine cross-check rather than the same code run twice.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections import defaultdict
 
 import numpy as np
@@ -43,6 +44,21 @@ def chain_model(kernel_rows_list, root_dist=None):
     edges = [(k, k + 1) for k in range(1, n)]
     kernel_map = {(k, k + 1): rows for k, rows in enumerate(kernel_rows_list, 1)}
     return make_model(n, edges, s, root_dist, kernel_map)
+
+
+def sparsified(m, seed, deterministic_root):
+    """``m`` with about a third of its kernel entries zeroed, so some
+    prefixes have zero probability; optionally with a one-point root."""
+    rng = np.random.default_rng(seed)
+    s = m.alphabet_size
+    kernels = {}
+    for edge, k in m.kernels.items():
+        keep = rng.random((s, s)) < 0.65
+        keep[rng.integers(s, size=s), np.arange(s)] = True  # no empty column
+        mat = np.where(keep, k.matrix, 0.0)
+        kernels[edge] = Kernel(edge, mat / mat.sum(axis=0))
+    root = np.eye(s)[0] if deterministic_root else m.root_dist
+    return MarkovTreeModel(m.tree, s, root, kernels)
 
 
 # A 2-state kernel with contraction coefficient exactly 0.7.
@@ -194,3 +210,33 @@ def oracle_subtree_runs(tree, i) -> list[list[int]]:
     for v in sorted(below):
         groups[below[v]].append(v)
     return groups
+
+
+def oracle_sample_paths(m, seed, count, stream_offset=0) -> np.ndarray:
+    """Paths drawn one at a time, each from its own numpy Philox generator
+    keyed ``seed + ((stream_offset + p) << 64)``, by bisecting per-state
+    cumulative laws; the library's vectorised sampler must equal it."""
+    s, n = m.alphabet_size, m.n
+    root_cdf = np.cumsum(m.root_dist).tolist()
+    # Per node v >= 2: parent position and one cdf per parent state.
+    parent_pos = [0] * (n + 1)
+    cdfs: list[list[list[float]]] = [[] for _ in range(n + 1)]
+    for v in range(2, n + 1):
+        u = m.tree.parent[v]
+        parent_pos[v] = u - 1
+        mat = m.kernels[(u, v)].matrix
+        cdfs[v] = [np.cumsum(mat[:, x]).tolist() for x in range(s)]
+    top = s - 1
+    out = np.empty((count, n), dtype=np.int64)
+    row = [0] * n
+    for p in range(count):
+        gen = np.random.Generator(
+            np.random.Philox(key=seed + ((stream_offset + p) << 64))
+        )
+        u = gen.random(n)
+        row[0] = min(bisect_right(root_cdf, u[0]), top)
+        for v in range(2, n + 1):
+            cdf = cdfs[v][row[parent_pos[v]]]
+            row[v - 1] = min(bisect_right(cdf, u[v - 1]), top)
+        out[p] = row
+    return out

@@ -19,7 +19,7 @@ from treemix.mixing import (
     geometric_rate,
 )
 from treemix.concentration import build_mixing_matrices
-from treemix.model import EnumerationLimitError, Kernel, MarkovTreeModel, max_contraction
+from treemix.model import EnumerationLimitError, max_contraction
 from treemix.modelfile import random_model
 from treemix.treegraph import first_descendant_at_or_after
 
@@ -31,6 +31,7 @@ from conftest import (
     oracle_eta,
     oracle_eta_bar,
     oracle_level_bound,
+    sparsified,
 )
 
 
@@ -91,6 +92,7 @@ class TestEtaBarExact:
         rows = [[0.73, 0.27, 0.0], [0.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3]]
         m = chain_model([rows, rows])
         assert eta_bar_exact(m, 1, 2) == 1.0
+        assert eta_exact(m, 1, 2, (), 0, 1) == 1.0
         delta, _ = build_mixing_matrices(m, "exact")
         assert delta.entries.max() == 1.0
 
@@ -166,21 +168,6 @@ def test_level_sweep_matches_oracle(seed, n, s, shape):
             assert entry == eta_bar_bound_levels(m, i, j)
 
 
-def _sparsified(m, seed, deterministic_root):
-    """``m`` with about a third of its kernel entries zeroed, so some
-    prefixes have zero probability; optionally with a one-point root."""
-    rng = np.random.default_rng(seed)
-    s = m.alphabet_size
-    kernels = {}
-    for edge, k in m.kernels.items():
-        keep = rng.random((s, s)) < 0.65
-        keep[rng.integers(s, size=s), np.arange(s)] = True  # no empty column
-        mat = np.where(keep, k.matrix, 0.0)
-        kernels[edge] = Kernel(edge, mat / mat.sum(axis=0))
-    root = np.eye(s)[0] if deterministic_root else m.root_dist
-    return MarkovTreeModel(m.tree, s, root, kernels)
-
-
 @given(
     seed=st.integers(min_value=0, max_value=10**6),
     n=st.integers(min_value=2, max_value=8),
@@ -193,7 +180,7 @@ def test_exact_sweep_matches_oracle(seed, n, s, shape, support):
     caps = {"chain": {"width": 1}, "star": {"depth": 1}, "full": {}}[shape]
     m = random_model(seed, n=n, alphabet_size=s, **caps)
     if support != "full":
-        m = _sparsified(m, seed, support.endswith("root"))
+        m = sparsified(m, seed, support.endswith("root"))
     delta, _ = build_mixing_matrices(m, "exact")
     for i in range(1, n):
         row = exact_row(m, i)

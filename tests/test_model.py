@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treemix.model import (
+    _SAMPLE_BLOCK,
     EnumerationLimitError,
     Kernel,
     MarkovTreeModel,
     _independence_violation,
+    _philox_uniforms,
     conditional_future_law,
     contraction_coefficient,
     enumeration_cap,
@@ -14,6 +18,7 @@ from treemix.model import (
     sample_paths,
     verify_markov_property,
 )
+from treemix.modelfile import random_model
 from treemix.treegraph import build_tree
 
 from conftest import (
@@ -23,6 +28,8 @@ from conftest import (
     make_model,
     oracle_conditional,
     oracle_joint,
+    oracle_sample_paths,
+    sparsified,
 )
 
 
@@ -224,6 +231,78 @@ class TestSampling:
             sample_paths(chain3_07, -1, 4)
         with pytest.raises(ValueError, match="count"):
             sample_paths(chain3_07, 0, 0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"seed": 1.9},
+            {"seed": True},
+            {"seed": "1"},
+            {"count": 8.0},
+            {"count": True},
+            {"stream_offset": 2.0},
+            {"stream_offset": False},
+        ],
+    )
+    def test_non_integer_arguments_rejected(self, chain3_07, bad):
+        args = {"seed": 1, "count": 8, "stream_offset": 0, **bad}
+        with pytest.raises(ValueError, match="integer"):
+            sample_paths(chain3_07, **args)
+
+    def test_numpy_integers_accepted(self, chain3_07):
+        np.testing.assert_array_equal(
+            sample_paths(chain3_07, np.uint64(5), np.int64(8), np.int32(3)),
+            sample_paths(chain3_07, 5, 8, 3),
+        )
+
+    def test_no_generator_per_path(self, chain3_07, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample_paths built a numpy generator")
+
+        monkeypatch.setattr(np.random, "Philox", refuse)
+        monkeypatch.setattr(np.random, "Generator", refuse)
+        assert sample_paths(chain3_07, 3, 10).shape == (10, 3)
+
+
+class TestPhiloxUniforms:
+    # If numpy's Philox stream ever changes, this fails instead of every
+    # sampled path shifting silently.
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("first", [0, 2**64 - 3])
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_matches_numpy_philox(self, seed, first, n):
+        u = _philox_uniforms(seed, first, 3, n)
+        assert u.shape == (n, 3)
+        for p in range(3):
+            gen = np.random.Generator(np.random.Philox(key=seed + ((first + p) << 64)))
+            np.testing.assert_array_equal(u[:, p], gen.random(n))
+
+
+@given(
+    model_seed=st.integers(min_value=0, max_value=10**6),
+    n=st.integers(min_value=1, max_value=12),
+    s=st.integers(min_value=2, max_value=5),
+    shape=st.sampled_from(["chain", "star", "full"]),
+    support=st.sampled_from(["full", "sparse", "sparse, deterministic root"]),
+    seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    count=st.one_of(
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from(
+            [_SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 2 * _SAMPLE_BLOCK + 3]
+        ),
+    ),
+    offset=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+)
+@settings(max_examples=100, deadline=None)
+def test_sampler_matches_oracle(model_seed, n, s, shape, support, seed, count, offset):
+    caps = {"chain": {"width": 1}, "star": {"depth": 1}, "full": {}}[shape]
+    m = random_model(model_seed, n=n, alphabet_size=s, **caps)
+    if support != "full":
+        m = sparsified(m, model_seed, support.endswith("root"))
+    offset = min(offset, 2**64 - count)
+    np.testing.assert_array_equal(
+        sample_paths(m, seed, count, offset), oracle_sample_paths(m, seed, count, offset)
+    )
 
 
 class TestMarkovProperty:
