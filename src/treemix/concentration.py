@@ -107,8 +107,9 @@ def build_mixing_matrices(
 ) -> tuple[MixingMatrix, MixingMatrix]:
     """Fill (delta, gamma) from the chosen eta_bar source.
 
-    ``source`` is one of ``SOURCES``.  The exact source enumerates the
-    joint table and must respect the cell cap.  The uniform source uses
+    ``source`` is one of ``SOURCES``.  The exact source runs one
+    frontier sweep per row (:func:`treemix.mixing.exact_row`), without
+    the joint table, and is admitted by the same cell cap as the table.  The uniform source uses
     the closed form with the model's own max contraction coefficient
     and width; if the coefficient reaches 1 the closed form does not
     apply and the trivial bound 1.0 fills the strictly-upper entries.

@@ -13,10 +13,14 @@ matrices that drive the concentration bounds in
 
 Three computations are provided, cheapest last:
 
-* exact values by joint-table enumeration (``eta_exact``,
-  ``eta_bar_exact``), feasible below the cell cap.  One sweep per node
-  ``i`` (``exact_row``) sums one more node out of the tail law at each
-  step and reads every ``j`` at its pivot ``j0`` (defined below);
+* exact values (``eta_bar_exact``, ``exact_row``), admitted below the
+  cell cap.  Given the prefix, the tail ``x_{j..n}`` feels ``x_i`` only
+  through the frontier ``F_j`` of subtree nodes ``v >= j`` whose parent
+  precedes ``j``, and not through the prefix itself.  One sweep per node
+  ``i`` carries the law of the frontier given ``x_i`` down the subtree,
+  one node at a time, and takes its largest TV over the state pairs a
+  positive-probability prefix admits; no joint table is built.
+  ``eta_exact`` (one given prefix) still enumerates the table;
 * the level product bound (``eta_bar_bound_levels``): only the subtree
   of ``i`` matters, only down to the depth of the first subtree node
   ``j0`` numbered at or after ``j``, and each level contributes the
@@ -40,7 +44,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -51,6 +54,8 @@ from .model import (
     edge_thetas,
     enumeration_cap,
     max_contraction,
+    node_marginals,
+    subtree_masses,
 )
 from .treegraph import cut_sets, first_descendant_at_or_after, subtree_runs
 from .treegraph import subtree  # unused here; perfbench/test_perfbench.py patches this binding
@@ -98,81 +103,94 @@ def eta_exact(
     return tv_distance(law_w, law_wp)
 
 
-def _tail_laws(m: MarkovTreeModel, i: int) -> Iterator[np.ndarray]:
-    """Unnormalised laws of (x_{1..i-1}, x_i, x_{j..n}) for j = i+1, i+2, ...
+def _feasible_pairs(m: MarkovTreeModel, i: int) -> list[tuple[int, int]]:
+    """State pairs ``w < w'`` at node ``i`` that one positive-probability
+    prefix admits together.
 
-    Each is shaped ``(prefix, w, tail configurations)``.  The first is a
-    view of the joint table; each next one sums out one more node.
+    For ``i == 1`` both root entries must be positive; otherwise some
+    state ``a`` of ``parent(i)`` with positive marginal must reach both,
+    ``K(w|a) K(w'|a) > 0``.
     """
-    s = m.alphabet_size
-    tail = m.joint_table().reshape(s ** (i - 1), s, -1)
-    yield tail
-    for _ in range(i + 1, m.n):
-        tail = tail.reshape(tail.shape[0], s, s, -1).sum(axis=2)
-        yield tail
+    if i == 1:
+        reach = (m.root_dist > 0.0)[:, None]
+    else:
+        u = m.tree.parent[i]
+        seen = node_marginals(m)[u] > 0.0
+        reach = m.kernel((u, i)).matrix[:, seen] > 0.0  # [w, a]
+    shared = reach.astype(int) @ reach.T.astype(int)  # states reaching both
+    w, wp = np.nonzero(np.triu(shared, k=1))
+    return list(zip(w.tolist(), wp.tolist()))
 
 
-def _tv_tables(tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All eta(i, j; y, w, w') from one tail law of :func:`_tail_laws`.
+def _frontier_laws(m: MarkovTreeModel, i: int) -> Iterator[tuple[range, np.ndarray]]:
+    """Laws of the frontier given ``x_i = w``, one per subtree node but the last.
 
-    Returns ``(tv, feasible)`` where ``tv[y, w, w']`` is the coefficient
-    for prefix ``y`` (flat over nodes ``1..i-1``) and ``feasible[y, w]``
-    marks prefixes with positive probability.  Infeasible entries of
-    ``tv`` are zero.
+    The frontier ``F_j`` holds the subtree nodes ``v >= j`` with
+    ``parent(v) < j``; the tail ``x_{j..n}`` feels ``x_i`` only through
+    it.  Starting from the identity on ``x_i``, each subtree node ``v`` in
+    turn is replaced by its children: multiply in the law of the children
+    given ``x_v``, sum out ``x_v``.  That law is the product of their
+    kernels, each weighted by the child's subtree mass and divided by
+    ``v``'s, so it sums to 1 even when the kernels are stochastic only
+    within tolerance, and each ``laws[w]`` is the normalised conditional
+    law that enumeration divides out.  Yields ``(js, laws)`` where ``laws[w]`` is the law of
+    ``F_j``, flat over its nodes in increasing order, for every ``j`` in
+    ``js``: from ``v + 1`` to the next subtree node.  Past the last
+    subtree node the frontier is empty.  Admitted by the table cap.
     """
-    s = tail.shape[1]
-    mass = tail.sum(axis=2)  # (prefix, w)
-    feasible = mass > 0.0
-    laws = np.zeros_like(tail)
-    np.divide(tail, mass[:, :, None], out=laws, where=feasible[:, :, None])
-    tv = np.zeros((tail.shape[0], s, s))
-    for w in range(s):
-        for wp in range(w + 1, s):
-            d = 0.5 * np.abs(laws[:, w, :] - laws[:, wp, :]).sum(axis=1)
-            both = feasible[:, w] & feasible[:, wp]
-            # Laws with disjoint supports can sum to just over 1 in rounding.
-            d = np.where(both, np.minimum(d, 1.0), 0.0)
-            tv[:, w, wp] = d
-            tv[:, wp, w] = d
-    return tv, feasible
+    m.check_table_cap()
+    s, tree = m.alphabet_size, m.tree
+    nodes = [v for run in subtree_runs(tree, i) for v in run]
+    mass = subtree_masses(m)
+    laws = np.eye(s)
+    for v, nxt in zip(nodes, nodes[1:]):
+        # v is the frontier's first node and its children follow the rest.
+        block = 1.0 / mass[v][:, None]  # [x_v, children of v]
+        for c in tree.children[v]:
+            k = m.kernel((v, c)).matrix.T * mass[c]  # [x_v, x_c]
+            block = (block[:, :, None] * k[:, None, :]).reshape(s, -1)
+        laws = np.tensordot(laws.reshape(s, s, -1), block, axes=([1], [0]))
+        laws = laws.reshape(s, -1)
+        yield range(v + 1, nxt + 1), laws
 
 
-def _eta_tables(m: MarkovTreeModel, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_tv_tables` of the tail law at ``j``."""
-    i, j = _check_pair(m, i, j)
-    return _tv_tables(next(islice(_tail_laws(m, i), j - i - 1, None)))
+def _max_tv(laws: np.ndarray, pairs: list[tuple[int, int]]) -> float:
+    """Largest TV between rows ``w`` and ``w'`` of ``laws`` over ``pairs``;
+    0 for no pair."""
+    best = 0.0
+    for w, wp in pairs:
+        # Laws with disjoint supports can sum to just over 1 in rounding.
+        best = max(best, min(0.5 * float(np.abs(laws[w] - laws[wp]).sum()), 1.0))
+    return best
 
 
 def exact_row(m: MarkovTreeModel, i: int) -> np.ndarray:
-    """Exact eta_bar(i, j) for ``j = i+1..n`` from one tail-law sweep.
+    """Exact eta_bar(i, j) for ``j = i+1..n`` from one frontier sweep.
 
-    TV is taken only at subtree nodes; each ``j`` between runs reads its
-    pivot ``j0``, the next run's first node, and each ``j`` past the
-    subtree reads 0, so the sweep stops at the last subtree node.
+    Each frontier law of :func:`_frontier_laws` fills the ``j`` it
+    serves with its largest TV over the feasible pairs; each ``j`` past
+    the subtree of ``i`` reads 0.
     """
-    runs = subtree_runs(m.tree, i)
     row = np.zeros(m.n - i)
-    laws = _tail_laws(m, i)
-    for prev, run in zip(runs, runs[1:]):
-        for _ in range(prev[-1] + 1, run.start):
-            next(laws)
-        for j in run:
-            row[j - i - 1] = _tv_tables(next(laws))[0].max()
-        row[prev[-1] - i : run.start - i - 1] = row[run.start - i - 1]
+    pairs = _feasible_pairs(m, i)
+    for js, laws in _frontier_laws(m, i):
+        row[js.start - i - 1 : js.stop - i - 1] = _max_tv(laws, pairs)
     return row
 
 
 def eta_bar_exact(m: MarkovTreeModel, i: int, j: int) -> float:
     """Supremum of eta(i, j; y, w, w') over feasible prefixes and states.
 
-    Read at the pivot ``j0``, as in :func:`exact_row`; exactly zero when
-    the subtree of ``i`` ends before ``j`` (enumeration would only report
-    rounding dust), and zero when no positive-probability prefix admits
-    two feasible states at node ``i``.
+    The sweep of :func:`exact_row`, stopped at the pivot ``j0``, so the
+    value equals the row's bit for bit.  Exactly zero when the subtree
+    of ``i`` ends before ``j`` (no sweep runs), and zero when no
+    positive-probability prefix admits two states at node ``i``.
     """
     i, j = _check_pair(m, i, j)
-    j0 = first_descendant_at_or_after(m.tree, i, j)
-    return 0.0 if j0 is None else float(_eta_tables(m, i, j0)[0].max())
+    if first_descendant_at_or_after(m.tree, i, j) is None:
+        return 0.0
+    laws = next(laws for js, laws in _frontier_laws(m, i) if j in js)
+    return _max_tv(laws, _feasible_pairs(m, i))
 
 
 def _subtree_levels(

@@ -5,12 +5,16 @@ kernel per tree edge; the joint law of the node variables is
 
     P(x) = root_dist[x_1] * prod over edges (u, v) of K_uv[x_v, x_u].
 
-Everything downstream (conditional laws, exact mixing coefficients,
-verification suites) enumerates this joint table, so table-building is
-guarded by a cell cap: ``alphabet_size ** n`` must not exceed
-``enumeration_cap()``, which is 1e7 unless the ``TREEMIX_MAX_ENUM``
-environment variable sets it.  It is the only cap setting, so whether a
-table fits does not depend on which computation builds it first.
+Conditional laws given a prefix and the verification oracles enumerate
+this joint table.  Exact mixing coefficients do not build it: they sweep
+small frontier laws down the tree (:mod:`treemix.mixing`), reading the
+node marginals of one forward pass (``node_marginals``) and the subtree
+masses of one backward pass (``subtree_masses``).  Every exact
+computation is still admitted by one rule, ``check_table_cap``:
+``alphabet_size ** n`` must not exceed ``enumeration_cap()``, which is
+1e7 unless the ``TREEMIX_MAX_ENUM`` environment variable sets it.  It is
+the only cap setting, so whether a model is admitted does not depend on
+which computation asks first.
 
 Sampling uses one counter-based RNG stream per path, keyed by
 ``(seed, path_index)``, so batches are reproducible, order-independent,
@@ -147,6 +151,21 @@ class MarkovTreeModel:
     def table_cells(self) -> int:
         return self.alphabet_size ** self.n
 
+    def check_table_cap(self) -> None:
+        """Raise :class:`EnumerationLimitError` when the joint table's
+        ``alphabet_size ** n`` cells exceed ``enumeration_cap()``.
+
+        Every exact computation is admitted by this rule, whether or not
+        it builds the table.
+        """
+        cap = enumeration_cap()
+        cells = self.table_cells()
+        if cells > cap:
+            raise EnumerationLimitError(
+                f"joint table needs {cells} cells, cap is {cap} "
+                f"(raise {ENUM_CAP_ENV} to override)"
+            )
+
     def joint_table(self) -> np.ndarray:
         """Full joint law as an ndarray with one axis per node.
 
@@ -156,13 +175,7 @@ class MarkovTreeModel:
         cached = self.__dict__.get("_joint_table")
         if cached is not None:
             return cached
-        cap = enumeration_cap()
-        cells = self.table_cells()
-        if cells > cap:
-            raise EnumerationLimitError(
-                f"joint table needs {cells} cells, cap is {cap} "
-                f"(raise {ENUM_CAP_ENV} to override)"
-            )
+        self.check_table_cap()
         s, n = self.alphabet_size, self.n
         table = np.ones((s,) * n)
         shape = [1] * n
@@ -207,6 +220,42 @@ def edge_thetas(m: MarkovTreeModel) -> Mapping[int, float]:
     if cached is None:
         thetas = {v: contraction_coefficient(m, (u, v)) for u, v in m.tree.edges()}
         cached = m.__dict__["_edge_thetas"] = MappingProxyType(thetas)
+    return cached
+
+
+def node_marginals(m: MarkovTreeModel) -> np.ndarray:
+    """Law of every node, shape ``(n + 1, s)``; row ``v`` is node ``v``.
+
+    One forward pass down the numbering, ``P(x_v) = K_v P(x_parent)``;
+    computed once per model and cached.  Row 0 is unused.
+    """
+    cached = m.__dict__.get("_node_marginals")
+    if cached is None:
+        cached = np.zeros((m.n + 1, m.alphabet_size))
+        cached[1] = m.root_dist
+        for u, v in m.tree.edges():
+            cached[v] = m.kernels[(u, v)].matrix @ cached[u]
+        cached.flags.writeable = False
+        m.__dict__["_node_marginals"] = cached
+    return cached
+
+
+def subtree_masses(m: MarkovTreeModel) -> np.ndarray:
+    """Total weight below every node given its state, shape ``(n + 1, s)``.
+
+    ``mass[v][x]`` sums the product of the kernels of ``v``'s subtree
+    over its configurations, given ``x_v = x``: 1 for exactly stochastic
+    kernels, within their column-sum tolerance of 1 otherwise.  One
+    backward pass up the numbering; computed once per model and cached.
+    Row 0 is unused.
+    """
+    cached = m.__dict__.get("_subtree_masses")
+    if cached is None:
+        cached = np.ones((m.n + 1, m.alphabet_size))
+        for u, v in reversed(m.tree.edges()):
+            cached[u] *= cached[v] @ m.kernels[(u, v)].matrix
+        cached.flags.writeable = False
+        m.__dict__["_subtree_masses"] = cached
     return cached
 
 

@@ -10,6 +10,8 @@ enumeration cap.  Everything is deterministic given the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -66,10 +68,62 @@ def _suite_markov_property(m, trials, rng) -> SuiteResult:
     return _result("markov-property", worst, len(branchers))
 
 
+# The enumeration oracle: eta(i, j; y, w, w') for every prefix y, read
+# off the joint table.  The exact engine (mixing.exact_row) never builds
+# the table; the tests check it against these tables, and the
+# j0-reduction and factorization suites check the pivot identity and the
+# operator pipeline against them.
+
+
+def _tail_laws(m: MarkovTreeModel, i: int) -> Iterator[np.ndarray]:
+    """Unnormalised laws of (x_{1..i-1}, x_i, x_{j..n}) for j = i+1, i+2, ...
+
+    Each is shaped ``(prefix, w, tail configurations)``.  The first is a
+    view of the joint table; each next one sums out one more node.
+    """
+    s = m.alphabet_size
+    tail = m.joint_table().reshape(s ** (i - 1), s, -1)
+    yield tail
+    for _ in range(i + 1, m.n):
+        tail = tail.reshape(tail.shape[0], s, s, -1).sum(axis=2)
+        yield tail
+
+
+def _tv_tables(tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All eta(i, j; y, w, w') from one tail law of :func:`_tail_laws`.
+
+    Returns ``(tv, feasible)`` where ``tv[y, w, w']`` is the coefficient
+    for prefix ``y`` (flat over nodes ``1..i-1``) and ``feasible[y, w]``
+    marks prefixes with positive probability.  Infeasible entries of
+    ``tv`` are zero.
+    """
+    s = tail.shape[1]
+    mass = tail.sum(axis=2)  # (prefix, w)
+    feasible = mass > 0.0
+    laws = np.zeros_like(tail)
+    np.divide(tail, mass[:, :, None], out=laws, where=feasible[:, :, None])
+    tv = np.zeros((tail.shape[0], s, s))
+    for w in range(s):
+        for wp in range(w + 1, s):
+            d = 0.5 * np.abs(laws[:, w, :] - laws[:, wp, :]).sum(axis=1)
+            both = feasible[:, w] & feasible[:, wp]
+            # Laws with disjoint supports can sum to just over 1 in rounding.
+            d = np.where(both, np.minimum(d, 1.0), 0.0)
+            tv[:, w, wp] = d
+            tv[:, wp, w] = d
+    return tv, feasible
+
+
+def _eta_tables(m: MarkovTreeModel, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_tv_tables` of the tail law at ``j``."""
+    i, j = mixing._check_pair(m, i, j)
+    return _tv_tables(next(islice(_tail_laws(m, i), j - i - 1, None)))
+
+
 def _suite_j0_reduction(m, trials, rng) -> SuiteResult:
     worst = 0.0
     for i in range(1, m.n):
-        tables = [mixing._tv_tables(tail)[0] for tail in mixing._tail_laws(m, i)]
+        tables = [_tv_tables(tail)[0] for tail in _tail_laws(m, i)]
         for j, tv in enumerate(tables, start=i + 1):
             j0 = first_descendant_at_or_after(m.tree, i, j)
             pivot = 0.0 if j0 is None else tables[j0 - i - 1]
@@ -83,8 +137,8 @@ def _suite_factorization(m, trials, rng) -> SuiteResult:
     checked = 0
     for i in range(1, m.n):
         last = subtree_runs(m.tree, i)[-1][-1]  # every j up to it has a pivot
-        for j, tail in zip(range(i + 1, last + 1), mixing._tail_laws(m, i)):
-            tv, feas = mixing._tv_tables(tail)
+        for j, tail in zip(range(i + 1, last + 1), _tail_laws(m, i)):
+            tv, feas = _tv_tables(tail)
             for w in range(s):
                 for wp in range(w + 1, s):
                     trace = mixing.eta_factorization(m, i, j, w, wp)

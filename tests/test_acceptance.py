@@ -25,7 +25,6 @@ from treemix.concentration import (
     tail_bound,
 )
 from treemix.mixing import (
-    _eta_tables,
     eta_bar_bound_levels,
     eta_bar_bound_uniform,
     eta_bar_exact,
@@ -38,6 +37,7 @@ from treemix.model import (
 )
 from treemix.modelfile import random_model
 from treemix.treegraph import first_descendant_at_or_after
+from treemix.verification import _eta_tables
 from treemix.tvalgebra import (
     IndexedTensor,
     StochasticOperator,

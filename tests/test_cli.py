@@ -4,6 +4,9 @@ import pytest
 
 from treemix import concentration, verification
 from treemix.cli import main
+from treemix.mixing import eta_bar_exact
+from treemix.model import MarkovTreeModel
+from treemix.modelfile import parse_model_file
 from treemix.verification import SuiteResult
 
 
@@ -219,3 +222,26 @@ class TestGen:
     def test_env_cap_applies(self, model_path, monkeypatch):
         monkeypatch.setenv("TREEMIX_MAX_ENUM", "not-a-number")
         assert main(["eta", model_path, "--source", "exact"]) == 2
+
+
+class TestExactWithoutJointTable:
+    def test_exact_paths_never_build_the_table(self, model_path, monkeypatch, capsys):
+        # The exact engine sweeps frontier laws; the joint table is only
+        # the oracle, so every exact command runs with it unavailable.
+        def no_table(self):
+            raise AssertionError("joint table built")
+
+        monkeypatch.setattr(MarkovTreeModel, "joint_table", no_table)
+        m, _ = parse_model_file(model_path)
+        delta, _ = concentration.build_mixing_matrices(m, "exact")
+        assert delta.entries[0, 1:].max() > 0.0
+        assert eta_bar_exact(m, 1, m.n) == delta.entries[0, m.n - 1]
+        for argv in (
+            ["eta", model_path, "--source", "exact"],
+            ["eta", model_path, "--pair", "1", "4"],
+            ["norms", model_path],
+            ["bound", model_path, "--source", "exact"],
+        ):
+            assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert "skipped" not in out and "not computed" not in out

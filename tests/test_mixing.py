@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from treemix.mixing import (
     LevelGrowthError,
-    _eta_tables,
     eta_bar_bound_levels,
     eta_bar_bound_linear_growth,
     eta_bar_bound_uniform,
@@ -19,9 +18,10 @@ from treemix.mixing import (
     geometric_rate,
 )
 from treemix.concentration import build_mixing_matrices
-from treemix.model import EnumerationLimitError, max_contraction
+from treemix.model import EnumerationLimitError, Kernel, MarkovTreeModel, max_contraction
 from treemix.modelfile import random_model
 from treemix.treegraph import first_descendant_at_or_after
+from treemix.verification import _eta_tables
 
 from conftest import (
     ROWS_05,
@@ -170,16 +170,28 @@ def test_level_sweep_matches_oracle(seed, n, s, shape):
 
 @given(
     seed=st.integers(min_value=0, max_value=10**6),
-    n=st.integers(min_value=2, max_value=8),
+    n=st.integers(min_value=2, max_value=9),
     s=st.integers(min_value=2, max_value=3),
     shape=st.sampled_from(["chain", "star", "full"]),
-    support=st.sampled_from(["full", "sparse", "sparse, deterministic root"]),
+    support=st.sampled_from(
+        ["full", "sparse", "sparse, deterministic root", "drifted columns"]
+    ),
 )
 @settings(max_examples=80, deadline=None)
 def test_exact_sweep_matches_oracle(seed, n, s, shape, support):
     caps = {"chain": {"width": 1}, "star": {"depth": 1}, "full": {}}[shape]
     m = random_model(seed, n=n, alphabet_size=s, **caps)
-    if support != "full":
+    if support == "drifted columns":
+        # Kernel columns may miss 1 by up to STOCHASTIC_ATOL; the oracle
+        # normalises the conditional laws, and so must the sweep.
+        rng = np.random.default_rng(seed)
+        kernels = {}
+        for edge, k in m.kernels.items():
+            mat = k.matrix.copy()
+            mat[0] += 4e-10 * rng.random(s)
+            kernels[edge] = Kernel(edge, mat)
+        m = MarkovTreeModel(m.tree, s, m.root_dist, kernels)
+    elif support != "full":
         m = sparsified(m, seed, support.endswith("root"))
     delta, _ = build_mixing_matrices(m, "exact")
     for i in range(1, n):
@@ -187,6 +199,17 @@ def test_exact_sweep_matches_oracle(seed, n, s, shape, support):
         for j in range(i + 1, n + 1):
             assert abs(delta.entries[i - 1, j - 1] - oracle_eta_bar(m, i, j)) <= 1e-12
             assert row[j - i - 1] == eta_bar_exact(m, i, j)
+
+
+def test_exact_rows_vanish_on_one_state_alphabet():
+    # s = 1: node i has no two states to tell apart, so every row is 0
+    edges = [(1, 2), (1, 3), (2, 4), (3, 5)]
+    m = make_model(5, edges, 1, [1.0], {e: [[1.0]] for e in edges})
+    delta, _ = build_mixing_matrices(m, "exact")
+    np.testing.assert_array_equal(delta.entries, np.eye(5))
+    for i in range(1, 5):
+        assert not exact_row(m, i).any()
+        assert all(eta_bar_exact(m, i, j) == 0.0 for j in range(i + 1, 6))
 
 
 class TestUniformBound:
