@@ -90,7 +90,7 @@ class MixingMatrix:
         return self.entries.shape[0]
 
 
-def _eta_bar_row(m: MarkovTreeModel, source: str) -> Callable[[int], Sequence[float]]:
+def eta_bar_row(m: MarkovTreeModel, source: str) -> Callable[[int], Sequence[float]]:
     """Function ``i -> [eta_bar(i, j) for j = i+1..n]`` for one source."""
     n = m.n
     rows = {"exact": exact_row, "level-bound": level_bound_row}
@@ -117,7 +117,7 @@ def build_mixing_matrices(
     if source not in SOURCES:
         raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
     n = m.n
-    row = _eta_bar_row(m, source)
+    row = eta_bar_row(m, source)
     delta = np.eye(n)
     for i in range(1, n):
         delta[i - 1, i:] = row(i)

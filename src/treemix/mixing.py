@@ -116,7 +116,7 @@ def _feasible_pairs(m: MarkovTreeModel, i: int) -> list[tuple[int, int]]:
     else:
         u = m.tree.parent[i]
         seen = node_marginals(m)[u] > 0.0
-        reach = m.kernel((u, i)).matrix[:, seen] > 0.0  # [w, a]
+        reach = m.kernel_stack[i - 2][:, seen] > 0.0  # [w, a]
     shared = reach.astype(int) @ reach.T.astype(int)  # states reaching both
     w, wp = np.nonzero(np.triu(shared, k=1))
     return list(zip(w.tolist(), wp.tolist()))
@@ -147,7 +147,7 @@ def _frontier_laws(m: MarkovTreeModel, i: int) -> Iterator[tuple[range, np.ndarr
         # v is the frontier's first node and its children follow the rest.
         block = 1.0 / mass[v][:, None]  # [x_v, children of v]
         for c in tree.children[v]:
-            k = m.kernel((v, c)).matrix.T * mass[c]  # [x_v, x_c]
+            k = m.kernel_stack[c - 2].T * mass[c]  # [x_v, x_c]
             block = (block[:, :, None] * k[:, None, :]).reshape(s, -1)
         laws = np.tensordot(laws.reshape(s, s, -1), block, axes=([1], [0]))
         laws = laws.reshape(s, -1)

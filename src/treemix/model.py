@@ -5,6 +5,14 @@ kernel per tree edge; the joint law of the node variables is
 
     P(x) = root_dist[x_1] * prod over edges (u, v) of K_uv[x_v, x_u].
 
+The kernels are held as one read-only stack, ``kernel_stack``, of shape
+``(n - 1, s, s)`` in child order: ``kernel_stack[v - 2][x_v, x_u]`` is the
+kernel of the edge into ``v``.  A model given the stack (as the file
+loader gives it) validates it once, as a whole, and its ``kernels`` and
+``kernel(edge)`` are :class:`Kernel` views into it.  The per-model tables
+below (edge contraction coefficients, node marginals, subtree masses,
+the sampler's cumulative laws) read the stack.
+
 Conditional laws given a prefix and the verification oracles enumerate
 this joint table.  Exact mixing coefficients do not build it: they sweep
 small frontier laws down the tree (:mod:`treemix.mixing`), reading the
@@ -25,14 +33,14 @@ The streams are computed together, as uint64 array arithmetic.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .treegraph import TreeTopology, subtree
-from .tvalgebra import STOCHASTIC_ATOL, IndexedTensor, column_tv_norm
+from .tvalgebra import STOCHASTIC_ATOL, IndexedTensor, column_tv_norms
 
 DEFAULT_ENUM_CAP = 10_000_000
 ENUM_CAP_ENV = "TREEMIX_MAX_ENUM"
@@ -54,6 +62,48 @@ def enumeration_cap() -> int:
     if cap < 1:
         raise ValueError(f"enumeration cap must be positive, got {cap}")
     return cap
+
+
+def _check_stack(stack: np.ndarray, edges: Sequence[tuple[int, int]]) -> None:
+    """Validate a kernel stack in one pass; on failure, raise the
+    :class:`Kernel` error of the first edge that fails."""
+    if (
+        np.isfinite(stack).all()
+        and stack.min(initial=0.0) >= 0.0
+        and np.abs(stack.sum(axis=1) - 1.0).max(initial=0.0) <= STOCHASTIC_ATOL
+    ):
+        return
+    for u, v in edges:
+        Kernel((u, v), stack[v - 2])
+
+
+def _stack_kernels(
+    kernels: dict[tuple[int, int], "Kernel"], edges: Sequence[tuple[int, int]], s: int
+) -> np.ndarray:
+    """Stack a mapping of already validated kernels in child order."""
+    want = set(edges)
+    have = set(kernels)
+    if want != have:
+        raise ValueError(
+            f"kernels must cover exactly the tree edges; missing "
+            f"{sorted(want - have)}, extra {sorted(have - want)}"
+        )
+    for edge, k in kernels.items():
+        if k.edge != edge:
+            raise ValueError(f"kernel keyed {edge} carries edge {k.edge}")
+        if k.alphabet_size != s:
+            raise ValueError(
+                f"kernel for edge {edge} has alphabet {k.alphabet_size}, "
+                f"expected {s}"
+            )
+    if not kernels:
+        return np.empty((0, s, s))
+    mats = [kernels[edge].matrix for edge in edges]
+    # Keep the kernels' memory layout: numpy's summation order, and so
+    # the last bits of what is computed from them, follows it.
+    if all(mat.flags.f_contiguous for mat in mats):
+        return np.array([mat.T for mat in mats]).transpose(0, 2, 1)
+    return np.array(mats)
 
 
 @dataclass(frozen=True)
@@ -93,15 +143,34 @@ class Kernel:
     def alphabet_size(self) -> int:
         return self.matrix.shape[0]
 
+    @classmethod
+    def _view(cls, edge: tuple[int, int], matrix: np.ndarray) -> "Kernel":
+        """A kernel over a slice of an already validated stack, uncopied."""
+        k = object.__new__(cls)
+        object.__setattr__(k, "edge", edge)
+        object.__setattr__(k, "matrix", matrix)
+        return k
+
 
 @dataclass(frozen=True)
 class MarkovTreeModel:
-    """A tree topology with a root distribution and per-edge kernels."""
+    """A tree topology with a root distribution and per-edge kernels.
+
+    ``kernels`` is given either as a mapping edge -> :class:`Kernel`
+    covering the tree's edges, which ``kernel_stack`` then copies, or as
+    the kernel stack itself, an array of shape ``(n - 1, s, s)`` whose
+    entry ``v - 2`` is the kernel of the edge into ``v``.  A stack is
+    copied and validated once: finite, non-negative, columns summing to 1
+    within ``STOCHASTIC_ATOL``; an invalid stack raises the error of its
+    first invalid edge, and ``kernels`` maps every edge to a
+    :class:`Kernel` view into the read-only ``kernel_stack``.
+    """
 
     tree: TreeTopology
     alphabet_size: int
     root_dist: np.ndarray
-    kernels: Mapping[tuple[int, int], Kernel]
+    kernels: Mapping[tuple[int, int], Kernel] | np.ndarray
+    kernel_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = int(self.alphabet_size)
@@ -117,25 +186,25 @@ class MarkovTreeModel:
         if not dist.min() >= 0.0 or abs(dist.sum() - 1.0) > STOCHASTIC_ATOL:
             raise ValueError("root distribution is not a probability vector")
         dist.flags.writeable = False
-        kernels = dict(self.kernels)
-        want = set(self.tree.edges())
-        have = set(kernels)
-        if want != have:
-            raise ValueError(
-                f"kernels must cover exactly the tree edges; missing "
-                f"{sorted(want - have)}, extra {sorted(have - want)}"
-            )
-        for edge, k in kernels.items():
-            if k.edge != edge:
-                raise ValueError(f"kernel keyed {edge} carries edge {k.edge}")
-            if k.alphabet_size != s:
+        edges = self.tree.edges()
+        if isinstance(self.kernels, np.ndarray):
+            stack = np.array(self.kernels, dtype=float)
+            if stack.shape != (len(edges), s, s):
                 raise ValueError(
-                    f"kernel for edge {edge} has alphabet {k.alphabet_size}, "
-                    f"expected {s}"
+                    f"kernel stack has shape {stack.shape}, expected "
+                    f"{(len(edges), s, s)}"
                 )
+            _check_stack(stack, edges)
+            stack.flags.writeable = False  # before the views, which inherit it
+            kernels = {(u, v): Kernel._view((u, v), stack[v - 2]) for u, v in edges}
+        else:
+            kernels = dict(self.kernels)
+            stack = _stack_kernels(kernels, edges, s)
+            stack.flags.writeable = False
         object.__setattr__(self, "alphabet_size", s)
         object.__setattr__(self, "root_dist", dist)
         object.__setattr__(self, "kernels", kernels)
+        object.__setattr__(self, "kernel_stack", stack)
 
     @property
     def n(self) -> int:
@@ -181,12 +250,12 @@ class MarkovTreeModel:
         shape = [1] * n
         shape[0] = s
         table *= self.root_dist.reshape(shape)
-        for (u, v), k in sorted(self.kernels.items()):
+        for u, v in sorted(self.tree.edges()):
             shape = [1] * n
             shape[u - 1] = s
             shape[v - 1] = s
             # matrix is [child, parent]; axis u-1 (parent) must index columns
-            table *= k.matrix.T.reshape(shape)
+            table *= self.kernel_stack[v - 2].T.reshape(shape)
         self.__dict__["_joint_table"] = table
         return table
 
@@ -207,19 +276,25 @@ def joint_probability(m: MarkovTreeModel, x: Sequence[int]) -> float:
 
 
 def contraction_coefficient(m: MarkovTreeModel, edge: tuple[int, int]) -> float:
-    """Largest TV distance between two columns of the edge's kernel."""
-    return column_tv_norm(m.kernel(edge).matrix)
+    """Largest TV distance between two columns of the edge's kernel.
+
+    Read from :func:`edge_thetas`.
+    """
+    return edge_thetas(m)[m.kernel(edge).edge[1]]
 
 
 def edge_thetas(m: MarkovTreeModel) -> Mapping[int, float]:
     """Contraction coefficient of every edge, keyed by the edge's child.
 
-    Computed once per model and cached, like the joint table.
+    One :func:`~treemix.tvalgebra.column_tv_norms` pass over the kernel
+    stack, equal bit for bit to ``column_tv_norm`` of each kernel;
+    computed once per model and cached, like the joint table.
     """
     cached = m.__dict__.get("_edge_thetas")
     if cached is None:
-        thetas = {v: contraction_coefficient(m, (u, v)) for u, v in m.tree.edges()}
-        cached = m.__dict__["_edge_thetas"] = MappingProxyType(thetas)
+        thetas = column_tv_norms(m.kernel_stack).tolist()
+        cached = MappingProxyType(dict(zip(range(2, m.n + 1), thetas)))
+        m.__dict__["_edge_thetas"] = cached
     return cached
 
 
@@ -234,7 +309,7 @@ def node_marginals(m: MarkovTreeModel) -> np.ndarray:
         cached = np.zeros((m.n + 1, m.alphabet_size))
         cached[1] = m.root_dist
         for u, v in m.tree.edges():
-            cached[v] = m.kernels[(u, v)].matrix @ cached[u]
+            cached[v] = m.kernel_stack[v - 2] @ cached[u]
         cached.flags.writeable = False
         m.__dict__["_node_marginals"] = cached
     return cached
@@ -253,7 +328,7 @@ def subtree_masses(m: MarkovTreeModel) -> np.ndarray:
     if cached is None:
         cached = np.ones((m.n + 1, m.alphabet_size))
         for u, v in reversed(m.tree.edges()):
-            cached[u] *= cached[v] @ m.kernels[(u, v)].matrix
+            cached[u] *= cached[v] @ m.kernel_stack[v - 2]
         cached.flags.writeable = False
         m.__dict__["_subtree_masses"] = cached
     return cached
@@ -383,12 +458,9 @@ def sample_paths(
     n, parent = m.n, m.tree.parent
     # x_v = #{k < s - 1 : cdf[x_parent][k] <= u_v}, which is bisect_right
     # over the whole cdf clamped at s - 1, since the cdf is non-decreasing.
-    # cdf_rows[v][k] holds cdf[y][k] for every parent state y.
+    # cdf_rows[v - 2][k] holds cdf[y][k] for every parent state y.
     root_cdf = np.cumsum(m.root_dist)[:-1]
-    cdf_rows = [None, None] + [
-        np.cumsum(m.kernels[(parent[v], v)].matrix, axis=0)[:-1]
-        for v in range(2, n + 1)
-    ]
+    cdf_rows = np.cumsum(m.kernel_stack, axis=1)[:, :-1]
     out = np.empty((count, n), dtype=np.int64)
     for start in range(0, count, _SAMPLE_BLOCK):
         size = min(_SAMPLE_BLOCK, count - start)
@@ -398,7 +470,7 @@ def sample_paths(
             x[0] += c <= u[0]
         for v in range(2, n + 1):
             x_parent = x[parent[v] - 1]
-            for c in cdf_rows[v]:
+            for c in cdf_rows[v - 2]:
                 x[v - 1] += c[x_parent] <= u[v - 1]
         out[start : start + size] = x.T
     return out

@@ -22,13 +22,24 @@ while keeping downstream identities tight.  Node labels may be any
 permutation of ``1..n``; the loaded model is always relabeled to the
 canonical breadth-first numbering, and the relabeling map is returned
 alongside it.
+
+Loading checks each edge record (an object with integer ``parent`` and
+``child`` and ``s`` rows of ``s`` entries), then converts every kernel
+entry in one ``float()`` pass and range-checks all rows at once.  Only a
+row whose float sum is not clearly within 1e-13 of 1 is summed exactly
+(``math.fsum``) and renormalized, so the values are those of a row-by-row
+load bit for bit.  The kernels reach the model as one ``(n - 1, s, s)``
+stack in canonical child order (:class:`~treemix.model.MarkovTreeModel`),
+validated once.  A bad file raises :class:`ModelFileError` for its first
+fault in file order; a kernel fault names the edge, in the file's labels,
+and the row.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -40,6 +51,7 @@ FORMAT_VERSION = 1
 
 _RENORM_SKIP = 1e-13
 _RENORM_MAX = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 class ModelFileError(ValueError):
@@ -57,17 +69,56 @@ def _normalize(vec: np.ndarray, what: str) -> np.ndarray:
     return vec / total
 
 
-def _probability_row(raw: Any, length: int, what: str) -> np.ndarray:
-    if not isinstance(raw, list) or len(raw) != length:
-        raise ModelFileError(f"{what} must be a list of {length} probabilities")
+def _as_float(x: Any) -> float:
     try:
-        vec = np.array([float(x) for x in raw])
-    except (TypeError, ValueError):
-        raise ModelFileError(f"{what} contains non-numeric entries") from None
-    # NaN fails this test: min and max propagate it and it compares false.
-    if not (vec.min() >= 0.0 and vec.max() <= 1.0 + _RENORM_MAX):
-        raise ModelFileError(f"{what} has entries outside [0, 1]")
-    return _normalize(vec, what)
+        return float(x)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf
+
+
+def _probability_rows(raw_rows: list, s: int, name: Callable[[int], str]) -> np.ndarray:
+    """Check and renormalize rows of ``s`` probabilities, as one
+    ``(len(raw_rows), s)`` array.
+
+    A fault raises :class:`ModelFileError` for the first faulty row
+    ``k``, named ``name(k)``; within a row the checks run in the order
+    shape, non-numeric entry, range, sum.  All rows are converted in one
+    ``float()`` pass and range-checked together; only a row whose float
+    sum is not clearly within ``_RENORM_SKIP`` of 1 is summed exactly
+    (``math.fsum``) by :func:`_normalize`.
+    """
+    shaped = next(
+        (k for k, row in enumerate(raw_rows) if not isinstance(row, list) or len(row) != s),
+        len(raw_rows),
+    )
+    try:
+        flat = [float(x) for row in raw_rows[:shaped] for x in row]
+        numeric = shaped
+    except (TypeError, ValueError, OverflowError):
+        flat = []
+        for numeric, row in enumerate(raw_rows[:shaped]):
+            try:
+                flat += [_as_float(x) for x in row]
+            except (TypeError, ValueError):
+                break
+        else:
+            numeric = shaped
+    rows = np.array(flat).reshape(numeric, s)
+    # NaN fails both comparisons.
+    outside = ~((rows >= 0.0) & (rows <= 1.0 + _RENORM_MAX)).all(axis=1)
+    # The float sum of s entries in [0, 1] is within (s - 1) / 2 ulp of
+    # their exact sum, so inside this band the exact sum is within
+    # _RENORM_SKIP of 1 and _normalize would return the row unchanged.
+    near = np.abs(rows.sum(axis=1) - 1.0) <= _RENORM_SKIP - s * _EPS
+    for k in np.flatnonzero(outside | ~near).tolist():
+        if outside[k]:
+            raise ModelFileError(f"{name(k)} has entries outside [0, 1]")
+        rows[k] = _normalize(rows[k], name(k))
+    if numeric < shaped:
+        raise ModelFileError(f"{name(numeric)} contains non-numeric entries")
+    if shaped < len(raw_rows):
+        raise ModelFileError(f"{name(shaped)} must be a list of {s} probabilities")
+    return rows
 
 
 def _require(doc: dict, key: str, kind: type, what: str = "model file") -> Any:
@@ -83,11 +134,28 @@ def _require(doc: dict, key: str, kind: type, what: str = "model file") -> Any:
     return val
 
 
+def _edge_record(rec: Any, pos: int, s: int, path: str) -> tuple[int, int, list]:
+    """Parent, child and raw kernel rows of ``edges[pos]``."""
+    if not isinstance(rec, dict):
+        raise ModelFileError(f"{path}: edges[{pos}] must be an object")
+    u = _require(rec, "parent", int, f"edges[{pos}]")
+    v = _require(rec, "child", int, f"edges[{pos}]")
+    rows = _require(rec, "kernel", list, f"edges[{pos}]")
+    if len(rows) != s:
+        fault = "missing" if len(rows) < s else "extra"
+        raise ModelFileError(
+            f"{path}: kernel for edge ({u}, {v}), row {min(len(rows), s)} is "
+            f"{fault}: it must have {s} rows (one per parent state), got {len(rows)}"
+        )
+    return u, v, rows
+
+
 def parse_model_file(path: str) -> tuple[MarkovTreeModel, dict[int, int]]:
     """Load, validate, renormalize, and canonicalize a model file.
 
     Returns ``(model, relabel)`` where ``relabel`` maps the file's node
     labels to the canonical breadth-first numbers used by the model.
+    The first fault in file order is reported.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -119,44 +187,41 @@ def parse_model_file(path: str) -> tuple[MarkovTreeModel, dict[int, int]]:
     if n < 1:
         raise ModelFileError(f"{path}: nodes must be >= 1, got {n}")
     raw_edges = _require(doc, "edges", list)
-    root_dist = _probability_row(_require(doc, "root_dist", list), s, "root_dist")
+    root_dist = _probability_rows(
+        [_require(doc, "root_dist", list)], s, lambda k: "root_dist"
+    )[0]
 
-    edge_list: list[tuple[int, int]] = []
-    raw_kernels: list[np.ndarray] = []
+    edges: list[tuple[int, int]] = []
+    raw_rows: list = []
+    fault = None
     for pos, rec in enumerate(raw_edges):
-        if not isinstance(rec, dict):
-            raise ModelFileError(f"{path}: edges[{pos}] must be an object")
-        u = _require(rec, "parent", int, f"edges[{pos}]")
-        v = _require(rec, "child", int, f"edges[{pos}]")
-        rows = _require(rec, "kernel", list, f"edges[{pos}]")
-        if len(rows) != s:
-            raise ModelFileError(
-                f"{path}: kernel for edge ({u}, {v}) must have {s} rows "
-                f"(one per parent state), got {len(rows)}"
-            )
-        mat = np.empty((s, s))
-        for r, row in enumerate(rows):
-            try:
-                mat[r] = _probability_row(
-                    row, s, f"kernel for edge ({u}, {v}), row {r}"
-                )
-            except ModelFileError as exc:
-                raise ModelFileError(f"{path}: {exc}") from None
-        edge_list.append((u, v))
-        raw_kernels.append(mat)
+        try:
+            u, v, rows = _edge_record(rec, pos, s, path)
+        except ModelFileError as exc:
+            fault = exc
+            break
+        edges.append((u, v))
+        raw_rows += rows
+    # The rows before a faulty edge are checked first: they precede it.
+    rows = _probability_rows(
+        raw_rows, s, lambda k: f"{path}: kernel for edge {edges[k // s]}, row {k % s}"
+    )
+    if fault is not None:
+        raise fault
 
     try:
-        topo, relabel = build_tree(n, edge_list)
+        topo, relabel = build_tree(n, edges)
     except TreeStructureError as exc:
         raise ModelFileError(f"{path}: {exc}") from None
 
-    kernels: dict[tuple[int, int], Kernel] = {}
-    for (u, v), rows in zip(edge_list, raw_kernels):
-        edge = (relabel[u], relabel[v])
-        # parent-major rows transpose into a column-stochastic matrix
-        kernels[edge] = Kernel(edge, rows.T)
+    # File rows are parent-major, [edge, parent state, child state] in file
+    # order; the model's stack is [edge, child state, parent state] in
+    # child order.
+    order = np.empty(len(edges), dtype=np.intp)
+    order[[relabel[v] - 2 for _, v in edges]] = np.arange(len(edges))
+    stack = rows.reshape(-1, s, s)[order].transpose(0, 2, 1)
     try:
-        model = MarkovTreeModel(topo, s, root_dist, kernels)
+        model = MarkovTreeModel(topo, s, root_dist, stack)
     except ValueError as exc:
         raise ModelFileError(f"{path}: {exc}") from None
     return model, relabel

@@ -204,6 +204,22 @@ def column_tv_norm(mat: np.ndarray) -> float:
     return worst
 
 
+def column_tv_norms(stack: np.ndarray) -> np.ndarray:
+    """:func:`column_tv_norm` of every matrix of a ``(k, rows, cols)`` stack.
+
+    The same loop, over column ``x`` of all matrices at once, so ``k``
+    matrices take one pass instead of ``k`` calls.  Each value equals the
+    matrix's own bit for bit when the matrix is laid out in memory as the
+    stack's slices are: numpy's summation order follows the memory
+    layout.
+    """
+    worst = np.zeros(stack.shape[0])
+    for x in range(stack.shape[2] - 1):
+        d = 0.5 * np.abs(stack[:, :, x + 1 :] - stack[:, :, x : x + 1]).sum(axis=1)
+        np.maximum(worst, d.max(axis=1), out=worst)
+    return worst
+
+
 def operator_tv_norm(a: StochasticOperator) -> float:
     """Contraction coefficient of ``a``: the column TV norm of its entries."""
     return column_tv_norm(a.entries)

@@ -9,13 +9,18 @@ genuine cross-check rather than the same code run twice.
 from __future__ import annotations
 
 import itertools
+import json
+import math
 from bisect import bisect_right
 from collections import defaultdict
+from typing import Any
 
 import numpy as np
 import pytest
 
 from treemix import Kernel, MarkovTreeModel, build_tree
+from treemix.modelfile import ModelFileError
+from treemix.treegraph import TreeStructureError
 
 
 # --------------------------------------------------------------- builders
@@ -240,3 +245,130 @@ def oracle_sample_paths(m, seed, count, stream_offset=0) -> np.ndarray:
             row[v - 1] = min(bisect_right(cdf, u[v - 1]), top)
         out[p] = row
     return out
+
+
+
+# ------------------------------------------------- per-row model parser
+#
+# The model-file parser as it was before kernels were parsed as one
+# stack: one row at a time, each with its own numpy checks and its own
+# exact sum.  The library parser must load the same documents into the
+# same bits and reject the same documents.
+
+_ORACLE_FORMAT_VERSION = 1
+_ORACLE_RENORM_SKIP = 1e-13
+_ORACLE_RENORM_MAX = 1e-9
+
+
+def _oracle_normalize(vec: np.ndarray, what: str) -> np.ndarray:
+    total = math.fsum(vec.tolist())
+    if abs(total - 1.0) > _ORACLE_RENORM_MAX:
+        raise ModelFileError(
+            f"{what} sums to {total!r}, expected 1 within {_ORACLE_RENORM_MAX}"
+        )
+    if abs(total - 1.0) <= _ORACLE_RENORM_SKIP:
+        return vec
+    return vec / total
+
+
+def _oracle_probability_row(raw: Any, length: int, what: str) -> np.ndarray:
+    if not isinstance(raw, list) or len(raw) != length:
+        raise ModelFileError(f"{what} must be a list of {length} probabilities")
+    try:
+        vec = np.array([float(x) for x in raw])
+    except (TypeError, ValueError):
+        raise ModelFileError(f"{what} contains non-numeric entries") from None
+    # NaN fails this test: min and max propagate it and it compares false.
+    if not (vec.min() >= 0.0 and vec.max() <= 1.0 + _ORACLE_RENORM_MAX):
+        raise ModelFileError(f"{what} has entries outside [0, 1]")
+    return _oracle_normalize(vec, what)
+
+
+def _oracle_require(doc: dict, key: str, kind: type, what: str = "model file") -> Any:
+    if key not in doc:
+        raise ModelFileError(f"{what} is missing required field {key!r}")
+    val = doc[key]
+    if kind is int and (isinstance(val, bool) or not isinstance(val, int)):
+        raise ModelFileError(f"field {key!r} must be an integer, got {val!r}")
+    if kind is not int and not isinstance(val, kind):
+        raise ModelFileError(
+            f"field {key!r} must be of type {kind.__name__}, got {type(val).__name__}"
+        )
+    return val
+
+
+def oracle_parse_model(path: str) -> tuple[MarkovTreeModel, dict[int, int]]:
+    """Load, validate, renormalize, and canonicalize a model file, row by row."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ModelFileError(f"{path}: {exc.strerror or exc}") from None
+
+    def reject_constant(name: str):
+        raise ModelFileError(f"{path}: non-finite number {name} is not allowed")
+
+    try:
+        doc = json.loads(text, parse_constant=reject_constant)
+    except json.JSONDecodeError as exc:
+        raise ModelFileError(
+            f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}"
+        ) from None
+    if not isinstance(doc, dict):
+        raise ModelFileError(f"{path}: top level must be an object")
+
+    version = _oracle_require(doc, "format_version", int)
+    if version != _ORACLE_FORMAT_VERSION:
+        raise ModelFileError(
+            f"{path}: unsupported format_version {version}, expected {_ORACLE_FORMAT_VERSION}"
+        )
+    s = _oracle_require(doc, "alphabet_size", int)
+    if s < 2:
+        raise ModelFileError(f"{path}: alphabet_size must be >= 2, got {s}")
+    n = _oracle_require(doc, "nodes", int)
+    if n < 1:
+        raise ModelFileError(f"{path}: nodes must be >= 1, got {n}")
+    raw_edges = _oracle_require(doc, "edges", list)
+    root_dist = _oracle_probability_row(
+        _oracle_require(doc, "root_dist", list), s, "root_dist"
+    )
+
+    edge_list: list[tuple[int, int]] = []
+    raw_kernels: list[np.ndarray] = []
+    for pos, rec in enumerate(raw_edges):
+        if not isinstance(rec, dict):
+            raise ModelFileError(f"{path}: edges[{pos}] must be an object")
+        u = _oracle_require(rec, "parent", int, f"edges[{pos}]")
+        v = _oracle_require(rec, "child", int, f"edges[{pos}]")
+        rows = _oracle_require(rec, "kernel", list, f"edges[{pos}]")
+        if len(rows) != s:
+            raise ModelFileError(
+                f"{path}: kernel for edge ({u}, {v}) must have {s} rows "
+                f"(one per parent state), got {len(rows)}"
+            )
+        mat = np.empty((s, s))
+        for r, row in enumerate(rows):
+            try:
+                mat[r] = _oracle_probability_row(
+                    row, s, f"kernel for edge ({u}, {v}), row {r}"
+                )
+            except ModelFileError as exc:
+                raise ModelFileError(f"{path}: {exc}") from None
+        edge_list.append((u, v))
+        raw_kernels.append(mat)
+
+    try:
+        topo, relabel = build_tree(n, edge_list)
+    except TreeStructureError as exc:
+        raise ModelFileError(f"{path}: {exc}") from None
+
+    kernels: dict[tuple[int, int], Kernel] = {}
+    for (u, v), rows in zip(edge_list, raw_kernels):
+        edge = (relabel[u], relabel[v])
+        # parent-major rows transpose into a column-stochastic matrix
+        kernels[edge] = Kernel(edge, rows.T)
+    try:
+        model = MarkovTreeModel(topo, s, root_dist, kernels)
+    except ValueError as exc:
+        raise ModelFileError(f"{path}: {exc}") from None
+    return model, relabel

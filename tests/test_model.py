@@ -76,6 +76,60 @@ class TestModelConstruction:
         m = MarkovTreeModel(topo, 3, np.array([0.2, 0.3, 0.5]), {})
         np.testing.assert_allclose(m.joint_table(), [0.2, 0.3, 0.5])
         assert max_contraction(m) == 0.0
+        assert m.kernel_stack.shape == (0, 3, 3)
+
+
+class TestKernelStack:
+    def _star(self):
+        return make_model(
+            4, [(1, 2), (1, 3), (3, 4)], 2, [0.3, 0.7],
+            {(1, 2): ROWS_07, (1, 3): ROWS_05, (3, 4): [[0.4, 0.6], [0.5, 0.5]]},
+        )
+
+    def test_child_order(self):
+        m = self._star()
+        assert m.kernel_stack.shape == (3, 2, 2)
+        for u, v in m.tree.edges():
+            np.testing.assert_array_equal(m.kernel((u, v)).matrix, m.kernel_stack[v - 2])
+        np.testing.assert_array_equal(m.kernel_stack[0], np.array(ROWS_07).T)
+        assert not m.kernel_stack.flags.writeable
+
+    def test_stack_input_gives_views(self):
+        m = self._star()
+        stack = np.array(m.kernel_stack)
+        from_stack = MarkovTreeModel(m.tree, 2, m.root_dist, stack)
+        assert from_stack.kernel_stack.tobytes() == m.kernel_stack.tobytes()
+        stack[0, 0, 0] = 0.0  # the model holds its own copy
+        assert from_stack.kernel_stack[0, 0, 0] == 0.9
+        assert set(from_stack.kernels) == set(m.tree.edges())
+        for u, v in m.tree.edges():
+            assert np.shares_memory(from_stack.kernel((u, v)).matrix, from_stack.kernel_stack)
+        with pytest.raises(ValueError):
+            from_stack.kernel((1, 2)).matrix[0, 0] = 0.5
+
+    @pytest.mark.parametrize(
+        "entry, match",
+        [(np.nan, "non-finite"), (-0.25, "negative"), (0.95, "sum to 1")],
+    )
+    def test_bad_stack_names_first_bad_edge(self, entry, match):
+        m = self._star()
+        stack = np.array(m.kernel_stack)
+        stack[1:, 0, 1] = entry  # edges into 3 and 4
+        with pytest.raises(ValueError, match=rf"edge \(1, 3\).*{match}"):
+            MarkovTreeModel(m.tree, 2, m.root_dist, stack)
+
+    def test_stack_shape_checked(self):
+        m = self._star()
+        with pytest.raises(ValueError, match="shape"):
+            MarkovTreeModel(m.tree, 2, m.root_dist, m.kernel_stack[:2])
+
+    def test_mapping_keeps_kernel_layout(self):
+        # Parent-major rows transposed give column-major kernels; the stack
+        # keeps that layout, which sets numpy's summation order.
+        m = self._star()
+        assert all(k.matrix.flags.f_contiguous for k in m.kernels.values())
+        c = random_model(3, n=5, alphabet_size=3)
+        assert all(k.matrix.flags.c_contiguous for k in c.kernels.values())
 
 
 class TestJointTable:

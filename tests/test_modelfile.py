@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treemix.cli import main as cli_main
-from treemix.model import max_contraction
+from treemix.model import edge_thetas, max_contraction
 from treemix.modelfile import (
     ModelFileError,
     parse_model_file,
@@ -20,9 +21,9 @@ from treemix.modelfile import (
     save_model,
     serialize_model,
 )
-from treemix.tvalgebra import STOCHASTIC_ATOL
+from treemix.tvalgebra import STOCHASTIC_ATOL, column_tv_norm
 
-from conftest import ROWS_05, ROWS_07
+from conftest import ROWS_05, ROWS_07, oracle_parse_model
 
 
 def write_doc(tmp_path, doc, name="model.json"):
@@ -343,3 +344,188 @@ def test_fuzzed_document_loads_or_is_rejected(kind, s, mutations, data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli_main(["inspect", path, "-v"])
         assert code == (0 if loaded else 2)
+
+
+# ------------------------------------------------------- error contract
+
+
+def _cli_inspect(path):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(["inspect", path])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "kernel, fault",
+    [
+        ([[0.75, 0.25], [0.2, "x"]], "row 1 contains non-numeric entries"),
+        ([[0.75, 0.25], [1.2, -0.2]], "row 1 has entries outside [0, 1]"),
+        ([[0.75, 0.25], [0.25, 0.25, 0.5]], "row 1 must be a list of 2 probabilities"),
+        ([[0.75, 0.25], [0.22, 0.75]], "row 1 sums to 0.97"),
+        ([[0.75, 0.25]], "row 1 is missing: it must have 2 rows"),
+        ([[0.75, 0.25], [0.25, 0.75], [0.5, 0.5]], "row 2 is extra: it must have 2 rows"),
+    ],
+    ids=["non-numeric", "outside", "row-length", "row-sum", "missing-row", "extra-row"],
+)
+def test_kernel_fault_names_edge_and_row(tmp_path, kernel, fault):
+    doc = chain3_doc()
+    doc["edges"][1]["kernel"] = kernel
+    path = write_doc(tmp_path, doc)
+    message = f"{path}: kernel for edge (2, 3), {fault}"
+    with pytest.raises(ModelFileError, match=re.escape(message)):
+        parse_model_file(path)
+    code, err = _cli_inspect(path)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        # a bad row sum in the first edge comes before a non-object edge
+        [(("edges", 0, "kernel", 1), [0.2, 0.7]), (("edges", 1), "edge")],
+        # non-numeric row 0 before an out-of-range row 1 of the same edge
+        [(("edges", 0, "kernel", 0), ["a", 0.1]), (("edges", 0, "kernel", 1), [2.0, -1.0])],
+        # an out-of-range row before a short row, across edges
+        [(("edges", 0, "kernel", 1), [-0.1, 1.1]), (("edges", 1, "kernel", 0), [1.0])],
+        # the root law comes before every kernel
+        [(("root_dist",), [0.7, 0.7]), (("edges", 0, "kernel", 0), ["x", "y"])],
+        # range is checked before the sum within one row
+        [(("edges", 1, "kernel", 0), [1.5, 0.6])],
+        # a bad row before a missing field of a later edge
+        [(("edges", 0, "kernel", 1), "row"), (("edges", 1, "parent"), None)],
+    ],
+)
+def test_first_fault_in_file_order_is_reported(tmp_path, edits):
+    doc = copy.deepcopy(chain3_doc())  # its rows are the shared ROWS_* lists
+    for where, value in edits:
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        if value is None:
+            del target[where[-1]]
+        else:
+            target[where[-1]] = value
+    path = write_doc(tmp_path, doc)
+    with pytest.raises(ModelFileError) as new:
+        parse_model_file(path)
+    with pytest.raises(ModelFileError) as old:
+        oracle_parse_model(path)
+    assert str(new.value) == str(old.value)
+
+
+def test_integer_beyond_float_range_is_rejected(tmp_path):
+    path = tmp_path / "huge.json"
+    text = json.dumps(chain3_doc()).replace("0.9", "1" + "0" * 400, 1)
+    path.write_text(text, encoding="utf-8")
+    message = f"{path}: kernel for edge (1, 2), row 0 has entries outside [0, 1]"
+    with pytest.raises(ModelFileError, match=re.escape(message)):
+        parse_model_file(str(path))
+    assert _cli_inspect(str(path))[0] == 2
+
+
+# ------------------------------------------- parser against its oracle
+
+# Row sums placed just inside or just outside the band that loading
+# leaves alone (1e-13) and the tolerance (1e-9), by up to 8 ulp of 1.
+_BANDS = {"skip": 1e-13, "max": 1e-9}
+_ULP = 2.0**-52
+
+
+@st.composite
+def _row(draw, rng, s):
+    kind = draw(st.sampled_from(["plain", "skip", "skip", "max", "one-hot"]))
+    if kind == "one-hot":
+        hot = draw(st.integers(0, s - 1))
+        ones = draw(st.sampled_from([(True, False), (1, 0), (1.0, 0.0)]))
+        return [ones[0] if k == hot else ones[1] for k in range(s)]
+    raw = rng.random(s) ** 3 + 1e-3
+    row = (raw / raw.sum()).tolist()
+    if kind != "plain":
+        edge = _BANDS[kind] + draw(st.integers(-8, 8)) * _ULP
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        if kind == "max" and edge > _BANDS["max"]:
+            edge = _BANDS["max"] - (edge - _BANDS["max"])  # stay loadable
+        top = int(np.argmax(row))
+        row[top] += 1.0 + sign * edge - math.fsum(row)
+    if draw(st.booleans()):
+        row = [repr(x) if draw(st.booleans()) else x for x in row]
+    return row
+
+
+# Faults injected into one entry or row: both parsers must reject them
+# with the same message.
+_FAULTS = {
+    "nan-string": lambda row: ["nan"] + row[1:],
+    "NaN-string": lambda row: row[:-1] + ["NaN"],
+    "non-numeric": lambda row: [row[0], [0.5]] + row[2:],
+    "outside": lambda row: [1.5] + row[1:],
+    "sum-outside-tolerance": lambda row: [float(row[0]) + 3e-9] + row[1:],
+    "short-row": lambda row: row[:-1],
+    "not-a-list": lambda row: "row",
+}
+
+
+@st.composite
+def model_documents(draw):
+    s = draw(st.integers(min_value=2, max_value=9))
+    n = draw(st.integers(min_value=1, max_value=7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    label = [0] + (rng.permutation(n) + 1).tolist()
+    edges = [(int(rng.integers(1, v)), v) for v in range(2, n + 1)]
+    order = rng.permutation(len(edges)).tolist()
+    doc = {
+        "format_version": 1,
+        "alphabet_size": s,
+        "nodes": n,
+        "root_dist": draw(_row(rng, s)),
+        "edges": [
+            {
+                "parent": label[edges[pos][0]],
+                "child": label[edges[pos][1]],
+                "kernel": [draw(_row(rng, s)) for _ in range(s)],
+            }
+            for pos in order
+        ],
+    }
+    rows = [(doc, "root_dist")] + [
+        (edge["kernel"], r) for edge in doc["edges"] for r in range(s)
+    ]
+    for fault in draw(st.lists(st.sampled_from(sorted(_FAULTS)), max_size=2)):
+        parent, key = rows[draw(st.integers(0, len(rows) - 1))]
+        if isinstance(parent[key], list):
+            parent[key] = _FAULTS[fault](parent[key])
+    return doc
+
+
+def _load(parse, path):
+    try:
+        return parse(path)
+    except ModelFileError as exc:
+        return str(exc)
+
+
+@given(doc=model_documents())
+@settings(max_examples=200, deadline=None)
+def test_parser_matches_per_row_oracle(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        new, old = _load(parse_model_file, path), _load(oracle_parse_model, path)
+    assert type(new) is type(old)
+    if isinstance(old, str):
+        assert new == old
+        return
+    (m, relabel), (m_old, relabel_old) = new, old
+    assert relabel == relabel_old
+    assert m.root_dist.tobytes() == m_old.root_dist.tobytes()
+    edges = m.tree.edges()
+    assert m.kernel_stack.shape == (len(edges), m.alphabet_size, m.alphabet_size)
+    old_stack = np.array([m_old.kernels[edge].matrix for edge in edges])
+    assert m.kernel_stack.tobytes() == old_stack.tobytes()
+    thetas = edge_thetas(m)
+    for u, v in edges:
+        assert m.kernels[(u, v)].matrix.base is not None  # a view into the stack
+        assert thetas[v] == column_tv_norm(m_old.kernels[(u, v)].matrix)

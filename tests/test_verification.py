@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
 
+from treemix.mixing import eta_report
 from treemix.modelfile import random_model
-from treemix.verification import _SUITES, run_verification
+from treemix.verification import _SUITES, _suite_bound_dominance, run_verification
+
+from conftest import sparsified
 
 SUITE_NAMES = [name for name, _ in _SUITES]
 
@@ -44,3 +48,20 @@ class TestRunVerification:
         m = random_model(11, n=5, alphabet_size=3)
         results = run_verification(m, trials=80, seed=2)
         assert all(r.status != "fail" for r in results)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8])
+def test_bound_dominance_matches_per_pair_reports(seed):
+    m = random_model(seed, n=7, alphabet_size=2 + seed % 2, width=2 + seed % 3)
+    if seed == 8:
+        m = sparsified(m, seed, deterministic_root=True)
+    worst = 0.0
+    pairs = 0
+    for i in range(1, m.n):
+        for j in range(i + 1, m.n + 1):
+            report = eta_report(m, i, j, include_exact=True)
+            worst = max(worst, report.exact - report.level_bound)
+            worst = max(worst, report.level_bound - report.uniform_bound)
+            pairs += 1
+    result = _suite_bound_dominance(m, 1, np.random.default_rng(0))
+    assert (result.max_violation, result.trials) == (worst, pairs)

@@ -4,14 +4,18 @@
 
 Each checkout is hashed in its own interpreter, importing ``treemix``
 from its ``src/`` and the model population from its ``perfbench/``.  The
-models are every benchmark model at seeds 1 and 777 plus 20
-``random_model`` draws (chains, stars, full-width and width-3 trees).
-Per model it hashes ``entries.tobytes()`` of the Delta and Gamma
-matrices for each source (exact only up to 3e6 table cells), the bytes
-of ``treemix coeffs --csv``, and the repr of ``eta_report``,
-``eta_bar_bound_levels`` and ``eta_bar_bound_linear_growth`` on a spread
-of pairs.  Prints the differing entries, with the largest entrywise gap
-of each differing Delta/Gamma, and exits 1 if there are any.
+models are every benchmark model at seeds 1 and 777, 20 ``random_model``
+draws (chains, stars, full-width and width-3 trees), and the same 20
+rewritten with permuted node labels, shuffled edges and rows drifted off
+a sum of 1 (so that loading relabels and renormalizes them).  Per model
+it hashes the parsed model (the kernels stacked in child order, the root
+law and the relabel map), the stdout of ``treemix inspect -v``,
+``entries.tobytes()`` of the Delta and Gamma matrices for each source
+(exact only up to 3e6 table cells), the bytes of ``treemix coeffs
+--csv``, and the repr of ``eta_report``, ``eta_bar_bound_levels`` and
+``eta_bar_bound_linear_growth`` on a spread of pairs.  Prints the
+differing entries, with the largest entrywise gap of each differing
+Delta/Gamma, and exits 1 if there are any.
 """
 
 from __future__ import annotations
@@ -52,15 +56,50 @@ def _model_files(out_dir: str) -> dict[str, str]:
         )
         paths[f"random/{k}"] = os.path.join(out_dir, f"random{k}.json")
         modelfile.save_model(m, paths[f"random/{k}"])
+        paths[f"scrambled/{k}"] = os.path.join(out_dir, f"scrambled{k}.json")
+        with open(paths[f"scrambled/{k}"], "w", encoding="utf-8") as fh:
+            json.dump(_scrambled(modelfile.serialize_model(m), k), fh)
     return paths
+
+
+# Relative drifts of a row's first entry: none, inside the 1e-13 band that
+# loading leaves alone, and between it and the 1e-9 tolerance.
+_DRIFTS = (0.0, 3e-14, 2e-13, 5e-10)
+
+
+def _scrambled(doc: dict, seed: int) -> dict:
+    """``doc`` with permuted labels, shuffled edges and drifted rows."""
+    rng = np.random.default_rng(seed)
+    label = [0] + (rng.permutation(doc["nodes"]) + 1).tolist()
+    edges = []
+    for pos in rng.permutation(len(doc["edges"])):
+        edge = doc["edges"][pos]
+        rows = [list(row) for row in edge["kernel"]]
+        for row in rows:
+            row[0] *= 1.0 + _DRIFTS[rng.integers(len(_DRIFTS))]
+        edges.append(
+            {"parent": label[edge["parent"]], "child": label[edge["child"]], "kernel": rows}
+        )
+    return {**doc, "edges": edges}
 
 
 def _hash_model(path: str, csv_path: str, matrices: dict) -> dict[str, str]:
     """Hashes of one model's outputs; its Delta/Gamma entries go into ``matrices``."""
     from treemix import cli, concentration, mixing, modelfile
 
-    m, _ = modelfile.parse_model_file(path)
-    rec = {}
+    m, relabel = modelfile.parse_model_file(path)
+    # Through ``kernels``, which every version has, not ``kernel_stack``.
+    stack = np.array([m.kernels[edge].matrix for edge in m.tree.edges()])
+    rec = {
+        "parsed_stack": _digest(stack.tobytes()),
+        "parsed_root": _digest(m.root_dist.tobytes()),
+        "parsed_relabel": _digest(repr(sorted(relabel.items())).encode()),
+    }
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if cli.main(["inspect", path, "-v"]) != 0:
+            raise RuntimeError(f"inspect failed on {path}")
+    rec["inspect_v"] = _digest(out.getvalue().encode())
     sources = ["level-bound", "uniform-bound"]
     if m.table_cells() <= EXACT_MAX_CELLS:
         sources.insert(0, "exact")
