@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterable
 
 from . import __version__
 from .concentration import (
     EUCLIDEAN,
     HAMMING,
+    SOURCES,
     build_mixing_matrices,
     delta_inf_norm,
     gamma_l2_norm,
@@ -34,7 +36,8 @@ from .verification import run_verification
 
 T_GRID_DEFAULT = (0.05, 0.1, 0.2, 0.3, 0.5)
 
-_SOURCE_NAMES = {"exact": "exact", "level": "level-bound", "uniform": "uniform-bound"}
+# --source NAME: each source of the ladder by its name without "-bound".
+_SOURCE_NAMES = {source.removesuffix("-bound"): source for source in SOURCES}
 
 
 class _UsageError(Exception):
@@ -70,11 +73,14 @@ def _seed_int(raw: str) -> int:
     return val
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(row) for row in rows]
+def _write_csv(path: str | None, header: list[str], rows: Iterable[list[str]]) -> None:
+    """Write ``rows`` to ``path`` and say so; nothing (``rows`` unread) without a path."""
+    if not path:
+        return
+    lines = [",".join(row) for row in rows]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(header), *lines]) + "\n")
+    print(f"wrote {path} ({len(lines)} rows)")
 
 
 # ----------------------------------------------------------------- commands
@@ -113,9 +119,7 @@ def _cmd_coeffs(args) -> int:
         theta = contraction_coefficient(model, (u, v))
         print(f"{u:6d}  {v:5d}  {theta:.6g}")
         rows.append([str(u), str(v), _fmt(theta)])
-    if args.csv:
-        _write_csv(args.csv, ["parent", "child", "theta"], rows)
-        print(f"wrote {args.csv} ({len(rows)} rows)")
+    _write_csv(args.csv, ["parent", "child", "theta"], rows)
     return 0
 
 
@@ -144,34 +148,33 @@ def _cmd_eta(args) -> int:
     for i, row in enumerate(entries, start=1):
         cells = "".join(f"{x:>10.4g}" for x in row)
         print(f"{i:4d} {cells}")
-    if args.csv:
-        rows = [
-            [str(i), str(j), _fmt(x), source]
-            for i, row in enumerate(entries, start=1)
-            for j, x in enumerate(row[i:], start=i + 1)
-        ]
-        _write_csv(args.csv, ["i", "j", "eta_bar", "provenance"], rows)
-        print(f"wrote {args.csv} ({len(rows)} rows)")
+    rows = (
+        [str(i), str(j), _fmt(x), source]
+        for i, row in enumerate(entries, start=1)
+        for j, x in enumerate(row[i:], start=i + 1)
+    )
+    _write_csv(args.csv, ["i", "j", "eta_bar", "provenance"], rows)
     return 0
 
 
 def _cmd_norms(args) -> int:
     model, _ = parse_model_file(args.model)
-    keys = ["exact", "level", "uniform"] if args.source == "all" else [args.source]
+    every = args.source == "all"
     rows = []
     print("source         delta_inf      gamma_l2")
-    for key in keys:
-        if key == "exact" and args.source == "all" and model.table_cells() > enumeration_cap():
-            print("exact          (skipped: table exceeds enumeration cap)")
+    for source in SOURCES if every else [_SOURCE_NAMES[args.source]]:
+        try:
+            delta, gamma = build_mixing_matrices(model, source)
+        except EnumerationLimitError:
+            if not every:
+                raise
+            print(f"{source:<14s} (skipped: table exceeds enumeration cap)")
             continue
-        delta, gamma = build_mixing_matrices(model, _SOURCE_NAMES[key])
         dn = delta_inf_norm(delta)
         gn = gamma_l2_norm(gamma)
-        print(f"{_SOURCE_NAMES[key]:<14s} {dn:<14.8g} {gn:<14.8g}")
-        rows.append([_SOURCE_NAMES[key], _fmt(dn), _fmt(gn)])
-    if args.csv:
-        _write_csv(args.csv, ["source", "delta_inf", "gamma_l2"], rows)
-        print(f"wrote {args.csv} ({len(rows)} rows)")
+        print(f"{source:<14s} {dn:<14.8g} {gn:<14.8g}")
+        rows.append([source, _fmt(dn), _fmt(gn)])
+    _write_csv(args.csv, ["source", "delta_inf", "gamma_l2"], rows)
     return 0
 
 
@@ -194,24 +197,22 @@ def _cmd_bound(args) -> int:
     print("t          bound")
     for rep in reports:
         print(f"{rep.t:<10.6g} {rep.tail_bound:.8g}")
-    if args.csv:
-        rows = [
-            [
-                rep.metric,
-                source,
-                _fmt(rep.t),
-                _fmt(rep.norm_value),
-                _fmt(rep.tail_bound),
-                str(rep.convexity_required).lower(),
-            ]
-            for rep in reports
+    rows = (
+        [
+            rep.metric,
+            source,
+            _fmt(rep.t),
+            _fmt(rep.norm_value),
+            _fmt(rep.tail_bound),
+            str(rep.convexity_required).lower(),
         ]
-        _write_csv(
-            args.csv,
-            ["metric", "source", "t", "norm_value", "tail_bound", "convexity_required"],
-            rows,
-        )
-        print(f"wrote {args.csv} ({len(rows)} rows)")
+        for rep in reports
+    )
+    _write_csv(
+        args.csv,
+        ["metric", "source", "t", "norm_value", "tail_bound", "convexity_required"],
+        rows,
+    )
     return 0
 
 
@@ -226,7 +227,6 @@ def _cmd_sample(args) -> int:
     ]
     if args.csv:
         _write_csv(args.csv, header, rows)
-        print(f"wrote {args.csv} ({len(rows)} rows)")
     else:
         print(",".join(header))
         for row in rows:
@@ -245,21 +245,17 @@ def _cmd_verify(args) -> int:
         viol = "" if r.max_violation is None else f"  max_violation={r.max_violation:.3e}"
         note = f"  ({r.note})" if r.note else ""
         print(f"{mark}  {r.name:<{width}s}  trials={r.trials}{viol}{note}")
-    if args.csv:
-        rows = [
-            [
-                r.name,
-                r.status,
-                "" if r.max_violation is None else _fmt(r.max_violation),
-                str(r.trials),
-                r.note,
-            ]
-            for r in results
+    rows = (
+        [
+            r.name,
+            r.status,
+            "" if r.max_violation is None else _fmt(r.max_violation),
+            str(r.trials),
+            r.note,
         ]
-        _write_csv(
-            args.csv, ["suite", "status", "max_violation", "trials", "note"], rows
-        )
-        print(f"wrote {args.csv} ({len(rows)} rows)")
+        for r in results
+    )
+    _write_csv(args.csv, ["suite", "status", "max_violation", "trials", "note"], rows)
     if failed:
         print("verification FAILED", file=sys.stderr)
         return 3
@@ -288,6 +284,16 @@ def _cmd_gen(args) -> int:
 # ------------------------------------------------------------------- parser
 
 
+def _model_command(sub, name: str, func, help: str, csv: bool = True) -> _Parser:
+    """Register a command that reads a model file and, if ``csv``, offers ``--csv``."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("model", help="model JSON file")
+    if csv:
+        p.add_argument("--csv", metavar="PATH", help="write CSV output")
+    p.set_defaults(func=func)
+    return p
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="treemix",
@@ -299,21 +305,15 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"treemix {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("inspect", help="print the tree structure")
-    p.add_argument("model", help="model JSON file")
+    p = _model_command(sub, "inspect", _cmd_inspect, "print the tree structure", csv=False)
     p.add_argument("-v", "--verbose", action="store_true", help="echo relabeling and kernels")
-    p.set_defaults(func=_cmd_inspect)
 
-    p = sub.add_parser("coeffs", help="per-edge contraction coefficients")
-    p.add_argument("model")
-    p.add_argument("--csv", metavar="PATH", help="write CSV output")
-    p.set_defaults(func=_cmd_coeffs)
+    _model_command(sub, "coeffs", _cmd_coeffs, "per-edge contraction coefficients")
 
-    p = sub.add_parser("eta", help="eta_bar matrix or a single-pair report")
-    p.add_argument("model")
+    p = _model_command(sub, "eta", _cmd_eta, "eta_bar matrix or a single-pair report")
     p.add_argument(
         "--source",
-        choices=["exact", "level", "uniform"],
+        choices=list(_SOURCE_NAMES),
         default="level",
         help="which eta_bar values fill the matrix (default: level)",
     )
@@ -324,49 +324,33 @@ def _build_parser() -> _Parser:
         metavar=("I", "J"),
         help="report every value and bound for one pair instead of the matrix",
     )
-    p.add_argument("--csv", metavar="PATH")
-    p.set_defaults(func=_cmd_eta)
 
-    p = sub.add_parser("norms", help="mixing-matrix norms per source")
-    p.add_argument("model")
+    p = _model_command(sub, "norms", _cmd_norms, "mixing-matrix norms per source")
     p.add_argument(
         "--source",
-        choices=["exact", "level", "uniform", "all"],
+        choices=[*_SOURCE_NAMES, "all"],
         default="all",
         help="eta_bar source (default: all; exact is skipped above the cap)",
     )
-    p.add_argument("--csv", metavar="PATH")
-    p.set_defaults(func=_cmd_norms)
 
-    p = sub.add_parser("bound", help="tail bounds over a t-grid")
-    p.add_argument("model")
+    p = _model_command(sub, "bound", _cmd_bound, "tail bounds over a t-grid")
     p.add_argument(
         "--metric", choices=[HAMMING, EUCLIDEAN], default=HAMMING,
         help="deviation metric (default: hamming)",
     )
-    p.add_argument(
-        "--source", choices=["exact", "level", "uniform"], default="level",
-    )
+    p.add_argument("--source", choices=list(_SOURCE_NAMES), default="level")
     p.add_argument(
         "--t", type=float, nargs="+", metavar="T",
         help=f"deviation thresholds (default: {' '.join(str(t) for t in T_GRID_DEFAULT)})",
     )
-    p.add_argument("--csv", metavar="PATH")
-    p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("sample", help="draw configurations")
-    p.add_argument("model")
+    p = _model_command(sub, "sample", _cmd_sample, "draw configurations")
     p.add_argument("--count", type=_positive_int, default=10, metavar="N")
     p.add_argument("--seed", type=_seed_int, default=0, metavar="N")
-    p.add_argument("--csv", metavar="PATH")
-    p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("verify", help="run the self-check suites")
-    p.add_argument("model")
+    p = _model_command(sub, "verify", _cmd_verify, "run the self-check suites")
     p.add_argument("--trials", type=_positive_int, default=500, metavar="N")
     p.add_argument("--seed", type=_seed_int, default=42, metavar="N")
-    p.add_argument("--csv", metavar="PATH")
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="generate a random model file")
     p.add_argument("--nodes", type=_positive_int, required=True, metavar="N")

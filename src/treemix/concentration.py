@@ -37,12 +37,14 @@ import numpy as np
 
 from .mixing import exact_row, level_bound_row, uniform_bound_or_one
 from .model import (
+    EnumerationLimitError,
     MarkovTreeModel,
-    enumeration_cap,
     max_contraction,
     sample_paths,
 )
 
+# The eta_bar sources, tightest first: each bounds the one before it.
+# The command line offers each by its name without "-bound".
 SOURCES = ("exact", "level-bound", "uniform-bound")
 
 HAMMING = "hamming"
@@ -91,9 +93,15 @@ class MixingMatrix:
 
 
 def eta_bar_row(m: MarkovTreeModel, source: str) -> Callable[[int], Sequence[float]]:
-    """Function ``i -> [eta_bar(i, j) for j = i+1..n]`` for one source."""
+    """Function ``i -> [eta_bar(i, j) for j = i+1..n]`` for one source.
+
+    The exact source admits the model here, so it is refused above the
+    cell cap even when there is no row to fill (``n == 1``).
+    """
     n = m.n
     rows = {"exact": exact_row, "level-bound": level_bound_row}
+    if source == "exact":
+        m.check_table_cap()
     if source in rows:
         return lambda i: rows[source](m, i)
     # The closed form depends on j - i only: one value per offset.
@@ -109,7 +117,8 @@ def build_mixing_matrices(
 
     ``source`` is one of ``SOURCES``.  The exact source runs one
     frontier sweep per row (:func:`treemix.mixing.exact_row`), without
-    the joint table, and is admitted by the same cell cap as the table.  The uniform source uses
+    the joint table, and raises :class:`~treemix.model.EnumerationLimitError`
+    above the table's cell cap.  The uniform source uses
     the closed form with the model's own max contraction coefficient
     and width; if the coefficient reaches 1 the closed form does not
     apply and the trivial bound 1.0 fills the strictly-upper entries.
@@ -281,7 +290,7 @@ def monte_carlo_deviation(
 
     ``f`` must be 1-Lipschitz in the normalized Hamming metric (within
     1e-9); other tables are rejected.  The mean is exact (joint-table
-    dot product) when enumeration fits the cell cap, and otherwise
+    dot product) when the model admits the table, and otherwise
     estimated from an independent pre-batch drawn from a disjoint slice
     of the seed's sample streams.  The radius is the
     3-sigma binomial half-width ``3 sqrt(p (1 - p) / samples)``.
@@ -302,10 +311,10 @@ def monte_carlo_deviation(
             f"function is {constant:.6g}-Lipschitz in the normalized Hamming "
             f"metric; normalize it to constant <= 1"
         )
-    if m.table_cells() <= enumeration_cap():
+    try:
         mean = float(m.joint_table().reshape(-1) @ vals)
         mean_source = "exact"
-    else:
+    except EnumerationLimitError:
         pre = sample_paths(m, seed, samples, stream_offset=samples)
         mean = float(vals[_flat_indices(pre, m.alphabet_size)].mean())
         mean_source = "sampled"

@@ -13,10 +13,12 @@ matrices that drive the concentration bounds in
 
 Three computations are provided, cheapest last:
 
-* exact values (``eta_bar_exact``, ``exact_row``), admitted below the
-  cell cap.  Given the prefix, the tail ``x_{j..n}`` feels ``x_i`` only
-  through the frontier ``F_j`` of subtree nodes ``v >= j`` whose parent
-  precedes ``j``, and not through the prefix itself.  One sweep per node
+* exact values (``eta_bar_exact``, ``exact_row``), admitted by
+  ``MarkovTreeModel.check_table_cap``: above the cell cap both raise
+  :class:`~treemix.model.EnumerationLimitError` before any work.  Given
+  the prefix, the tail ``x_{j..n}`` feels ``x_i`` only through the
+  frontier ``F_j`` of subtree nodes ``v >= j`` whose parent precedes
+  ``j``, and not through the prefix itself.  One sweep per node
   ``i`` carries the law of the frontier given ``x_i`` down the subtree,
   one node at a time, and takes its largest TV over the state pairs a
   positive-probability prefix admits; no joint table is built.
@@ -49,10 +51,10 @@ from typing import Iterator
 import numpy as np
 
 from .model import (
+    EnumerationLimitError,
     MarkovTreeModel,
     conditional_future_law,
     edge_thetas,
-    enumeration_cap,
     max_contraction,
     node_marginals,
     subtree_masses,
@@ -136,9 +138,8 @@ def _frontier_laws(m: MarkovTreeModel, i: int) -> Iterator[tuple[range, np.ndarr
     law that enumeration divides out.  Yields ``(js, laws)`` where ``laws[w]`` is the law of
     ``F_j``, flat over its nodes in increasing order, for every ``j`` in
     ``js``: from ``v + 1`` to the next subtree node.  Past the last
-    subtree node the frontier is empty.  Admitted by the table cap.
+    subtree node the frontier is empty.  Its callers admit the model.
     """
-    m.check_table_cap()
     s, tree = m.alphabet_size, m.tree
     nodes = [v for run in subtree_runs(tree, i) for v in run]
     mass = subtree_masses(m)
@@ -169,8 +170,10 @@ def exact_row(m: MarkovTreeModel, i: int) -> np.ndarray:
 
     Each frontier law of :func:`_frontier_laws` fills the ``j`` it
     serves with its largest TV over the feasible pairs; each ``j`` past
-    the subtree of ``i`` reads 0.
+    the subtree of ``i`` reads 0.  Raises
+    :class:`~treemix.model.EnumerationLimitError` above the cell cap.
     """
+    m.check_table_cap()
     row = np.zeros(m.n - i)
     pairs = _feasible_pairs(m, i)
     for js, laws in _frontier_laws(m, i):
@@ -184,9 +187,12 @@ def eta_bar_exact(m: MarkovTreeModel, i: int, j: int) -> float:
     The sweep of :func:`exact_row`, stopped at the pivot ``j0``, so the
     value equals the row's bit for bit.  Exactly zero when the subtree
     of ``i`` ends before ``j`` (no sweep runs), and zero when no
-    positive-probability prefix admits two states at node ``i``.
+    positive-probability prefix admits two states at node ``i``.  Like
+    the row, raises :class:`~treemix.model.EnumerationLimitError` above
+    the cell cap, whether or not a sweep would run.
     """
     i, j = _check_pair(m, i, j)
+    m.check_table_cap()
     if first_descendant_at_or_after(m.tree, i, j) is None:
         return 0.0
     laws = next(laws for js, laws in _frontier_laws(m, i) if j in js)
@@ -471,32 +477,20 @@ class EtaReport:
     geometric_bound: float | None
 
 
-def eta_report(
-    m: MarkovTreeModel,
-    i: int,
-    j: int,
-    include_exact: bool | str = "auto",
-) -> EtaReport:
-    """Assemble exact value (cap permitting) and the bound ladder.
+def eta_report(m: MarkovTreeModel, i: int, j: int) -> EtaReport:
+    """Assemble the exact value and the bound ladder for one pair.
 
-    ``include_exact`` may be True (error above the cell cap), False, or
-    "auto" (exact filled only when enumeration fits the cap).  For a
-    model whose largest contraction coefficient reaches 1, the uniform
-    closed form does not apply and the trivial bound 1.0 is reported;
-    the geometric bound is present only when the largest coefficient is
-    in (0, 1) and ``j - i >= wid``.
+    ``exact`` is None when :func:`eta_bar_exact` refuses the model (above
+    the cell cap).  For a model whose largest contraction coefficient
+    reaches 1, the uniform closed form does not apply and the trivial
+    bound 1.0 is reported; the geometric bound is present only when the
+    largest coefficient is in (0, 1) and ``j - i >= wid``.
     """
     i, j = _check_pair(m, i, j)
-    if include_exact not in (True, False, "auto"):
-        raise ValueError(
-            f"include_exact must be True, False, or 'auto', got {include_exact!r}"
-        )
-    exact: float | None = None
-    if include_exact == "auto":
-        if m.table_cells() <= enumeration_cap():
-            exact = eta_bar_exact(m, i, j)
-    elif include_exact:
-        exact = eta_bar_exact(m, i, j)
+    try:
+        exact: float | None = eta_bar_exact(m, i, j)
+    except EnumerationLimitError:
+        exact = None
 
     level = eta_bar_bound_levels(m, i, j)
     theta = max_contraction(m)

@@ -20,9 +20,12 @@ node marginals of one forward pass (``node_marginals``) and the subtree
 masses of one backward pass (``subtree_masses``).  Every exact
 computation is still admitted by one rule, ``check_table_cap``:
 ``alphabet_size ** n`` must not exceed ``enumeration_cap()``, which is
-1e7 unless the ``TREEMIX_MAX_ENUM`` environment variable sets it.  It is
-the only cap setting, so whether a model is admitted does not depend on
-which computation asks first.
+1e7 unless the ``TREEMIX_MAX_ENUM`` environment variable sets it.  Each
+exact entry point asks it before any work and raises
+:class:`EnumerationLimitError` when refused; callers that can go without
+an exact value catch that error instead of comparing cells to the cap.
+So whether a model is admitted does not depend on which computation asks
+first, or on whether the answer would have needed any work.
 
 Sampling uses one counter-based RNG stream per path, keyed by
 ``(seed, path_index)``, so batches are reproducible, order-independent,

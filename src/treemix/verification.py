@@ -159,6 +159,11 @@ def _suite_factorization(m, trials, rng) -> SuiteResult:
     return _result("factorization", worst, checked)
 
 
+def _ladder_violation(rungs: list[np.ndarray]) -> float:
+    """Largest amount by which a source exceeds the next, looser one."""
+    return max(float((a - b).max()) for a, b in zip(rungs, rungs[1:]))
+
+
 def _suite_bound_dominance(m, trials, rng) -> SuiteResult:
     if m.n == 1:
         return _skip("bound-dominance", "single-node model has no pairs")
@@ -167,8 +172,7 @@ def _suite_bound_dominance(m, trials, rng) -> SuiteResult:
     rows = [eta_bar_row(m, source) for source in SOURCES]
     worst = 0.0
     for i in range(1, m.n):
-        exact, level, uniform = (np.asarray(row(i)) for row in rows)
-        worst = max(worst, float((exact - level).max()), float((level - uniform).max()))
+        worst = max(worst, _ladder_violation([np.asarray(row(i)) for row in rows]))
     return _result("bound-dominance", worst, m.n * (m.n - 1) // 2)
 
 
@@ -247,12 +251,8 @@ def _suite_norm_identity(m, trials, rng) -> SuiteResult:
 def _suite_provenance_dominance(m, trials, rng) -> SuiteResult:
     # Only delta is compared: gamma entries are sqrt(delta) and IEEE
     # sqrt is monotone, so gamma dominance follows entrywise.
-    d_exact, _ = build_mixing_matrices(m, "exact")
-    d_level, _ = build_mixing_matrices(m, "level-bound")
-    d_uni, _ = build_mixing_matrices(m, "uniform-bound")
-    worst = float((d_exact.entries - d_level.entries).max())
-    worst = max(worst, float((d_level.entries - d_uni.entries).max()))
-    return _result("provenance-dominance", worst, 3)
+    deltas = [build_mixing_matrices(m, source)[0].entries for source in SOURCES]
+    return _result("provenance-dominance", _ladder_violation(deltas), len(SOURCES))
 
 
 def _suite_sampling_determinism(m, trials, rng) -> SuiteResult:

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from treemix import concentration, verification
+from treemix import cli, concentration, verification
 from treemix.cli import main
 from treemix.mixing import eta_bar_exact
 from treemix.model import MarkovTreeModel
@@ -66,6 +67,49 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
         assert "FAILED" in captured.err
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _options(command: str) -> dict[str, argparse.Action]:
+    return {
+        flag: action
+        for action in _subcommands()[command]._actions
+        for flag in action.option_strings
+    }
+
+
+class TestSkeleton:
+    CSV_COMMANDS = ["coeffs", "eta", "norms", "bound", "sample", "verify"]
+
+    def test_commands(self):
+        assert sorted(_subcommands()) == sorted(["inspect", "gen", *self.CSV_COMMANDS])
+
+    @pytest.mark.parametrize("command", sorted(_subcommands()))
+    def test_help_exits_zero(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: treemix {command}")
+
+    @pytest.mark.parametrize("command", sorted(_subcommands()))
+    def test_csv_offered_by_csv_commands(self, command):
+        assert ("--csv" in _options(command)) == (command in self.CSV_COMMANDS)
+
+    @pytest.mark.parametrize("command", ["eta", "bound", "norms"])
+    def test_source_choices_follow_the_ladder(self, command):
+        short = [source.removesuffix("-bound") for source in concentration.SOURCES]
+        assert short == ["exact", "level", "uniform"]
+        extra = ["all"] if command == "norms" else []
+        assert _options(command)["--source"].choices == short + extra
+
+    @pytest.mark.parametrize("command", ["eta", "bound", "norms"])
+    def test_unknown_source_is_usage_error(self, command, model_path, capsys):
+        assert main([command, model_path, "--source", "level-bound"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"treemix: usage error: treemix {command}: argument --source")
 
 
 class TestNonFiniteInput:

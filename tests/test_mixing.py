@@ -391,14 +391,7 @@ class TestEtaReport:
         r = eta_report(binary7_05, 1, 4)
         assert r.exact is None
         with pytest.raises(EnumerationLimitError):
-            eta_report(binary7_05, 1, 4, include_exact=True)
-
-    def test_exact_disabled(self, chain3_07):
-        assert eta_report(chain3_07, 1, 3, include_exact=False).exact is None
-
-    def test_include_exact_validated(self, chain3_07):
-        with pytest.raises(ValueError, match="include_exact"):
-            eta_report(chain3_07, 1, 3, include_exact="yes")
+            eta_bar_exact(binary7_05, 1, 4)
 
     def test_degenerate_kernel_reports_trivial_uniform(self):
         m = chain_model([[[1.0, 0.0], [0.0, 1.0]], ROWS_07])

@@ -59,7 +59,7 @@ def test_bound_dominance_matches_per_pair_reports(seed):
     pairs = 0
     for i in range(1, m.n):
         for j in range(i + 1, m.n + 1):
-            report = eta_report(m, i, j, include_exact=True)
+            report = eta_report(m, i, j)
             worst = max(worst, report.exact - report.level_bound)
             worst = max(worst, report.level_bound - report.uniform_bound)
             pairs += 1

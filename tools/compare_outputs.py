@@ -13,9 +13,22 @@ law and the relabel map), the stdout of ``treemix inspect -v``,
 ``entries.tobytes()`` of the Delta and Gamma matrices for each source
 (exact only up to 3e6 table cells), the bytes of ``treemix coeffs
 --csv``, and the repr of ``eta_report``, ``eta_bar_bound_levels`` and
-``eta_bar_bound_linear_growth`` on a spread of pairs.  Prints the
-differing entries, with the largest entrywise gap of each differing
+``eta_bar_bound_linear_growth`` on a spread of pairs.  On models of at
+most 1e6 cells it also hashes the exit code, stdout and stderr of ``eta
+--source exact|level|uniform``, ``eta --pair``, ``norms``, ``bound`` for
+both metrics and ``verify``, with the bytes of each command's ``--csv``
+file; the CSV path in the ``wrote ...`` line is replaced by ``<csv>``.
+A last pass lowers ``TREEMIX_MAX_ENUM`` so that most models exceed it
+and hashes the same for the commands that ask for exact values.
+``verify`` is hashed at the default cap only where a tree level has at
+most 16 joint states, as its factorization suite is slow beyond.  Prints
+the differing entries, with the largest entrywise gap of each differing
 Delta/Gamma, and exits 1 if there are any.
+
+    python3 tools/compare_outputs.py . .
+
+runs the checkout against itself, each side in a fresh interpreter with
+its own hash seed: it must report ``0 differ``.
 """
 
 from __future__ import annotations
@@ -32,6 +45,11 @@ import tempfile
 import numpy as np
 
 EXACT_MAX_CELLS = 3 * 10**6
+CLI_MAX_CELLS = 10**6
+# The verify factorization suite builds dense operators over a whole level:
+# 11 s at 4**4 level states (perfbench M4), minutes at 3**8.
+VERIFY_MAX_LEVEL_STATES = 16
+LOWERED_CAP = "1000"
 
 
 def _digest(data: bytes) -> str:
@@ -83,6 +101,78 @@ def _scrambled(doc: dict, seed: int) -> dict:
     return {**doc, "edges": edges}
 
 
+def _run_cli(argv: list[str], csv_path: str | None = None) -> str:
+    """Hash of one in-process ``treemix`` run: its exit code, stdout (with
+    ``csv_path`` as ``<csv>``), stderr and, given ``csv_path``, the CSV."""
+    from treemix import cli
+
+    if csv_path:
+        argv = [*argv, "--csv", csv_path]
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(csv_path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    stdout = out.getvalue()
+    parts = [str(code).encode(), err.getvalue().encode()]
+    if csv_path:
+        stdout = stdout.replace(csv_path, "<csv>")
+        with contextlib.suppress(FileNotFoundError), open(csv_path, "rb") as fh:
+            parts.append(fh.read())
+    return _digest(b"\0".join([stdout.encode(), *parts]))
+
+
+def _pairs(n: int) -> list[tuple[int, int]]:
+    """A spread of node pairs (i, j), i < j."""
+    return [
+        (i, j)
+        for i in range(1, n, max(1, n // 7))
+        for j in range(i + 1, n + 1, max(1, n // 9))
+    ]
+
+
+def _hash_cli(path: str, csv_path: str, m) -> dict[str, str]:
+    """Hashes of every CSV-writing mixing command and a few pair reports."""
+    rec = {}
+    for source in ("exact", "level", "uniform"):
+        rec[f"cli_eta_{source}"] = _run_cli(["eta", path, "--source", source], csv_path)
+    rec["cli_norms"] = _run_cli(["norms", path], csv_path)
+    for metric in ("hamming", "euclidean"):
+        rec[f"cli_bound_{metric}"] = _run_cli(["bound", path, "--metric", metric], csv_path)
+    if m.alphabet_size**m.tree.width <= VERIFY_MAX_LEVEL_STATES:
+        rec["cli_verify"] = _run_cli(["verify", path, "--trials", "40"], csv_path)
+    rec["cli_pairs"] = _digest(
+        "".join(_run_cli(["eta", path, "--pair", str(i), str(j)]) for i, j in _pairs(m.n)[::5])
+        .encode()
+    )
+    return rec
+
+
+def _hash_lowered_cap(path: str) -> str:
+    """One hash of the exact-asking commands run under ``LOWERED_CAP``."""
+    from treemix import modelfile
+
+    n = modelfile.parse_model_file(path)[0].n
+    runs = [
+        _run_cli(argv)
+        for argv in (
+            ["eta", path, "--source", "exact"],
+            ["norms", path],
+            ["norms", path, "--source", "exact"],
+            ["bound", path, "--source", "exact"],
+            ["verify", path, "--trials", "20"],
+        )
+    ]
+    # Node n - 1 is a leaf in most trees, so (n - 1, n) needs no sweep: only
+    # admission can refuse it.
+    runs += [
+        _run_cli(["eta", path, "--pair", str(i), str(j)])
+        for i, j in [*_pairs(n)[::5], (max(n - 1, 1), n)]
+        if i < j
+    ]
+    return _digest("".join(runs).encode())
+
+
 def _hash_model(path: str, csv_path: str, matrices: dict) -> dict[str, str]:
     """Hashes of one model's outputs; its Delta/Gamma entries go into ``matrices``."""
     from treemix import cli, concentration, mixing, modelfile
@@ -115,12 +205,13 @@ def _hash_model(path: str, csv_path: str, matrices: dict) -> dict[str, str]:
     n = m.n
     c = float(max(len(level) for level in m.tree.levels))
     values = []
-    for i in range(1, n, max(1, n // 7)):
-        for j in range(i + 1, n + 1, max(1, n // 9)):
-            values.append(mixing.eta_report(m, i, j, include_exact=False))
-            values.append(mixing.eta_bar_bound_levels(m, i, j))
-            values.append(mixing.eta_bar_bound_linear_growth(m, i, j, c))
+    for i, j in _pairs(n):
+        values.append(mixing.eta_report(m, i, j))
+        values.append(mixing.eta_bar_bound_levels(m, i, j))
+        values.append(mixing.eta_bar_bound_linear_growth(m, i, j, c))
     rec["pairs"] = _digest(repr(values).encode())
+    if m.table_cells() <= CLI_MAX_CELLS:
+        rec.update(_hash_cli(path, csv_path, m))
     return rec
 
 
@@ -130,10 +221,13 @@ def _hash_checkout(checkout: str) -> dict[str, dict]:
     out: dict[str, dict] = {"hashes": {}, "matrices": {}}
     with tempfile.TemporaryDirectory() as tmp:
         paths = _model_files(tmp)
-        csv_path = os.path.join(tmp, "coeffs.csv")
+        csv_path = os.path.join(tmp, "out.csv")
         for key, path in sorted(paths.items()):
             matrices = out["matrices"][key] = {}
             out["hashes"][key] = _hash_model(path, csv_path, matrices)
+        os.environ["TREEMIX_MAX_ENUM"] = LOWERED_CAP
+        for key, path in sorted(paths.items()):
+            out["hashes"][key]["lowered_cap"] = _hash_lowered_cap(path)
     return out
 
 
@@ -160,14 +254,16 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
+    # Each side runs in a fresh interpreter with a hash seed of its own.
     old, new = (
         json.loads(
             subprocess.run(
                 [sys.executable, __file__, "--hash", checkout],
-                check=True, capture_output=True, text=True,
+                check=True, stdout=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONHASHSEED=str(side)),
             ).stdout
         )
-        for checkout in argv
+        for side, checkout in enumerate(argv, start=1)
     )
     old_h, new_h = old["hashes"], new["hashes"]
     differing = [
