@@ -5,10 +5,16 @@ supposed to satisfy on the given model, reports its worst violation,
 and passes or fails against a fixed tolerance.  Suites that need the
 joint table are skipped (not failed) when building it would exceed the
 enumeration cap.  Everything is deterministic given the seed.
+
+The j0-reduction and factorization suites come from one pass over the
+nodes: each node's enumeration tables are tabulated once and shared by
+both, and the factorization pipeline is built once per node and pair
+``(i, j)``, not once per state pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
@@ -74,7 +80,8 @@ def _suite_markov_property(m, trials, rng) -> SuiteResult:
 # off the joint table.  The exact engine (mixing.exact_row) never builds
 # the table; the tests check it against these tables, and the
 # j0-reduction and factorization suites check the pivot identity and the
-# operator pipeline against them.
+# operator pipeline against them.  The suites tabulate each pair (i, j)
+# once per run and hold one node's tables at a time.
 
 
 def _tail_laws(m: MarkovTreeModel, i: int) -> Iterator[np.ndarray]:
@@ -122,41 +129,63 @@ def _eta_tables(m: MarkovTreeModel, i: int, j: int) -> tuple[np.ndarray, np.ndar
     return _tv_tables(next(islice(_tail_laws(m, i), j - i - 1, None)))
 
 
-def _suite_j0_reduction(m, trials, rng) -> SuiteResult:
-    worst = 0.0
+def _pivot_suites(m: MarkovTreeModel) -> tuple[SuiteResult, SuiteResult]:
+    """The j0-reduction and factorization suites from one pass over ``i``.
+
+    Each node's oracle tables are tabulated once and read by both suites;
+    only one node's tables are held at a time.  The factorization suite
+    reads one :func:`mixing.factorization_pipelines` pipeline per pair
+    ``(i, j)`` and applies it to every state pair.  Neither suite draws
+    from the rng, so the pair is computed once per model and cached on
+    it, like the joint table it reads.
+    """
+    cached = m.__dict__.get("_pivot_suites")
+    if cached is not None:
+        return cached
+    s = m.alphabet_size
+    state_pairs = [(w, wp) for w in range(s) for wp in range(w + 1, s)]
+    reduction = worst = 0.0
+    checked = 0
     for i in range(1, m.n):
-        tables = [_tv_tables(tail)[0] for tail in _tail_laws(m, i)]
-        for j, tv in enumerate(tables, start=i + 1):
+        tables = [_tv_tables(tail) for tail in _tail_laws(m, i)]
+        for j, (tv, _) in enumerate(tables, start=i + 1):
             j0 = first_descendant_at_or_after(m.tree, i, j)
-            pivot = 0.0 if j0 is None else tables[j0 - i - 1]
-            worst = max(worst, float(np.abs(tv - pivot).max()))
-    return _result("j0-reduction", worst, m.n * (m.n - 1) // 2)
+            pivot = 0.0 if j0 is None else tables[j0 - i - 1][0]
+            reduction = max(reduction, float(np.abs(tv - pivot).max()))
+        # Every j up to the last subtree node has a pivot; a one-state
+        # model has no state pair to check.
+        last = subtree_runs(m.tree, i)[-1][-1] if state_pairs else i
+        pipelines = mixing.factorization_pipelines(m, i, range(i + 1, last + 1))
+        for pipe, (tv, feas) in zip(pipelines, tables):
+            alpha_product = math.prod(pipe.alpha_bounds)
+            for w, wp in state_pairs:
+                h_norm, value = pipe.tv_norms(w, wp)
+                both = feas[:, w] & feas[:, wp]
+                if both.any():
+                    worst = max(worst, float(np.abs(tv[both, w, wp] - value).max()))
+                # inequality chain, one-sided; FactorizationTrace's
+                # norm_chain_bound and alpha_product, without the b_norm
+                # that a trace also measures
+                chain_bound = h_norm * math.prod(pipe.operator_norms)
+                worst = max(worst, value - chain_bound)
+                worst = max(worst, chain_bound - alpha_product)
+                checked += 1
+        del tables
+    cached = (
+        _result("j0-reduction", reduction, m.n * (m.n - 1) // 2),
+        _result("factorization", worst, checked) if checked
+        else _skip("factorization", "no pair (i, j) with a pivot"),
+    )
+    m.__dict__["_pivot_suites"] = cached
+    return cached
+
+
+def _suite_j0_reduction(m, trials, rng) -> SuiteResult:
+    return _pivot_suites(m)[0]
 
 
 def _suite_factorization(m, trials, rng) -> SuiteResult:
-    s = m.alphabet_size
-    worst = 0.0
-    checked = 0
-    for i in range(1, m.n):
-        last = subtree_runs(m.tree, i)[-1][-1]  # every j up to it has a pivot
-        for j, tail in zip(range(i + 1, last + 1), _tail_laws(m, i)):
-            tv, feas = _tv_tables(tail)
-            for w in range(s):
-                for wp in range(w + 1, s):
-                    trace = mixing.eta_factorization(m, i, j, w, wp)
-                    both = feas[:, w] & feas[:, wp]
-                    if both.any():
-                        enum_vals = tv[both, w, wp]
-                        worst = max(
-                            worst, float(np.abs(enum_vals - trace.value).max())
-                        )
-                    # inequality chain, one-sided
-                    worst = max(worst, trace.value - trace.norm_chain_bound)
-                    worst = max(worst, trace.norm_chain_bound - trace.alpha_product)
-                    checked += 1
-    if checked == 0:
-        return _skip("factorization", "no pair (i, j) with a pivot")
-    return _result("factorization", worst, checked)
+    return _pivot_suites(m)[1]
 
 
 def _ladder_violation(rungs: list[np.ndarray]) -> float:

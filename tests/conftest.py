@@ -372,3 +372,119 @@ def oracle_parse_model(path: str) -> tuple[MarkovTreeModel, dict[int, int]]:
     except ValueError as exc:
         raise ModelFileError(f"{path}: {exc}") from None
     return model, relabel
+
+
+# ------------------------------------------- per-pair factorization suite
+#
+# The j0-reduction and factorization suites as they were before one pass
+# over each node fed both: j0-reduction tabulates every node's oracle
+# tables, and factorization tabulates them again and rebuilds the whole
+# operator pipeline for every (i, j, w, w').  The library's shared pass
+# must return the same results, bit for bit.
+
+
+def oracle_eta_factorization(m, i, j, w, w_prime):
+    """eta(i, j; ., w, w') from a pipeline built for this one state pair."""
+    from treemix.mixing import (
+        FactorizationTrace, _check_pair, _edge_operator, _subtree_levels,
+    )
+    from treemix.treegraph import cut_sets
+    from treemix.tvalgebra import (
+        IndexedTensor, StochasticOperator, alpha, apply_operator,
+        expand_operator_inputs, operator_tv_norm, stochastic_tensor_product,
+    )
+
+    i, j = _check_pair(m, i, j)
+    s = m.alphabet_size
+    if not (0 <= w < s and 0 <= w_prime < s):
+        raise ValueError(f"states ({w}, {w_prime}) outside 0..{s - 1}")
+    cs = cut_sets(m.tree, i, j)
+    if cs.j0 is None:
+        raise ValueError(
+            f"subtree of {i} ends before {j}; the coefficient is identically zero"
+        )
+    tree = m.tree
+    runs, levels = _subtree_levels(m, i)
+    k0 = tree.depth_of[cs.j0] - tree.depth_of[i]
+    level_nodes = [tuple(run) for run in runs[: k0 + 1]]
+
+    operators: list[StochasticOperator] = []
+    for k in range(1, k0 + 1):
+        edges = [(tree.parent[v], v) for v in level_nodes[k]]
+        op = stochastic_tensor_product([_edge_operator(m, u, v) for u, v in edges])
+        op = expand_operator_inputs(op, level_nodes[k - 1])
+        operators.append(op)
+
+    first = operators[0]  # input index is (i,)
+    h = IndexedTensor(
+        first.out_index, s, first.entries[:, w] - first.entries[:, w_prime]
+    )
+    f = h
+    for op in operators[1:]:
+        f = apply_operator(op, f)
+
+    frontier = [
+        StochasticOperator.identity((v,), s) for v in sorted(cs.c0)
+    ]
+    frontier += [_edge_operator(m, tree.parent[v], v) for v in sorted(cs.c1)]
+    b = stochastic_tensor_product(frontier)
+    b = expand_operator_inputs(b, level_nodes[k0])
+    bf = apply_operator(b, f)
+
+    return FactorizationTrace(
+        i=i,
+        j=j,
+        j0=cs.j0,
+        w=w,
+        w_prime=w_prime,
+        value=bf.tv_norm,
+        h_norm=h.tv_norm,
+        operator_norms=tuple(operator_tv_norm(op) for op in operators[1:]),
+        alpha_bounds=tuple(alpha(thetas) for thetas in levels[:k0]),
+        b_norm=operator_tv_norm(b),
+    )
+
+
+def oracle_j0_reduction_suite(m):
+    """The j0-reduction suite, tabulating each node's tables on its own."""
+    from treemix.treegraph import first_descendant_at_or_after
+    from treemix.verification import _result, _tail_laws, _tv_tables
+
+    worst = 0.0
+    for i in range(1, m.n):
+        tables = [_tv_tables(tail)[0] for tail in _tail_laws(m, i)]
+        for j, tv in enumerate(tables, start=i + 1):
+            j0 = first_descendant_at_or_after(m.tree, i, j)
+            pivot = 0.0 if j0 is None else tables[j0 - i - 1]
+            worst = max(worst, float(np.abs(tv - pivot).max()))
+    return _result("j0-reduction", worst, m.n * (m.n - 1) // 2)
+
+
+def oracle_factorization_suite(m):
+    """The factorization suite, one pipeline per (i, j, w, w')."""
+    from treemix.treegraph import subtree_runs
+    from treemix.verification import _result, _skip, _tail_laws, _tv_tables
+
+    s = m.alphabet_size
+    worst = 0.0
+    checked = 0
+    for i in range(1, m.n):
+        last = subtree_runs(m.tree, i)[-1][-1]  # every j up to it has a pivot
+        for j, tail in zip(range(i + 1, last + 1), _tail_laws(m, i)):
+            tv, feas = _tv_tables(tail)
+            for w in range(s):
+                for wp in range(w + 1, s):
+                    trace = oracle_eta_factorization(m, i, j, w, wp)
+                    both = feas[:, w] & feas[:, wp]
+                    if both.any():
+                        enum_vals = tv[both, w, wp]
+                        worst = max(
+                            worst, float(np.abs(enum_vals - trace.value).max())
+                        )
+                    # inequality chain, one-sided
+                    worst = max(worst, trace.value - trace.norm_chain_bound)
+                    worst = max(worst, trace.norm_chain_bound - trace.alpha_product)
+                    checked += 1
+    if checked == 0:
+        return _skip("factorization", "no pair (i, j) with a pivot")
+    return _result("factorization", worst, checked)

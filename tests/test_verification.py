@@ -1,11 +1,29 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treemix.mixing import eta_report
+from treemix import mixing
+from treemix.mixing import eta_factorization, eta_report, factorization_pipelines
 from treemix.modelfile import random_model
-from treemix.verification import _SUITES, _suite_bound_dominance, run_verification
+from treemix.treegraph import subtree_runs
+from treemix.verification import (
+    _SUITES,
+    _suite_bound_dominance,
+    _suite_factorization,
+    _suite_j0_reduction,
+    run_verification,
+)
 
-from conftest import sparsified
+from conftest import (
+    make_model,
+    oracle_eta_factorization,
+    oracle_factorization_suite,
+    oracle_j0_reduction_suite,
+    sparsified,
+)
 
 SUITE_NAMES = [name for name, _ in _SUITES]
 
@@ -65,3 +83,78 @@ def test_bound_dominance_matches_per_pair_reports(seed):
             pairs += 1
     result = _suite_bound_dominance(m, 1, np.random.default_rng(0))
     assert (result.max_violation, result.trials) == (worst, pairs)
+
+
+def _bits(value):
+    """``value`` with every float replaced by its hex form, so that equal
+    results compare equal bit for bit (0.0 and -0.0 differ)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return _bits(dataclasses.astuple(value))
+    return value
+
+
+# Shapes of random_model: chain, star, unconstrained, width 2.  Each node
+# count keeps a star's level under 250 states, where the per-pair oracle
+# builds and measures its frontier operator quickly.
+_SHAPES = [{"width": 1}, {"depth": 1}, {}, {"width": 2}]
+
+
+@st.composite
+def pivot_models(draw):
+    s = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 7 if s == 2 else 6))
+    seed = draw(st.integers(0, 10**6))
+    m = random_model(seed, n=n, alphabet_size=s, **draw(st.sampled_from(_SHAPES)))
+    if draw(st.booleans()):
+        m = sparsified(m, seed, deterministic_root=draw(st.booleans()))
+    return m
+
+
+@given(pivot_models())
+@settings(max_examples=60, deadline=None)
+def test_pivot_suites_match_per_pair_oracle(m):
+    assert _bits(_suite_j0_reduction(m, 1, None)) == _bits(oracle_j0_reduction_suite(m))
+    assert _bits(_suite_factorization(m, 1, None)) == _bits(oracle_factorization_suite(m))
+    s = m.alphabet_size
+    for i in range(1, m.n):
+        last = subtree_runs(m.tree, i)[-1][-1]
+        for pipe in factorization_pipelines(m, i, range(i + 1, last + 1)):
+            for w in range(s):
+                for wp in range(s):
+                    want = _bits(oracle_eta_factorization(m, i, pipe.j, w, wp))
+                    assert _bits(eta_factorization(m, i, pipe.j, w, wp)) == want
+                    assert _bits(pipe.trace(w, wp)) == want
+
+
+def test_one_state_model_checks_no_pair():
+    m = make_model(3, [(1, 2), (2, 3)], 1, [1.0], {(1, 2): [[1.0]], (2, 3): [[1.0]]})
+    assert _suite_j0_reduction(m, 1, None) == oracle_j0_reduction_suite(m)
+    assert _suite_factorization(m, 1, None) == oracle_factorization_suite(m)
+    assert _suite_factorization(m, 1, None).status == "skip"
+
+
+@pytest.mark.parametrize(
+    "n, shape", [(9, {"width": 4, "depth": 2}), (8, {"width": 1}), (7, {"depth": 1}), (10, {})]
+)
+def test_factorization_builds_each_level_once_per_node(monkeypatch, n, shape):
+    """The suite builds each node's level operators once and one frontier
+    operator per pair (i, j), whatever the number of state pairs."""
+    calls = []
+    build = mixing.stochastic_tensor_product
+    monkeypatch.setattr(
+        mixing, "stochastic_tensor_product", lambda ops: calls.append(1) or build(ops)
+    )
+    counts = []
+    for s in (2, 3):
+        # random_model draws the tree first, so every s has the same tree.
+        m = random_model(11, n=n, alphabet_size=s, **shape)
+        calls.clear()
+        assert _suite_factorization(m, 1, None).status == "pass"
+        counts.append(len(calls))
+    runs = [subtree_runs(m.tree, i) for i in range(1, m.n)]
+    allowed = sum(len(r) + r[-1][-1] - i for i, r in enumerate(runs, start=1))
+    assert counts[0] == counts[1] <= allowed

@@ -21,7 +21,7 @@ file; the CSV path in the ``wrote ...`` line is replaced by ``<csv>``.
 A last pass lowers ``TREEMIX_MAX_ENUM`` so that most models exceed it
 and hashes the same for the commands that ask for exact values.
 ``verify`` is hashed at the default cap only where a tree level has at
-most 16 joint states, as its factorization suite is slow beyond.  Prints
+most 256 joint states, as its factorization suite is slow beyond.  Prints
 the differing entries, with the largest entrywise gap of each differing
 Delta/Gamma, and exits 1 if there are any.
 
@@ -46,9 +46,10 @@ import numpy as np
 
 EXACT_MAX_CELLS = 3 * 10**6
 CLI_MAX_CELLS = 10**6
-# The verify factorization suite builds dense operators over a whole level:
-# 11 s at 4**4 level states (perfbench M4), minutes at 3**8.
-VERIFY_MAX_LEVEL_STATES = 16
+# The verify factorization suite builds dense operators over a whole level,
+# once per node: 0.2 s at 4**4 level states (perfbench M4), 3 s and 730 MB
+# at 3**8 (a star of 9 nodes, whose frontier operator is 3**8 x 3**8).
+VERIFY_MAX_LEVEL_STATES = 256
 LOWERED_CAP = "1000"
 
 
