@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable
+
+import numpy as np
 
 from . import __version__
 from .concentration import (
@@ -73,14 +74,41 @@ def _seed_int(raw: str) -> int:
     return val
 
 
-def _write_csv(path: str | None, header: list[str], rows: Iterable[list[str]]) -> None:
-    """Write ``rows`` to ``path`` and say so; nothing (``rows`` unread) without a path."""
+def _table_text(header: str, lines: list[str]) -> str:
+    return "\n".join([header, *lines]) + "\n"
+
+
+def _write_csv(path: str | None, header: str, lines: list[str]) -> None:
+    """Write ``header`` and the row ``lines`` to ``path`` and say so;
+    nothing without a path."""
     if not path:
         return
-    lines = [",".join(row) for row in rows]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join([",".join(header), *lines]) + "\n")
+        fh.write(_table_text(header, lines))
     print(f"wrote {path} ({len(lines)} rows)")
+
+
+def _joined_rows(tokens: list[str], index: np.ndarray) -> list[str]:
+    """``"".join(tokens[k] for k in row)`` for every row of the 2-D ``index``.
+
+    The tokens are gathered as one fixed-width bytes array and each row is
+    read as one record; tokens narrower than the widest are NUL-padded,
+    and the padding is dropped.
+    """
+    encoded = [token.encode() for token in tokens]
+    table = np.array(encoded)
+    rows = table[index].view(f"S{table.itemsize * index.shape[1]}").ravel().tolist()
+    if min(map(len, encoded)) < table.itemsize:
+        return [row.replace(b"\0", b"").decode() for row in rows]
+    return [row.decode() for row in rows]
+
+
+def _distinct_entries(entries: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """The distinct entries of a float matrix, by bit pattern (so 0.0 and
+    -0.0 stay apart), and the index of each entry among them."""
+    flat = np.ascontiguousarray(entries, dtype=np.float64).reshape(-1)
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    return bits.view(np.float64).tolist(), inverse.reshape(entries.shape)
 
 
 # ----------------------------------------------------------------- commands
@@ -113,13 +141,13 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     model, _ = parse_model_file(args.model)
-    rows = []
+    lines = []
     print("parent  child  theta")
     for u, v in model.tree.edges():
         theta = contraction_coefficient(model, (u, v))
         print(f"{u:6d}  {v:5d}  {theta:.6g}")
-        rows.append([str(u), str(v), _fmt(theta)])
-    _write_csv(args.csv, ["parent", "child", "theta"], rows)
+        lines.append(f"{u},{v},{_fmt(theta)}")
+    _write_csv(args.csv, "parent,child,theta", lines)
     return 0
 
 
@@ -141,26 +169,31 @@ def _cmd_eta(args) -> int:
     source = _SOURCE_NAMES[args.source]
     delta, _ = build_mixing_matrices(model, source)
     n = model.n
-    entries = delta.entries.tolist()
-    print(f"eta_bar matrix, source={source} (unit diagonal)")
+    # Each distinct value is formatted once; rows are assembled by index.
+    values, index = _distinct_entries(delta.entries)
+    cells = _joined_rows([f"{x:>10.4g}" for x in values], index)
     head = "     " + "".join(f"{j:>10d}" for j in range(1, n + 1))
-    print(head)
-    for i, row in enumerate(entries, start=1):
-        cells = "".join(f"{x:>10.4g}" for x in row)
-        print(f"{i:4d} {cells}")
-    rows = (
-        [str(i), str(j), _fmt(x), source]
-        for i, row in enumerate(entries, start=1)
-        for j, x in enumerate(row[i:], start=i + 1)
+    sys.stdout.write(
+        _table_text(
+            f"eta_bar matrix, source={source} (unit diagonal)\n{head}",
+            [f"{i:4d} {row}" for i, row in enumerate(cells, start=1)],
+        )
     )
-    _write_csv(args.csv, ["i", "j", "eta_bar", "provenance"], rows)
+    if args.csv:
+        tails = [f",{_fmt(x)},{source}" for x in values]
+        iu, ju = np.triu_indices(n, 1)
+        lines = [
+            f"{i},{j}{tails[k]}"
+            for i, j, k in zip((iu + 1).tolist(), (ju + 1).tolist(), index[iu, ju].tolist())
+        ]
+        _write_csv(args.csv, "i,j,eta_bar,provenance", lines)
     return 0
 
 
 def _cmd_norms(args) -> int:
     model, _ = parse_model_file(args.model)
     every = args.source == "all"
-    rows = []
+    lines = []
     print("source         delta_inf      gamma_l2")
     for source in SOURCES if every else [_SOURCE_NAMES[args.source]]:
         try:
@@ -173,8 +206,8 @@ def _cmd_norms(args) -> int:
         dn = delta_inf_norm(delta)
         gn = gamma_l2_norm(gamma)
         print(f"{source:<14s} {dn:<14.8g} {gn:<14.8g}")
-        rows.append([source, _fmt(dn), _fmt(gn)])
-    _write_csv(args.csv, ["source", "delta_inf", "gamma_l2"], rows)
+        lines.append(f"{source},{_fmt(dn)},{_fmt(gn)}")
+    _write_csv(args.csv, "source,delta_inf,gamma_l2", lines)
     return 0
 
 
@@ -187,8 +220,9 @@ def _cmd_bound(args) -> int:
     else:
         norm = gamma_l2_norm(gamma)
     t_grid = args.t if args.t else list(T_GRID_DEFAULT)
-    print(f"metric={args.metric} source={source} norm={_fmt(norm)}")
+    # Every threshold is checked before the first line is printed.
     reports = [tail_bound(model.n, norm, t, args.metric) for t in t_grid]
+    print(f"metric={args.metric} source={source} norm={_fmt(norm)}")
     if args.metric == EUCLIDEAN:
         print(
             "note: the Euclidean bound assumes a convex product domain; "
@@ -197,21 +231,13 @@ def _cmd_bound(args) -> int:
     print("t          bound")
     for rep in reports:
         print(f"{rep.t:<10.6g} {rep.tail_bound:.8g}")
-    rows = (
-        [
-            rep.metric,
-            source,
-            _fmt(rep.t),
-            _fmt(rep.norm_value),
-            _fmt(rep.tail_bound),
-            str(rep.convexity_required).lower(),
-        ]
+    lines = [
+        f"{rep.metric},{source},{_fmt(rep.t)},{_fmt(rep.norm_value)},"
+        f"{_fmt(rep.tail_bound)},{str(rep.convexity_required).lower()}"
         for rep in reports
-    )
+    ]
     _write_csv(
-        args.csv,
-        ["metric", "source", "t", "norm_value", "tail_bound", "convexity_required"],
-        rows,
+        args.csv, "metric,source,t,norm_value,tail_bound,convexity_required", lines
     )
     return 0
 
@@ -219,18 +245,13 @@ def _cmd_bound(args) -> int:
 def _cmd_sample(args) -> int:
     model, _ = parse_model_file(args.model)
     batch = sample_paths(model, args.seed, args.count)
-    header = ["path"] + [f"x{v}" for v in range(1, model.n + 1)]
-    label = [str(x) for x in range(model.alphabet_size)]
-    rows = [
-        [str(p), *map(label.__getitem__, row)]
-        for p, row in enumerate(batch.tolist())
-    ]
+    header = ",".join(["path"] + [f"x{v}" for v in range(1, model.n + 1)])
+    states = _joined_rows([f",{x}" for x in range(model.alphabet_size)], batch)
+    lines = [f"{p}{row}" for p, row in enumerate(states)]
     if args.csv:
-        _write_csv(args.csv, header, rows)
+        _write_csv(args.csv, header, lines)
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(row))
+        sys.stdout.write(_table_text(header, lines))
     return 0
 
 
@@ -245,17 +266,19 @@ def _cmd_verify(args) -> int:
         viol = "" if r.max_violation is None else f"  max_violation={r.max_violation:.3e}"
         note = f"  ({r.note})" if r.note else ""
         print(f"{mark}  {r.name:<{width}s}  trials={r.trials}{viol}{note}")
-    rows = (
-        [
-            r.name,
-            r.status,
-            "" if r.max_violation is None else _fmt(r.max_violation),
-            str(r.trials),
-            r.note,
-        ]
+    lines = [
+        ",".join(
+            [
+                r.name,
+                r.status,
+                "" if r.max_violation is None else _fmt(r.max_violation),
+                str(r.trials),
+                r.note,
+            ]
+        )
         for r in results
-    )
-    _write_csv(args.csv, ["suite", "status", "max_violation", "trials", "note"], rows)
+    ]
+    _write_csv(args.csv, "suite,status,max_violation,trials,note", lines)
     if failed:
         print("verification FAILED", file=sys.stderr)
         return 3

@@ -8,10 +8,11 @@ kernel per tree edge; the joint law of the node variables is
 The kernels are held as one read-only stack, ``kernel_stack``, of shape
 ``(n - 1, s, s)`` in child order: ``kernel_stack[v - 2][x_v, x_u]`` is the
 kernel of the edge into ``v``.  A model given the stack (as the file
-loader gives it) validates it once, as a whole, and its ``kernels`` and
-``kernel(edge)`` are :class:`Kernel` views into it.  The per-model tables
-below (edge contraction coefficients, node marginals, subtree masses,
-the sampler's cumulative laws) read the stack.
+loader gives it) validates it once, as a whole.  Its ``kernels`` and
+``kernel(edge)`` are :class:`Kernel` views into the stack, each made on
+first access, so a model whose readers use only the stack makes none.
+The per-model tables below (edge contraction coefficients, node
+marginals, subtree masses, the sampler's cumulative laws) read the stack.
 
 Conditional laws given a prefix and the verification oracles enumerate
 this joint table.  Exact mixing coefficients do not build it: they sweep
@@ -38,7 +39,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -155,6 +156,37 @@ class Kernel:
         return k
 
 
+class _KernelViews(Mapping):
+    """Read-only mapping edge -> :class:`Kernel` over a validated kernel
+    stack, in child order; each view is made on its first access."""
+
+    def __init__(self, stack: np.ndarray, edges: tuple[tuple[int, int], ...]):
+        self._stack = stack
+        self._edges = edges
+        self._slots = dict(zip(edges, range(len(edges))))
+        self._views: dict[tuple[int, int], Kernel] = {}
+
+    def __getitem__(self, edge) -> Kernel:
+        view = self._views.get(edge)
+        if view is None:
+            slot = self._slots[edge]
+            view = Kernel._view(self._edges[slot], self._stack[slot])
+            self._views[view.edge] = view
+        return view
+
+    def __contains__(self, edge) -> bool:
+        return edge in self._slots
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self._slots)
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass(frozen=True)
 class MarkovTreeModel:
     """A tree topology with a root distribution and per-edge kernels.
@@ -165,8 +197,9 @@ class MarkovTreeModel:
     entry ``v - 2`` is the kernel of the edge into ``v``.  A stack is
     copied and validated once: finite, non-negative, columns summing to 1
     within ``STOCHASTIC_ATOL``; an invalid stack raises the error of its
-    first invalid edge, and ``kernels`` maps every edge to a
-    :class:`Kernel` view into the read-only ``kernel_stack``.
+    first invalid edge.  Either way ``kernels`` becomes a read-only
+    mapping of every edge to a :class:`Kernel` view into the read-only
+    ``kernel_stack``, made when first looked up.
     """
 
     tree: TreeTopology
@@ -198,15 +231,12 @@ class MarkovTreeModel:
                     f"{(len(edges), s, s)}"
                 )
             _check_stack(stack, edges)
-            stack.flags.writeable = False  # before the views, which inherit it
-            kernels = {(u, v): Kernel._view((u, v), stack[v - 2]) for u, v in edges}
         else:
-            kernels = dict(self.kernels)
-            stack = _stack_kernels(kernels, edges, s)
-            stack.flags.writeable = False
+            stack = _stack_kernels(dict(self.kernels), edges, s)
+        stack.flags.writeable = False  # before the views, which inherit it
         object.__setattr__(self, "alphabet_size", s)
         object.__setattr__(self, "root_dist", dist)
-        object.__setattr__(self, "kernels", kernels)
+        object.__setattr__(self, "kernels", _KernelViews(stack, edges))
         object.__setattr__(self, "kernel_stack", stack)
 
     @property

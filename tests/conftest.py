@@ -488,3 +488,45 @@ def oracle_factorization_suite(m):
     if checked == 0:
         return _skip("factorization", "no pair (i, j) with a pivot")
     return _result("factorization", worst, checked)
+
+
+# ------------------------------------------------- per-cell table writers
+#
+# The `eta` matrix and `sample` writers as they were before they formatted
+# whole arrays: one format call per cell.  The CLI must write the same
+# bytes, on the screen and in the CSV.
+
+
+def oracle_eta_text(entries, source):
+    """(stdout, CSV text) of ``eta --source`` for the matrix ``entries``."""
+    n = len(entries)
+    entries = entries.tolist()
+    lines = [f"eta_bar matrix, source={source} (unit diagonal)"]
+    head = "     " + "".join(f"{j:>10d}" for j in range(1, n + 1))
+    lines.append(head)
+    for i, row in enumerate(entries, start=1):
+        cells = "".join(f"{x:>10.4g}" for x in row)
+        lines.append(f"{i:4d} {cells}")
+    rows = (
+        [str(i), str(j), format(float(x), ".17g"), source]
+        for i, row in enumerate(entries, start=1)
+        for j, x in enumerate(row[i:], start=i + 1)
+    )
+    header = ["i", "j", "eta_bar", "provenance"]
+    csv_lines = [",".join(row) for row in rows]
+    return (
+        "".join(line + "\n" for line in lines),
+        "\n".join([",".join(header), *csv_lines]) + "\n",
+    )
+
+
+def oracle_sample_text(batch, alphabet_size):
+    """The text ``sample`` prints for ``batch``, which is also its CSV."""
+    n = batch.shape[1]
+    header = ["path"] + [f"x{v}" for v in range(1, n + 1)]
+    label = [str(x) for x in range(alphabet_size)]
+    rows = [
+        [str(p), *map(label.__getitem__, row)]
+        for p, row in enumerate(batch.tolist())
+    ]
+    return "".join(",".join(row) + "\n" for row in [header, *rows])

@@ -1,14 +1,22 @@
 import argparse
+import io
 import json
+from types import SimpleNamespace
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treemix import cli, concentration, verification
 from treemix.cli import main
 from treemix.mixing import eta_bar_exact
-from treemix.model import MarkovTreeModel
-from treemix.modelfile import parse_model_file
+from treemix.model import MarkovTreeModel, sample_paths
+from treemix.modelfile import parse_model_file, random_model, save_model
 from treemix.verification import SuiteResult
+
+from conftest import oracle_eta_text, oracle_sample_text
 
 
 @pytest.fixture
@@ -219,6 +227,17 @@ class TestBound:
         assert main(["bound", model_path, "--t", "0.1", "nan"]) == 2
         assert "t must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "-0.1"])
+    def test_bad_threshold_prints_nothing(self, model_path, tmp_path, capsys, bad):
+        # Every threshold is checked before the first line is printed.
+        csv = tmp_path / "bound.csv"
+        argv = ["bound", model_path, "--t", "0.1", bad, "--csv", str(csv)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"treemix: error: t must be nonnegative, got {float(bad)}\n"
+        assert not csv.exists()
+
     def test_euclidean_notes_convexity(self, model_path, capsys):
         assert main(["bound", model_path, "--metric", "euclidean"]) == 0
         assert "convex" in capsys.readouterr().out
@@ -289,3 +308,115 @@ class TestExactWithoutJointTable:
             assert main(argv) == 0, argv
         out = capsys.readouterr().out
         assert "skipped" not in out and "not computed" not in out
+
+
+# ------------------------------------------------------------ table writers
+#
+# The `eta` matrix and `sample` writers format whole arrays; the oracles in
+# conftest format one cell at a time, as the writers did before.  The
+# matrices and batches are handed to the commands in place of the
+# library's, so any float and any state can be tried.
+
+
+@pytest.fixture(scope="session")
+def model_of_shape(tmp_path_factory):
+    """(n, s) -> path of a model file with n nodes over s states."""
+    root = tmp_path_factory.mktemp("shapes")
+    paths = {}
+
+    def get(n, s):
+        if (n, s) not in paths:
+            paths[n, s] = str(root / f"n{n}-s{s}.json")
+            save_model(random_model(seed=n * 100 + s, n=n, alphabet_size=s), paths[n, s])
+        return paths[n, s]
+
+    return get
+
+
+def _run(argv, csv):
+    """stdout of one run and the bytes it wrote to ``csv``, if any."""
+    csv.unlink(missing_ok=True)
+    with mock.patch("sys.stdout", new_callable=io.StringIO) as out:
+        assert main(argv) == 0
+    return out.getvalue(), csv.read_bytes() if csv.exists() else None
+
+
+# Values a matrix cell can hold: both zeros, 1, the smallest subnormal,
+# values that need 17 digits, and values wider than ten characters on the
+# screen (so cell widths differ); any float besides.
+_SPECIAL = [0.0, -0.0, 1.0, 5e-324, 0.1 + 0.2, 1 / 3, 2 / 3, 0.7, -1.5e-308, 1e100, 0.5]
+
+
+@st.composite
+def eta_matrices(draw):
+    n = draw(st.integers(1, 9))
+    pool = draw(
+        st.lists(
+            st.one_of(st.sampled_from(_SPECIAL), st.floats(width=64)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    cells = draw(st.lists(st.sampled_from(pool), min_size=n * n, max_size=n * n))
+    return np.array(cells, dtype=np.float64).reshape(n, n)
+
+
+@given(entries=eta_matrices(), source=st.sampled_from(concentration.SOURCES))
+@example(entries=np.array([[1.0]]), source="exact")
+@example(entries=np.array([[1.0, -0.0], [0.0, 1.0]]), source="level-bound")
+@settings(max_examples=150, deadline=None)
+def test_eta_writer_matches_per_cell_oracle(model_of_shape, tmp_path_factory, entries, source):
+    path = model_of_shape(len(entries), 2)
+    csv = tmp_path_factory.getbasetemp() / "eta.csv"
+    short = source.removesuffix("-bound")
+    delta = SimpleNamespace(entries=entries)
+    with mock.patch.object(cli, "build_mixing_matrices", return_value=(delta, None)):
+        screen, _ = _run(["eta", path, "--source", short], csv)
+        with_csv, written = _run(["eta", path, "--source", short, "--csv", str(csv)], csv)
+    want_screen, want_csv = oracle_eta_text(entries, source)
+    assert screen == want_screen
+    rows = len(entries) * (len(entries) - 1) // 2
+    assert with_csv == f"{want_screen}wrote {csv} ({rows} rows)\n"
+    assert written == want_csv.encode()
+
+
+@st.composite
+def sample_batches(draw):
+    s = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 7))
+    count = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.integers(0, s - 1), min_size=count * n, max_size=count * n))
+    return s, np.array(cells, dtype=np.int64).reshape(count, n)
+
+
+@given(drawn=sample_batches())
+@settings(max_examples=150, deadline=None)
+def test_sample_writer_matches_per_cell_oracle(model_of_shape, tmp_path_factory, drawn):
+    s, batch = drawn
+    count, n = batch.shape
+    path = model_of_shape(n, s)
+    csv = tmp_path_factory.getbasetemp() / "sample.csv"
+    argv = ["sample", path, "--count", str(count)]
+    with mock.patch.object(cli, "sample_paths", return_value=batch):
+        printed, _ = _run(argv, csv)
+        with_csv, written = _run([*argv, "--csv", str(csv)], csv)
+    want = oracle_sample_text(batch, s)
+    assert printed == want
+    assert written == printed.encode()  # stdout is the CSV body
+    assert with_csv == f"wrote {csv} ({count} rows)\n"
+
+
+@pytest.mark.parametrize("n, s", [(1, 3), (6, 2), (9, 11), (14, 12)])
+def test_writers_match_oracle_on_library_output(model_of_shape, tmp_path, n, s):
+    path = model_of_shape(n, s)
+    m, _ = parse_model_file(path)
+    csv = tmp_path / "out.csv"
+    for source in ("level-bound", "uniform-bound"):
+        delta, _ = concentration.build_mixing_matrices(m, source)
+        want_screen, want_csv = oracle_eta_text(delta.entries, source)
+        short = source.removesuffix("-bound")
+        screen, written = _run(["eta", path, "--source", short, "--csv", str(csv)], csv)
+        assert screen.startswith(want_screen)
+        assert written == want_csv.encode()
+    printed, _ = _run(["sample", path, "--count", "40", "--seed", "5"], csv)
+    assert printed == oracle_sample_text(sample_paths(m, 5, 40), s)

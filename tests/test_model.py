@@ -123,6 +123,26 @@ class TestKernelStack:
         with pytest.raises(ValueError, match="shape"):
             MarkovTreeModel(m.tree, 2, m.root_dist, m.kernel_stack[:2])
 
+    @pytest.mark.parametrize("from_stack", [False, True])
+    def test_kernels_are_lazy_read_only_views(self, from_stack):
+        m = self._star()
+        if from_stack:
+            m = MarkovTreeModel(m.tree, 2, m.root_dist, np.array(m.kernel_stack))
+        assert m.kernels._views == {}
+        assert list(m.kernels) == list(m.tree.edges()) == list(dict(m.kernels))
+        assert len(m.kernels) == 3 and (1, 3) in m.kernels and (2, 3) not in m.kernels
+        k = m.kernels[(np.int64(1), np.int64(3))]
+        assert k.edge == (1, 3) and type(k.edge[0]) is int
+        assert m.kernel((1, 3)) is k and m.kernels.get((1, 3)) is k
+        assert np.shares_memory(k.matrix, m.kernel_stack)
+        with pytest.raises(KeyError):
+            m.kernels[(2, 3)]
+        with pytest.raises(ValueError, match="no kernel"):
+            m.kernel((2, 3))
+        with pytest.raises(TypeError):
+            m.kernels[(1, 3)] = k
+        assert repr(m.kernels) == repr(dict(m.kernels))
+
     def test_mapping_keeps_kernel_layout(self):
         # Parent-major rows transposed give column-major kernels; the stack
         # keeps that layout, which sets numpy's summation order.

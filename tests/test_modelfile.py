@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treemix.cli import main as cli_main
-from treemix.model import edge_thetas, max_contraction
+from treemix.model import Kernel, edge_thetas, max_contraction
 from treemix.modelfile import (
     ModelFileError,
     parse_model_file,
@@ -529,3 +529,24 @@ def test_parser_matches_per_row_oracle(doc):
     for u, v in edges:
         assert m.kernels[(u, v)].matrix.base is not None  # a view into the stack
         assert thetas[v] == column_tv_norm(m_old.kernels[(u, v)].matrix)
+
+
+def test_parsing_makes_no_kernel_view(tmp_path, monkeypatch):
+    # The op paths read ``kernel_stack``; views are made only when asked for.
+    path = str(tmp_path / "model.json")
+    save_model(random_model(seed=4, n=12, alphabet_size=3), path)
+    made = []
+    view, init = Kernel._view.__func__, Kernel.__post_init__
+    monkeypatch.setattr(
+        Kernel, "_view",
+        classmethod(lambda cls, edge, mat: made.append(edge) or view(cls, edge, mat)),
+    )
+    monkeypatch.setattr(Kernel, "__post_init__", lambda k: made.append(k.edge) or init(k))
+    m, _ = parse_model_file(path)
+    assert made == []
+    doc = serialize_model(m)
+    assert made == list(m.tree.edges())
+    assert [k.edge for k in m.kernels.values()] == made  # each view made once
+    assert len(made) == m.n - 1
+    with open(path, encoding="utf-8") as fh:
+        assert doc == json.load(fh)

@@ -5,19 +5,24 @@
 Each checkout is hashed in its own interpreter, importing ``treemix``
 from its ``src/`` and the model population from its ``perfbench/``.  The
 models are every benchmark model at seeds 1 and 777, 20 ``random_model``
-draws (chains, stars, full-width and width-3 trees), and the same 20
+draws (chains, stars, full-width and width-3 trees), the same 20
 rewritten with permuted node labels, shuffled edges and rows drifted off
-a sum of 1 (so that loading relabels and renormalizes them).  Per model
-it hashes the parsed model (the kernels stacked in child order, the root
-law and the relabel map), the stdout of ``treemix inspect -v``,
-``entries.tobytes()`` of the Delta and Gamma matrices for each source
-(exact only up to 3e6 table cells), the bytes of ``treemix coeffs
---csv``, and the repr of ``eta_report``, ``eta_bar_bound_levels`` and
-``eta_bar_bound_linear_growth`` on a spread of pairs.  On models of at
-most 1e6 cells it also hashes the exit code, stdout and stderr of ``eta
---source exact|level|uniform``, ``eta --pair``, ``norms``, ``bound`` for
-both metrics and ``verify``, with the bytes of each command's ``--csv``
-file; the CSV path in the ``wrote ...`` line is replaced by ``<csv>``.
+a sum of 1 (so that loading relabels and renormalizes them), and two
+``random_model`` draws over 11 and 12 states (labels of two characters).
+Per model it hashes the parsed model (the kernels stacked in child
+order, the root law and the relabel map), the stdout of ``treemix
+inspect -v``, ``entries.tobytes()`` of the Delta and Gamma matrices for
+each source (exact only up to 3e6 table cells), the bytes of ``treemix
+coeffs --csv``, and the repr of ``eta_report``, ``eta_bar_bound_levels``
+and ``eta_bar_bound_linear_growth`` on a spread of pairs.  On every model
+it hashes the CLI run (exit code, stdout, stderr and the bytes of the
+``--csv`` file, with and without ``--csv``) of ``eta --source
+level|uniform``, of ``sample`` at two seeds and counts, and of ``eta``
+fed the model's level-bound Delta with ``-0.0`` written into two cells.
+On models of at most 1e6 cells it also hashes the same of ``eta --source
+exact``, ``eta --pair``, ``norms``, ``bound`` for both metrics and
+``verify`` with ``--csv``.  The CSV path in the ``wrote ...`` line is
+replaced by ``<csv>``.
 A last pass lowers ``TREEMIX_MAX_ENUM`` so that most models exceed it
 and hashes the same for the commands that ask for exact values.
 ``verify`` is hashed at the default cap only where a tree level has at
@@ -41,6 +46,8 @@ import os
 import subprocess
 import sys
 import tempfile
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 
@@ -78,6 +85,10 @@ def _model_files(out_dir: str) -> dict[str, str]:
         paths[f"scrambled/{k}"] = os.path.join(out_dir, f"scrambled{k}.json")
         with open(paths[f"scrambled/{k}"], "w", encoding="utf-8") as fh:
             json.dump(_scrambled(modelfile.serialize_model(m), k), fh)
+    for k, (n, s, shape) in enumerate([(5, 11, {}), (14, 12, {"width": 3})]):
+        m = modelfile.random_model(seed=6000 + k, n=n, alphabet_size=s, **shape)
+        paths[f"wide-alphabet/{k}"] = os.path.join(out_dir, f"wide{k}.json")
+        modelfile.save_model(m, paths[f"wide-alphabet/{k}"])
     return paths
 
 
@@ -132,11 +143,31 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     ]
 
 
-def _hash_cli(path: str, csv_path: str, m) -> dict[str, str]:
-    """Hashes of every CSV-writing mixing command and a few pair reports."""
+def _hash_writers(path: str, csv_path: str, m) -> dict[str, str]:
+    """Hashes of the ``eta`` matrix and ``sample`` tables, with and without ``--csv``."""
+    from treemix import cli, concentration
+
     rec = {}
-    for source in ("exact", "level", "uniform"):
-        rec[f"cli_eta_{source}"] = _run_cli(["eta", path, "--source", source], csv_path)
+    for source in ("level", "uniform"):
+        argv = ["eta", path, "--source", source]
+        rec[f"cli_eta_{source}"] = _run_cli(argv, csv_path)
+        rec[f"cli_eta_{source}_stdout"] = _run_cli(argv)
+    for seed, count in ((1, 7), (777, 2000)):
+        argv = ["sample", path, "--seed", str(seed), "--count", str(count)]
+        rec[f"cli_sample_{seed}"] = _run_cli(argv, csv_path)
+        rec[f"cli_sample_{seed}_stdout"] = _run_cli(argv)
+    delta, gamma = concentration.build_mixing_matrices(m, "level-bound")
+    entries = np.array(delta.entries)
+    entries[0, -1] = entries[-1, 0] = -0.0
+    signed = (SimpleNamespace(entries=entries), gamma)
+    with mock.patch.object(cli, "build_mixing_matrices", return_value=signed):
+        rec["cli_eta_signed_zero"] = _run_cli(["eta", path], csv_path)
+    return rec
+
+
+def _hash_cli(path: str, csv_path: str, m) -> dict[str, str]:
+    """Hashes of every other CSV-writing mixing command and a few pair reports."""
+    rec = {"cli_eta_exact": _run_cli(["eta", path, "--source", "exact"], csv_path)}
     rec["cli_norms"] = _run_cli(["norms", path], csv_path)
     for metric in ("hamming", "euclidean"):
         rec[f"cli_bound_{metric}"] = _run_cli(["bound", path, "--metric", metric], csv_path)
@@ -211,6 +242,7 @@ def _hash_model(path: str, csv_path: str, matrices: dict) -> dict[str, str]:
         values.append(mixing.eta_bar_bound_levels(m, i, j))
         values.append(mixing.eta_bar_bound_linear_growth(m, i, j, c))
     rec["pairs"] = _digest(repr(values).encode())
+    rec.update(_hash_writers(path, csv_path, m))
     if m.table_cells() <= CLI_MAX_CELLS:
         rec.update(_hash_cli(path, csv_path, m))
     return rec
