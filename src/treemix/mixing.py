@@ -32,16 +32,14 @@ Three computations are provided, cheapest last:
   (``eta_bar_bound_uniform``, ``geometric_rate``) or from linear level
   growth (``eta_bar_bound_linear_growth``).
 
-``eta_factorization`` rebuilds eta(i, j; y, w, w') explicitly as
-``tv(B A^(d_k) ... A^(d_2) h)``: the column-difference tensor ``h`` at
-the first level below ``i``, one stochastic operator per level of the
-subtree, and a frontier operator ``B`` that keeps the nodes the tail
-actually depends on.  The value equals the enumerated coefficient and
-does not depend on the feasible prefix ``y``; each intermediate norm
-certifies one inequality in the chain down to the level product bound.
-It reads the pipeline of ``factorization_pipelines``, which builds the
-level operators of a node once for all its ``j``; only ``h`` and the
-matrix-vector products are computed per state pair.
+``eta_factorization`` rebuilds eta(i, j; y, w, w') for one state pair
+as ``tv(B A^(d_k) ... A^(d_2) h)``: the column-difference tensor ``h``
+at the first level below ``i``, one dense stochastic operator per level
+of the subtree, and a frontier operator ``B`` that keeps the nodes the
+tail actually depends on.  Its operators have ``s ** width`` rows and
+columns, so it is a library cross-check for small trees on no command
+path; the ``verify`` factorization suite checks the frontier sweep of
+``exact_row`` instead, level by level against the ``alpha`` rule.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -108,9 +106,9 @@ def eta_exact(
     return tv_distance(law_w, law_wp)
 
 
-def _feasible_pairs(m: MarkovTreeModel, i: int) -> list[tuple[int, int]]:
+def _feasible_pairs(m: MarkovTreeModel, i: int) -> tuple[np.ndarray, np.ndarray]:
     """State pairs ``w < w'`` at node ``i`` that one positive-probability
-    prefix admits together.
+    prefix admits together, as the arrays ``(w, w')``.
 
     For ``i == 1`` both root entries must be positive; otherwise some
     state ``a`` of ``parent(i)`` with positive marginal must reach both,
@@ -123,8 +121,7 @@ def _feasible_pairs(m: MarkovTreeModel, i: int) -> list[tuple[int, int]]:
         seen = node_marginals(m)[u] > 0.0
         reach = m.kernel_stack[i - 2][:, seen] > 0.0  # [w, a]
     shared = reach.astype(int) @ reach.T.astype(int)  # states reaching both
-    w, wp = np.nonzero(np.triu(shared, k=1))
-    return list(zip(w.tolist(), wp.tolist()))
+    return np.nonzero(np.triu(shared, k=1))
 
 
 def _frontier_laws(m: MarkovTreeModel, i: int) -> Iterator[tuple[range, np.ndarray]]:
@@ -158,14 +155,17 @@ def _frontier_laws(m: MarkovTreeModel, i: int) -> Iterator[tuple[range, np.ndarr
         yield range(v + 1, nxt + 1), laws
 
 
-def _max_tv(laws: np.ndarray, pairs: list[tuple[int, int]]) -> float:
-    """Largest TV between rows ``w`` and ``w'`` of ``laws`` over ``pairs``;
-    0 for no pair."""
-    best = 0.0
-    for w, wp in pairs:
-        # Laws with disjoint supports can sum to just over 1 in rounding.
-        best = max(best, min(0.5 * float(np.abs(laws[w] - laws[wp]).sum()), 1.0))
-    return best
+def _pair_tvs(laws: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """TV between rows ``w`` and ``w'`` of ``laws`` for each pair of the
+    arrays ``pairs = (w, w')``."""
+    w, wp = pairs
+    # Laws with disjoint supports can sum to just over 1 in rounding.
+    return np.minimum(0.5 * np.abs(laws[w] - laws[wp]).sum(axis=1), 1.0)
+
+
+def _max_tv(laws: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> float:
+    """Largest of :func:`_pair_tvs`; 0 for no pair."""
+    return float(_pair_tvs(laws, pairs).max(initial=0.0))
 
 
 def exact_row(m: MarkovTreeModel, i: int) -> np.ndarray:
@@ -403,99 +403,6 @@ def _edge_operator(m: MarkovTreeModel, u: int, v: int) -> StochasticOperator:
     return StochasticOperator((u,), (v,), m.alphabet_size, m.kernel((u, v)).matrix)
 
 
-@dataclass(frozen=True)
-class FactorizationPipeline:
-    """The operator pipeline of eta(i, j; ., w, w') for one pair (i, j).
-
-    ``operators[k]`` maps the level ``depth(i) + k`` of the subtree of
-    ``i`` to the next one, down to the pivot depth; ``b`` is the frontier
-    operator.  Only the column difference ``h`` of ``operators[0]``
-    depends on the state pair, so one pipeline serves every ``(w, w')``.
-    ``operator_norms`` and ``alpha_bounds`` are the fields of
-    :class:`FactorizationTrace` of the same names.
-    """
-
-    i: int
-    j: int
-    j0: int
-    operators: tuple[StochasticOperator, ...]
-    b: StochasticOperator
-    operator_norms: tuple[float, ...]
-    alpha_bounds: tuple[float, ...]
-
-    def tv_norms(self, w: int, w_prime: int) -> tuple[float, float]:
-        """``(tv(h), tv(B f))`` for the states ``w`` and ``w'`` of node ``i``:
-        the trace's ``h_norm`` and ``value``."""
-        first = self.operators[0]  # input index is (i,)
-        h = IndexedTensor(
-            first.out_index, first.alphabet_size,
-            first.entries[:, w] - first.entries[:, w_prime],
-        )
-        f = h
-        for op in self.operators[1:]:
-            f = apply_operator(op, f)
-        return h.tv_norm, apply_operator(self.b, f).tv_norm
-
-    def trace(self, w: int, w_prime: int) -> FactorizationTrace:
-        h_norm, value = self.tv_norms(w, w_prime)
-        return FactorizationTrace(
-            i=self.i,
-            j=self.j,
-            j0=self.j0,
-            w=w,
-            w_prime=w_prime,
-            value=value,
-            h_norm=h_norm,
-            operator_norms=self.operator_norms,
-            alpha_bounds=self.alpha_bounds,
-            b_norm=operator_tv_norm(self.b),
-        )
-
-
-def factorization_pipelines(
-    m: MarkovTreeModel, i: int, js: Iterable[int]
-) -> Iterator[FactorizationPipeline]:
-    """The pipeline of every pair ``(i, j)``, ``j`` in ``js``, from one
-    set of level operators.
-
-    The operator of each subtree level, its TV norm and its alpha bound
-    are built once, the first time a pivot reaches that depth, and shared
-    by every later ``j``; each ``j`` adds only its frontier operator.
-    Raises when a pivot is absent, since the coefficient is then
-    identically zero and there is no pipeline.
-    """
-    tree, s = m.tree, m.alphabet_size
-    runs, levels = _subtree_levels(m, i)
-    operators: list[StochasticOperator] = []
-    norms: list[float] = []
-    alphas: list[float] = []
-    for j in js:
-        cs = cut_sets(tree, i, j)
-        if cs.j0 is None:
-            raise ValueError(
-                f"subtree of {i} ends before {j}; the coefficient is identically zero"
-            )
-        k0 = tree.depth_of[cs.j0] - tree.depth_of[i]
-        for k in range(len(operators) + 1, k0 + 1):
-            edges = [(tree.parent[v], v) for v in runs[k]]
-            op = stochastic_tensor_product([_edge_operator(m, u, v) for u, v in edges])
-            operators.append(expand_operator_inputs(op, tuple(runs[k - 1])))
-            if k > 1:
-                norms.append(operator_tv_norm(operators[-1]))
-            alphas.append(alpha(levels[k - 1]))
-
-        frontier = [
-            StochasticOperator.identity((v,), s) for v in sorted(cs.c0)
-        ]
-        frontier += [_edge_operator(m, tree.parent[v], v) for v in sorted(cs.c1)]
-        b = stochastic_tensor_product(frontier)
-        b = expand_operator_inputs(b, tuple(runs[k0]))
-        yield FactorizationPipeline(
-            i=i, j=j, j0=cs.j0, operators=tuple(operators[:k0]), b=b,
-            operator_norms=tuple(norms[: k0 - 1]), alpha_bounds=tuple(alphas[:k0]),
-        )
-
-
 def eta_factorization(
     m: MarkovTreeModel, i: int, j: int, w: int, w_prime: int
 ) -> FactorizationTrace:
@@ -506,16 +413,48 @@ def eta_factorization(
     conditionings ``x_i = w`` and ``x_i = w'``, and the frontier
     operator that marginalizes pre-pivot nodes while carrying the rest;
     the TV norm of the final tensor is the coefficient (for every
-    feasible prefix ``y``).  The pipeline is the one
-    :func:`factorization_pipelines` builds.  Raises when the pivot is
-    absent, since the coefficient is then identically zero and there is
-    no pipeline.
+    feasible prefix ``y``).  Raises when the pivot is absent, since the
+    coefficient is then identically zero and there is no pipeline.
     """
     i, j = _check_pair(m, i, j)
-    s = m.alphabet_size
+    s, tree = m.alphabet_size, m.tree
     if not (0 <= w < s and 0 <= w_prime < s):
         raise ValueError(f"states ({w}, {w_prime}) outside 0..{s - 1}")
-    return next(factorization_pipelines(m, i, [j])).trace(w, w_prime)
+    cs = cut_sets(tree, i, j)
+    if cs.j0 is None:
+        raise ValueError(
+            f"subtree of {i} ends before {j}; the coefficient is identically zero"
+        )
+    runs, levels = _subtree_levels(m, i)
+    k0 = tree.depth_of[cs.j0] - tree.depth_of[i]
+    operators: list[StochasticOperator] = []
+    for k in range(1, k0 + 1):
+        op = stochastic_tensor_product(
+            [_edge_operator(m, tree.parent[v], v) for v in runs[k]]
+        )
+        operators.append(expand_operator_inputs(op, tuple(runs[k - 1])))
+
+    first = operators[0]  # input index is (i,)
+    h = IndexedTensor(first.out_index, s, first.entries[:, w] - first.entries[:, w_prime])
+    f = h
+    for op in operators[1:]:
+        f = apply_operator(op, f)
+
+    frontier = [StochasticOperator.identity((v,), s) for v in sorted(cs.c0)]
+    frontier += [_edge_operator(m, tree.parent[v], v) for v in sorted(cs.c1)]
+    b = expand_operator_inputs(stochastic_tensor_product(frontier), tuple(runs[k0]))
+    return FactorizationTrace(
+        i=i,
+        j=j,
+        j0=cs.j0,
+        w=w,
+        w_prime=w_prime,
+        value=apply_operator(b, f).tv_norm,
+        h_norm=h.tv_norm,
+        operator_norms=tuple(operator_tv_norm(op) for op in operators[1:]),
+        alpha_bounds=tuple(alpha(thetas) for thetas in levels[:k0]),
+        b_norm=operator_tv_norm(b),
+    )
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,13 @@ enumeration cap.  Everything is deterministic given the seed.
 
 The j0-reduction and factorization suites come from one pass over the
 nodes: each node's enumeration tables are tabulated once and shared by
-both, and the factorization pipeline is built once per node and pair
-``(i, j)``, not once per state pair.
+both.  The factorization suite checks the frontier sweep that every
+exact command runs, so no suite builds an object larger than the joint
+table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
@@ -35,7 +35,7 @@ from .model import (
     sample_paths,
     verify_markov_property,
 )
-from .treegraph import first_descendant_at_or_after, subtree_runs
+from .treegraph import first_descendant_at_or_after
 from .tvalgebra import alpha
 
 _TOL = 1e-12
@@ -78,10 +78,10 @@ def _suite_markov_property(m, trials, rng) -> SuiteResult:
 
 # The enumeration oracle: eta(i, j; y, w, w') for every prefix y, read
 # off the joint table.  The exact engine (mixing.exact_row) never builds
-# the table; the tests check it against these tables, and the
-# j0-reduction and factorization suites check the pivot identity and the
-# operator pipeline against them.  The suites tabulate each pair (i, j)
-# once per run and hold one node's tables at a time.
+# the table; the tests, and the j0-reduction and factorization suites,
+# check the pivot identity and the engine's frontier sweep against these
+# tables.  The suites tabulate each pair (i, j) once per run and hold one
+# node's tables at a time.
 
 
 def _tail_laws(m: MarkovTreeModel, i: int) -> Iterator[np.ndarray]:
@@ -129,21 +129,57 @@ def _eta_tables(m: MarkovTreeModel, i: int, j: int) -> tuple[np.ndarray, np.ndar
     return _tv_tables(next(islice(_tail_laws(m, i), j - i - 1, None)))
 
 
+def _sweep_violation(
+    m: MarkovTreeModel, i: int, tables: list, pairs: tuple[np.ndarray, np.ndarray]
+) -> tuple[float, int]:
+    """Worst violation of the frontier sweep of node ``i`` against its
+    enumeration ``tables`` over the state ``pairs = (w, w')``, and the
+    number of ``(j, w, w')`` compared.
+
+    Each swept TV must equal the enumerated one at every feasible
+    prefix, and :func:`mixing.exact_row` the enumerated supremum.  The
+    law yielded after the last node of a subtree run is the law of the
+    next level, whose TV the alpha rule contracts: ``TV_k <= alpha_k
+    TV_(k-1)``, with ``TV_0 = 1``.  Every frontier in between is a
+    function of the level above it, so its TV is at most that level's.
+    """
+    runs, levels = mixing._subtree_levels(m, i)
+    level_alpha = {run[-1]: alpha(thetas) for run, thetas in zip(runs, levels)}
+    sup = [tv.max() for tv, _ in tables]
+    worst = float(np.abs(mixing.exact_row(m, i) - sup).max())
+    w, wp = pairs
+    level_tv = np.ones(len(w))
+    checked = 0
+    for js, laws in mixing._frontier_laws(m, i):
+        swept = mixing._pair_tvs(laws, pairs)
+        for tv, feasible in tables[js.start - i - 1 : js.stop - i - 1]:
+            both = feasible[:, w] & feasible[:, wp]
+            gap = np.abs(tv[:, w, wp] - swept)[both]
+            worst = max(worst, float(gap.max(initial=0.0)))
+            checked += len(w)
+        a = level_alpha.get(js.start - 1)
+        if a is None:
+            worst = max(worst, float((swept - level_tv).max(initial=0.0)))
+        else:
+            worst = max(worst, float((swept - a * level_tv).max(initial=0.0)))
+            level_tv = swept
+    return worst, checked
+
+
 def _pivot_suites(m: MarkovTreeModel) -> tuple[SuiteResult, SuiteResult]:
     """The j0-reduction and factorization suites from one pass over ``i``.
 
     Each node's oracle tables are tabulated once and read by both suites;
     only one node's tables are held at a time.  The factorization suite
-    reads one :func:`mixing.factorization_pipelines` pipeline per pair
-    ``(i, j)`` and applies it to every state pair.  Neither suite draws
-    from the rng, so the pair is computed once per model and cached on
-    it, like the joint table it reads.
+    checks the frontier sweep of the exact engine against them
+    (:func:`_sweep_violation`).  Neither suite draws from the rng, so the
+    pair is computed once per model and cached on it, like the joint
+    table it reads.
     """
     cached = m.__dict__.get("_pivot_suites")
     if cached is not None:
         return cached
-    s = m.alphabet_size
-    state_pairs = [(w, wp) for w in range(s) for wp in range(w + 1, s)]
+    state_pairs = np.triu_indices(m.alphabet_size, k=1)
     reduction = worst = 0.0
     checked = 0
     for i in range(1, m.n):
@@ -152,24 +188,9 @@ def _pivot_suites(m: MarkovTreeModel) -> tuple[SuiteResult, SuiteResult]:
             j0 = first_descendant_at_or_after(m.tree, i, j)
             pivot = 0.0 if j0 is None else tables[j0 - i - 1][0]
             reduction = max(reduction, float(np.abs(tv - pivot).max()))
-        # Every j up to the last subtree node has a pivot; a one-state
-        # model has no state pair to check.
-        last = subtree_runs(m.tree, i)[-1][-1] if state_pairs else i
-        pipelines = mixing.factorization_pipelines(m, i, range(i + 1, last + 1))
-        for pipe, (tv, feas) in zip(pipelines, tables):
-            alpha_product = math.prod(pipe.alpha_bounds)
-            for w, wp in state_pairs:
-                h_norm, value = pipe.tv_norms(w, wp)
-                both = feas[:, w] & feas[:, wp]
-                if both.any():
-                    worst = max(worst, float(np.abs(tv[both, w, wp] - value).max()))
-                # inequality chain, one-sided; FactorizationTrace's
-                # norm_chain_bound and alpha_product, without the b_norm
-                # that a trace also measures
-                chain_bound = h_norm * math.prod(pipe.operator_norms)
-                worst = max(worst, value - chain_bound)
-                worst = max(worst, chain_bound - alpha_product)
-                checked += 1
+        violation, count = _sweep_violation(m, i, tables, state_pairs)
+        worst = max(worst, violation)
+        checked += count
         del tables
     cached = (
         _result("j0-reduction", reduction, m.n * (m.n - 1) // 2),

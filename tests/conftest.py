@@ -374,13 +374,11 @@ def oracle_parse_model(path: str) -> tuple[MarkovTreeModel, dict[int, int]]:
     return model, relabel
 
 
-# ------------------------------------------- per-pair factorization suite
+# ------------------------------------------------------ per-pair pivot oracles
 #
-# The j0-reduction and factorization suites as they were before one pass
-# over each node fed both: j0-reduction tabulates every node's oracle
-# tables, and factorization tabulates them again and rebuilds the whole
-# operator pipeline for every (i, j, w, w').  The library's shared pass
-# must return the same results, bit for bit.
+# eta_factorization with its pipeline spelled out for one state pair,
+# and the j0-reduction suite tabulating each node's tables on its own.
+# The library must return the same results, bit for bit.
 
 
 def oracle_eta_factorization(m, i, j, w, w_prime):
@@ -458,36 +456,6 @@ def oracle_j0_reduction_suite(m):
             pivot = 0.0 if j0 is None else tables[j0 - i - 1]
             worst = max(worst, float(np.abs(tv - pivot).max()))
     return _result("j0-reduction", worst, m.n * (m.n - 1) // 2)
-
-
-def oracle_factorization_suite(m):
-    """The factorization suite, one pipeline per (i, j, w, w')."""
-    from treemix.treegraph import subtree_runs
-    from treemix.verification import _result, _skip, _tail_laws, _tv_tables
-
-    s = m.alphabet_size
-    worst = 0.0
-    checked = 0
-    for i in range(1, m.n):
-        last = subtree_runs(m.tree, i)[-1][-1]  # every j up to it has a pivot
-        for j, tail in zip(range(i + 1, last + 1), _tail_laws(m, i)):
-            tv, feas = _tv_tables(tail)
-            for w in range(s):
-                for wp in range(w + 1, s):
-                    trace = oracle_eta_factorization(m, i, j, w, wp)
-                    both = feas[:, w] & feas[:, wp]
-                    if both.any():
-                        enum_vals = tv[both, w, wp]
-                        worst = max(
-                            worst, float(np.abs(enum_vals - trace.value).max())
-                        )
-                    # inequality chain, one-sided
-                    worst = max(worst, trace.value - trace.norm_chain_bound)
-                    worst = max(worst, trace.norm_chain_bound - trace.alpha_product)
-                    checked += 1
-    if checked == 0:
-        return _skip("factorization", "no pair (i, j) with a pivot")
-    return _result("factorization", worst, checked)
 
 
 # ------------------------------------------------- per-cell table writers

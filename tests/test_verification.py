@@ -1,16 +1,19 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treemix import mixing
-from treemix.mixing import eta_factorization, eta_report, factorization_pipelines
+from treemix import mixing, tvalgebra, verification
+from treemix.mixing import eta_factorization, eta_report
 from treemix.modelfile import random_model
 from treemix.treegraph import subtree_runs
+from treemix.tvalgebra import alpha
 from treemix.verification import (
     _SUITES,
+    SuiteResult,
     _suite_bound_dominance,
     _suite_factorization,
     _suite_j0_reduction,
@@ -20,7 +23,6 @@ from treemix.verification import (
 from conftest import (
     make_model,
     oracle_eta_factorization,
-    oracle_factorization_suite,
     oracle_j0_reduction_suite,
     sparsified,
 )
@@ -97,16 +99,15 @@ def _bits(value):
     return value
 
 
-# Shapes of random_model: chain, star, unconstrained, width 2.  Each node
-# count keeps a star's level under 250 states, where the per-pair oracle
-# builds and measures its frontier operator quickly.
+# Shapes of random_model: chain, star, unconstrained, width 2.
 _SHAPES = [{"width": 1}, {"depth": 1}, {}, {"width": 2}]
 
 
 @st.composite
-def pivot_models(draw):
+def pivot_models(draw, max_n=(12, 9)):
+    """Models over 2 or 3 states with at most ``max_n[s - 2]`` nodes."""
     s = draw(st.integers(2, 3))
-    n = draw(st.integers(2, 7 if s == 2 else 6))
+    n = draw(st.integers(2, max_n[s - 2]))
     seed = draw(st.integers(0, 10**6))
     m = random_model(seed, n=n, alphabet_size=s, **draw(st.sampled_from(_SHAPES)))
     if draw(st.booleans()):
@@ -114,47 +115,116 @@ def pivot_models(draw):
     return m
 
 
+def _sweep_trials(m):
+    """Number of (i, j, w, w') with ``w < w'`` and j up to the last
+    subtree node of i."""
+    s = m.alphabet_size
+    pairs_ij = sum(subtree_runs(m.tree, i)[-1][-1] - i for i in range(1, m.n))
+    return pairs_ij * s * (s - 1) // 2
+
+
 @given(pivot_models())
 @settings(max_examples=60, deadline=None)
 def test_pivot_suites_match_per_pair_oracle(m):
     assert _bits(_suite_j0_reduction(m, 1, None)) == _bits(oracle_j0_reduction_suite(m))
-    assert _bits(_suite_factorization(m, 1, None)) == _bits(oracle_factorization_suite(m))
+    result = _suite_factorization(m, 1, None)
+    assert (result.status, result.trials) == ("pass", _sweep_trials(m))
+
+
+# A star's frontier operator has s ** (n - 1) rows and columns; these node
+# counts keep it under 250.
+@given(pivot_models(max_n=(7, 6)))
+@settings(max_examples=60, deadline=None)
+def test_eta_factorization_matches_per_pair_oracle(m):
     s = m.alphabet_size
     for i in range(1, m.n):
-        last = subtree_runs(m.tree, i)[-1][-1]
-        for pipe in factorization_pipelines(m, i, range(i + 1, last + 1)):
+        for j in range(i + 1, subtree_runs(m.tree, i)[-1][-1] + 1):
             for w in range(s):
                 for wp in range(s):
-                    want = _bits(oracle_eta_factorization(m, i, pipe.j, w, wp))
-                    assert _bits(eta_factorization(m, i, pipe.j, w, wp)) == want
-                    assert _bits(pipe.trace(w, wp)) == want
+                    want = _bits(oracle_eta_factorization(m, i, j, w, wp))
+                    assert _bits(eta_factorization(m, i, j, w, wp)) == want
 
 
 def test_one_state_model_checks_no_pair():
     m = make_model(3, [(1, 2), (2, 3)], 1, [1.0], {(1, 2): [[1.0]], (2, 3): [[1.0]]})
     assert _suite_j0_reduction(m, 1, None) == oracle_j0_reduction_suite(m)
-    assert _suite_factorization(m, 1, None) == oracle_factorization_suite(m)
-    assert _suite_factorization(m, 1, None).status == "skip"
-
-
-@pytest.mark.parametrize(
-    "n, shape", [(9, {"width": 4, "depth": 2}), (8, {"width": 1}), (7, {"depth": 1}), (10, {})]
-)
-def test_factorization_builds_each_level_once_per_node(monkeypatch, n, shape):
-    """The suite builds each node's level operators once and one frontier
-    operator per pair (i, j), whatever the number of state pairs."""
-    calls = []
-    build = mixing.stochastic_tensor_product
-    monkeypatch.setattr(
-        mixing, "stochastic_tensor_product", lambda ops: calls.append(1) or build(ops)
+    assert _suite_factorization(m, 1, None) == SuiteResult(
+        "factorization", "skip", None, 0, "no pair (i, j) with a pivot"
     )
-    counts = []
-    for s in (2, 3):
-        # random_model draws the tree first, so every s has the same tree.
-        m = random_model(11, n=n, alphabet_size=s, **shape)
-        calls.clear()
+
+
+def _perturbed(sweep):
+    def mutant(m, i):
+        for js, laws in sweep(m, i):
+            laws = laws.copy()
+            laws[0, 0] += 1e-9
+            yield js, laws
+    return mutant
+
+
+def _late(sweep):
+    def mutant(m, i):
+        for js, laws in sweep(m, i):
+            yield range(js.start + 1, min(js.stop + 1, m.n + 1)), laws
+    return mutant
+
+
+_MUTANT_MODELS = [
+    dict(seed=3, n=7, alphabet_size=2, width=1),
+    dict(seed=4, n=7, alphabet_size=3, depth=1),
+    dict(seed=5, n=9, alphabet_size=2, width=3),
+    dict(seed=6, n=8, alphabet_size=3),
+]
+
+
+@pytest.mark.parametrize("mutate", [_perturbed, _late])
+@pytest.mark.parametrize("params", _MUTANT_MODELS)
+def test_factorization_suite_catches_mutated_sweep(monkeypatch, mutate, params):
+    assert _suite_factorization(random_model(**params), 1, None).status == "pass"
+    monkeypatch.setattr(mixing, "_frontier_laws", mutate(mixing._frontier_laws))
+    assert _suite_factorization(random_model(**params), 1, None).status == "fail"
+
+
+def test_factorization_suite_catches_loose_alpha(monkeypatch):
+    """On a 2-state chain each level's TV is exactly theta times the last,
+    so a contraction 1% short of the alpha rule fails the suite."""
+    params = dict(seed=9, n=8, alphabet_size=2, width=1)
+    assert _suite_factorization(random_model(**params), 1, None).status == "pass"
+    monkeypatch.setattr(verification, "alpha", lambda thetas: 0.99 * alpha(thetas))
+    assert _suite_factorization(random_model(**params), 1, None).status == "fail"
+
+
+def test_verify_builds_no_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built a dense operator")
+
+    for name in ("stochastic_tensor_product", "apply_operator"):
+        monkeypatch.setattr(tvalgebra, name, refuse)
+        monkeypatch.setattr(mixing, name, refuse)
+    monkeypatch.setattr(tvalgebra.StochasticOperator, "__post_init__", refuse)
+    for params in _MUTANT_MODELS:
+        m = random_model(**params)
         assert _suite_factorization(m, 1, None).status == "pass"
-        counts.append(len(calls))
-    runs = [subtree_runs(m.tree, i) for i in range(1, m.n)]
-    allowed = sum(len(r) + r[-1][-1] - i for i, r in enumerate(runs, start=1))
-    assert counts[0] == counts[1] <= allowed
+        assert all(r.status != "fail" for r in run_verification(m, trials=20, seed=1))
+
+
+def test_factorization_suite_memory_on_star():
+    """The suite holds one frontier law at a time, not a dense operator
+    over the whole level of a 9-node star with 3 states."""
+    m = random_model(5001, n=9, alphabet_size=3, depth=1)
+    m.joint_table()
+    tracemalloc.start()
+    try:
+        result = _suite_factorization(m, 1, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status == "pass"
+    assert peak < 64 * 2**20
+
+
+def test_verify_passes_on_twelve_node_star():
+    m = random_model(5001, n=12, alphabet_size=3, depth=1)
+    results = run_verification(m, trials=50, seed=1)
+    assert [r.name for r in results] == SUITE_NAMES
+    assert all(r.status == "pass" for r in results), results

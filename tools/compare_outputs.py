@@ -24,9 +24,7 @@ exact``, ``eta --pair``, ``norms``, ``bound`` for both metrics and
 ``verify`` with ``--csv``.  The CSV path in the ``wrote ...`` line is
 replaced by ``<csv>``.
 A last pass lowers ``TREEMIX_MAX_ENUM`` so that most models exceed it
-and hashes the same for the commands that ask for exact values.
-``verify`` is hashed at the default cap only where a tree level has at
-most 256 joint states, as its factorization suite is slow beyond.  Prints
+and hashes the same for the commands that ask for exact values.  Prints
 the differing entries, with the largest entrywise gap of each differing
 Delta/Gamma, and exits 1 if there are any.
 
@@ -53,10 +51,6 @@ import numpy as np
 
 EXACT_MAX_CELLS = 3 * 10**6
 CLI_MAX_CELLS = 10**6
-# The verify factorization suite builds dense operators over a whole level,
-# once per node: 0.2 s at 4**4 level states (perfbench M4), 3 s and 730 MB
-# at 3**8 (a star of 9 nodes, whose frontier operator is 3**8 x 3**8).
-VERIFY_MAX_LEVEL_STATES = 256
 LOWERED_CAP = "1000"
 
 
@@ -171,8 +165,7 @@ def _hash_cli(path: str, csv_path: str, m) -> dict[str, str]:
     rec["cli_norms"] = _run_cli(["norms", path], csv_path)
     for metric in ("hamming", "euclidean"):
         rec[f"cli_bound_{metric}"] = _run_cli(["bound", path, "--metric", metric], csv_path)
-    if m.alphabet_size**m.tree.width <= VERIFY_MAX_LEVEL_STATES:
-        rec["cli_verify"] = _run_cli(["verify", path, "--trials", "40"], csv_path)
+    rec["cli_verify"] = _run_cli(["verify", path, "--trials", "40"], csv_path)
     rec["cli_pairs"] = _digest(
         "".join(_run_cli(["eta", path, "--pair", str(i), str(j)]) for i, j in _pairs(m.n)[::5])
         .encode()
