@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -92,44 +91,38 @@ class MixingMatrix:
         return self.entries.shape[0]
 
 
-def eta_bar_row(m: MarkovTreeModel, source: str) -> Callable[[int], Sequence[float]]:
-    """Function ``i -> [eta_bar(i, j) for j = i+1..n]`` for one source.
-
-    The exact source admits the model here, so it is refused above the
-    cell cap even when there is no row to fill (``n == 1``).
-    """
-    n = m.n
-    rows = {"exact": exact_row, "level-bound": level_bound_row}
-    if source == "exact":
-        m.check_table_cap()
-    if source in rows:
-        return lambda i: rows[source](m, i)
-    # The closed form depends on j - i only: one value per offset.
-    theta, wid = max_contraction(m), m.tree.width
-    by_offset = [uniform_bound_or_one(theta, wid, 1, 1 + k) for k in range(1, n)]
-    return lambda i: by_offset[: n - i]
-
-
 def build_mixing_matrices(
     m: MarkovTreeModel, source: str
 ) -> tuple[MixingMatrix, MixingMatrix]:
     """Fill (delta, gamma) from the chosen eta_bar source.
 
-    ``source`` is one of ``SOURCES``.  The exact source runs one
-    frontier sweep per row (:func:`treemix.mixing.exact_row`), without
-    the joint table, and raises :class:`~treemix.model.EnumerationLimitError`
-    above the table's cell cap.  The uniform source uses
-    the closed form with the model's own max contraction coefficient
-    and width; if the coefficient reaches 1 the closed form does not
-    apply and the trivial bound 1.0 fills the strictly-upper entries.
+    ``source`` is one of ``SOURCES``; row ``i`` of delta above the
+    diagonal is ``eta_bar(i, j)`` for ``j = i+1..n``.  The exact source
+    runs one frontier sweep per row (:func:`treemix.mixing.exact_row`),
+    without the joint table, and raises
+    :class:`~treemix.model.EnumerationLimitError` above the table's cell
+    cap, even when there is no row to fill (``n == 1``).  The level
+    source reads :func:`treemix.mixing.level_bound_row`.  The uniform
+    source uses the closed form with the model's own max contraction
+    coefficient and width, computed once per offset ``j - i``; if the
+    coefficient reaches 1 the closed form does not apply and the
+    trivial bound 1.0 fills the strictly-upper entries.
     """
     if source not in SOURCES:
         raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
     n = m.n
-    row = eta_bar_row(m, source)
+    if source == "exact":
+        m.check_table_cap()
     delta = np.eye(n)
-    for i in range(1, n):
-        delta[i - 1, i:] = row(i)
+    if source == "uniform-bound":
+        theta, wid = max_contraction(m), m.tree.width
+        by_offset = [uniform_bound_or_one(theta, wid, 1, 1 + k) for k in range(1, n)]
+        for i in range(1, n):
+            delta[i - 1, i:] = by_offset[: n - i]
+    else:
+        row = exact_row if source == "exact" else level_bound_row
+        for i in range(1, n):
+            delta[i - 1, i:] = row(m, i)
     gamma = np.eye(n)
     iu = np.triu_indices(n, k=1)
     gamma[iu] = np.sqrt(delta[iu])
@@ -337,13 +330,13 @@ def _flat_indices(configs: np.ndarray, alphabet_size: int) -> np.ndarray:
 
 
 def lipschitz_test_corpus(
-    n: int, alphabet_size: int, rng: np.random.Generator, random_tables: int = 1
+    n: int, alphabet_size: int, rng: np.random.Generator
 ) -> list[tuple[str, np.ndarray]]:
     """Standard 1-Lipschitz test functions over configurations.
 
     Returns named flat tables: the frequency of symbol 0, a scaled
     subcube indicator (1/n on a random fixed assignment of a random
-    coordinate subset), and normalized random tables.
+    coordinate subset), and one normalized random table.
     """
     s = int(alphabet_size)
     n = int(n)
@@ -360,8 +353,7 @@ def lipschitz_test_corpus(
         cube &= grids[c] == st
     out.append(("subcube-indicator", cube.reshape(-1) / n))
 
-    for r in range(random_tables):
-        raw = rng.random(s**n)
-        constant = hamming_lipschitz_constant(raw, n)
-        out.append((f"random-table-{r}", raw / constant))
+    raw = rng.random(s**n)
+    constant = hamming_lipschitz_constant(raw, n)
+    out.append(("random-table-0", raw / constant))
     return out

@@ -13,15 +13,17 @@ matrices that drive the concentration bounds in
 
 Three computations are provided, cheapest last:
 
-* exact values (``eta_bar_exact``, ``exact_row``), admitted by
-  ``MarkovTreeModel.check_table_cap``: above the cell cap both raise
+* exact values (``exact_row``), admitted by
+  ``MarkovTreeModel.check_table_cap``: above the cell cap it raises
   :class:`~treemix.model.EnumerationLimitError` before any work.  Given
   the prefix, the tail ``x_{j..n}`` feels ``x_i`` only through the
   frontier ``F_j`` of subtree nodes ``v >= j`` whose parent precedes
   ``j``, and not through the prefix itself.  One sweep per node
   ``i`` carries the law of the frontier given ``x_i`` down the subtree,
   one node at a time, and takes its largest TV over the state pairs a
-  positive-probability prefix admits; no joint table is built.
+  positive-probability prefix admits; no joint table is built.  The
+  per-pair ``eta_bar_exact`` reads its entry of the row, as
+  ``eta_bar_bound_levels`` reads ``level_bound_row``.
   ``eta_exact`` (one given prefix) still enumerates the table;
 * the level product bound (``eta_bar_bound_levels``): only the subtree
   of ``i`` matters, only down to the depth of the first subtree node
@@ -163,43 +165,34 @@ def _pair_tvs(laws: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndar
     return np.minimum(0.5 * np.abs(laws[w] - laws[wp]).sum(axis=1), 1.0)
 
 
-def _max_tv(laws: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> float:
-    """Largest of :func:`_pair_tvs`; 0 for no pair."""
-    return float(_pair_tvs(laws, pairs).max(initial=0.0))
-
-
 def exact_row(m: MarkovTreeModel, i: int) -> np.ndarray:
     """Exact eta_bar(i, j) for ``j = i+1..n`` from one frontier sweep.
 
     Each frontier law of :func:`_frontier_laws` fills the ``j`` it
-    serves with its largest TV over the feasible pairs; each ``j`` past
-    the subtree of ``i`` reads 0.  Raises
+    serves with its largest TV over the feasible pairs (0 for no pair);
+    each ``j`` past the subtree of ``i`` reads 0.  Raises
     :class:`~treemix.model.EnumerationLimitError` above the cell cap.
     """
     m.check_table_cap()
     row = np.zeros(m.n - i)
     pairs = _feasible_pairs(m, i)
     for js, laws in _frontier_laws(m, i):
-        row[js.start - i - 1 : js.stop - i - 1] = _max_tv(laws, pairs)
+        tvs = _pair_tvs(laws, pairs)
+        row[js.start - i - 1 : js.stop - i - 1] = tvs.max(initial=0.0)
     return row
 
 
 def eta_bar_exact(m: MarkovTreeModel, i: int, j: int) -> float:
     """Supremum of eta(i, j; y, w, w') over feasible prefixes and states.
 
-    The sweep of :func:`exact_row`, stopped at the pivot ``j0``, so the
-    value equals the row's bit for bit.  Exactly zero when the subtree
-    of ``i`` ends before ``j`` (no sweep runs), and zero when no
-    positive-probability prefix admits two states at node ``i``.  Like
-    the row, raises :class:`~treemix.model.EnumerationLimitError` above
-    the cell cap, whether or not a sweep would run.
+    The entry ``j`` of :func:`exact_row`: one implementation serves the
+    pair and the row.  Zero when the subtree of ``i`` ends before ``j``,
+    and when no positive-probability prefix admits two states at node
+    ``i``.  Raises :class:`~treemix.model.EnumerationLimitError` above
+    the cell cap.
     """
     i, j = _check_pair(m, i, j)
-    m.check_table_cap()
-    if first_descendant_at_or_after(m.tree, i, j) is None:
-        return 0.0
-    laws = next(laws for js, laws in _frontier_laws(m, i) if j in js)
-    return _max_tv(laws, _feasible_pairs(m, i))
+    return float(exact_row(m, i)[j - i - 1])
 
 
 def _subtree_levels(

@@ -320,8 +320,9 @@ def edge_thetas(m: MarkovTreeModel) -> Mapping[int, float]:
     """Contraction coefficient of every edge, keyed by the edge's child.
 
     One :func:`~treemix.tvalgebra.column_tv_norms` pass over the kernel
-    stack, equal bit for bit to ``column_tv_norm`` of each kernel;
-    computed once per model and cached, like the joint table.
+    stack.  ``column_tv_norm`` runs the same loop on a one-matrix stack,
+    so each value equals it on the edge's kernel bit for bit; computed
+    once per model and cached, like the joint table.
     """
     cached = m.__dict__.get("_edge_thetas")
     if cached is None:

@@ -195,23 +195,20 @@ def column_tv_norm(mat: np.ndarray) -> float:
     """Largest TV distance between two columns of a matrix.
 
     Zero for a single column; in [0, 1] for a column-stochastic matrix.
+    The one-matrix stack of :func:`column_tv_norms`.
     """
-    ncols = mat.shape[1]
-    worst = 0.0
-    for x in range(ncols - 1):
-        d = 0.5 * np.abs(mat[:, x + 1 :] - mat[:, x : x + 1]).sum(axis=0)
-        worst = max(worst, float(d.max()))
-    return worst
+    return float(column_tv_norms(mat[None])[0])
 
 
 def column_tv_norms(stack: np.ndarray) -> np.ndarray:
     """:func:`column_tv_norm` of every matrix of a ``(k, rows, cols)`` stack.
 
-    The same loop, over column ``x`` of all matrices at once, so ``k``
-    matrices take one pass instead of ``k`` calls.  Each value equals the
-    matrix's own bit for bit when the matrix is laid out in memory as the
-    stack's slices are: numpy's summation order follows the memory
-    layout.
+    The one column-TV loop: for each column ``x``, the TV from ``x`` to
+    every later column, over all matrices at once, so ``k`` matrices
+    take one pass instead of ``k`` calls.  Each value equals
+    ``column_tv_norm`` of its slice bit for bit when the matrix is laid
+    out in memory as the stack's slices are: numpy's summation order
+    follows the memory layout.
     """
     worst = np.zeros(stack.shape[0])
     for x in range(stack.shape[2] - 1):

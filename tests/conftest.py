@@ -157,12 +157,24 @@ def oracle_eta_bar(m, i, j) -> float:
     return best
 
 
+def oracle_theta(mat) -> float:
+    """Largest TV between two columns of ``mat``, one column pair at a
+    time in plain Python."""
+    rows, cols = mat.shape
+    return max(
+        0.5 * sum(abs(float(mat[r, a]) - float(mat[r, b])) for r in range(rows))
+        for a in range(cols)
+        for b in range(cols)
+    )
+
+
 def oracle_level_bound(m, i, j) -> float:
     """Level product bound on eta_bar(i, j), straight from its definition.
 
     The subtree comes from walking parent pointers up from each node, the
     levels from counting those steps, theta from pairwise kernel columns
-    and alpha from ``1 - prod(1 - theta)``; no library helper is used.
+    (:func:`oracle_theta`) and alpha from ``1 - prod(1 - theta)``; no
+    library helper is used.
     """
     def steps_below_i(v):
         steps = 0
@@ -174,13 +186,7 @@ def oracle_level_bound(m, i, j) -> float:
         return steps
 
     def theta(v):
-        mat = m.kernels[(m.tree.parent[v], v)].matrix
-        s = mat.shape[1]
-        return max(
-            0.5 * sum(abs(mat[r, a] - mat[r, b]) for r in range(mat.shape[0]))
-            for a in range(s)
-            for b in range(s)
-        )
+        return oracle_theta(m.kernels[(m.tree.parent[v], v)].matrix)
 
     below = {v: steps_below_i(v) for v in range(1, m.n + 1)}
     tail = [v for v in range(j, m.n + 1) if below[v] is not None]
@@ -374,73 +380,10 @@ def oracle_parse_model(path: str) -> tuple[MarkovTreeModel, dict[int, int]]:
     return model, relabel
 
 
-# ------------------------------------------------------ per-pair pivot oracles
+# ------------------------------------------------------ per-node pivot oracle
 #
-# eta_factorization with its pipeline spelled out for one state pair,
-# and the j0-reduction suite tabulating each node's tables on its own.
-# The library must return the same results, bit for bit.
-
-
-def oracle_eta_factorization(m, i, j, w, w_prime):
-    """eta(i, j; ., w, w') from a pipeline built for this one state pair."""
-    from treemix.mixing import (
-        FactorizationTrace, _check_pair, _edge_operator, _subtree_levels,
-    )
-    from treemix.treegraph import cut_sets
-    from treemix.tvalgebra import (
-        IndexedTensor, StochasticOperator, alpha, apply_operator,
-        expand_operator_inputs, operator_tv_norm, stochastic_tensor_product,
-    )
-
-    i, j = _check_pair(m, i, j)
-    s = m.alphabet_size
-    if not (0 <= w < s and 0 <= w_prime < s):
-        raise ValueError(f"states ({w}, {w_prime}) outside 0..{s - 1}")
-    cs = cut_sets(m.tree, i, j)
-    if cs.j0 is None:
-        raise ValueError(
-            f"subtree of {i} ends before {j}; the coefficient is identically zero"
-        )
-    tree = m.tree
-    runs, levels = _subtree_levels(m, i)
-    k0 = tree.depth_of[cs.j0] - tree.depth_of[i]
-    level_nodes = [tuple(run) for run in runs[: k0 + 1]]
-
-    operators: list[StochasticOperator] = []
-    for k in range(1, k0 + 1):
-        edges = [(tree.parent[v], v) for v in level_nodes[k]]
-        op = stochastic_tensor_product([_edge_operator(m, u, v) for u, v in edges])
-        op = expand_operator_inputs(op, level_nodes[k - 1])
-        operators.append(op)
-
-    first = operators[0]  # input index is (i,)
-    h = IndexedTensor(
-        first.out_index, s, first.entries[:, w] - first.entries[:, w_prime]
-    )
-    f = h
-    for op in operators[1:]:
-        f = apply_operator(op, f)
-
-    frontier = [
-        StochasticOperator.identity((v,), s) for v in sorted(cs.c0)
-    ]
-    frontier += [_edge_operator(m, tree.parent[v], v) for v in sorted(cs.c1)]
-    b = stochastic_tensor_product(frontier)
-    b = expand_operator_inputs(b, level_nodes[k0])
-    bf = apply_operator(b, f)
-
-    return FactorizationTrace(
-        i=i,
-        j=j,
-        j0=cs.j0,
-        w=w,
-        w_prime=w_prime,
-        value=bf.tv_norm,
-        h_norm=h.tv_norm,
-        operator_norms=tuple(operator_tv_norm(op) for op in operators[1:]),
-        alpha_bounds=tuple(alpha(thetas) for thetas in levels[:k0]),
-        b_norm=operator_tv_norm(b),
-    )
+# The j0-reduction suite tabulating each node's tables on its own.  The
+# library must return the same result, bit for bit.
 
 
 def oracle_j0_reduction_suite(m):

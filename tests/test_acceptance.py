@@ -284,9 +284,7 @@ def test_criterion_6_tail_bound_validity():
         weights = 2 ** np.arange(n - 1, -1, -1, dtype=np.int64)
         idx = batch @ weights
         table = m.joint_table().reshape(-1)
-        corpus = lipschitz_test_corpus(
-            n, 2, np.random.default_rng(4000 + seed), random_tables=1
-        )
+        corpus = lipschitz_test_corpus(n, 2, np.random.default_rng(4000 + seed))
         for _, f in corpus:
             mean = float(table @ f)
             dev = np.abs(f[idx] - mean)

@@ -195,10 +195,12 @@ def test_exact_sweep_matches_oracle(seed, n, s, shape, support):
         m = sparsified(m, seed, support.endswith("root"))
     delta, _ = build_mixing_matrices(m, "exact")
     for i in range(1, n):
-        row = exact_row(m, i)
         for j in range(i + 1, n + 1):
             assert abs(delta.entries[i - 1, j - 1] - oracle_eta_bar(m, i, j)) <= 1e-12
-            assert row[j - i - 1] == eta_bar_exact(m, i, j)
+        # eta_bar_exact reads its entry of the row, and each call sweeps
+        # the whole row: one pair per row suffices.
+        j = i + 1 + (seed + i) % (n - i)
+        assert exact_row(m, i)[j - i - 1] == eta_bar_exact(m, i, j)
 
 
 def test_exact_rows_vanish_on_one_state_alphabet():

@@ -12,14 +12,16 @@ from treemix.model import (
     _philox_uniforms,
     conditional_future_law,
     contraction_coefficient,
+    edge_thetas,
     enumeration_cap,
     joint_probability,
     max_contraction,
     sample_paths,
     verify_markov_property,
 )
-from treemix.modelfile import random_model
+from treemix.modelfile import parse_model_file, random_model, save_model
 from treemix.treegraph import build_tree
+from treemix.tvalgebra import column_tv_norm
 
 from conftest import (
     ROWS_05,
@@ -215,6 +217,20 @@ class TestContraction:
     def test_unknown_edge(self, chain3_07):
         with pytest.raises(ValueError, match="no kernel"):
             contraction_coefficient(chain3_07, (1, 3))
+
+    def test_edge_thetas_are_column_tv_norms_of_the_kernels(self, tmp_path):
+        # One parsed model (a C-order stack) and one built from a mapping
+        # of parent-major rows (F-order kernels).
+        path = str(tmp_path / "model.json")
+        save_model(random_model(seed=4, n=9, alphabet_size=3), path)
+        parsed, _ = parse_model_file(path)
+        rows = {edge: k.matrix.T.tolist() for edge, k in parsed.kernels.items()}
+        mapped = make_model(9, list(rows), 3, parsed.root_dist, rows)
+        for m in (parsed, mapped):
+            thetas = edge_thetas(m)
+            assert sorted(thetas) == list(range(2, 10))
+            for (u, v), k in m.kernels.items():
+                assert thetas[v] == column_tv_norm(k.matrix)
 
 
 class TestConditionalFutureLaw:

@@ -9,12 +9,15 @@ from treemix.tvalgebra import (
     StochasticOperator,
     alpha,
     apply_operator,
+    column_tv_norm,
     expand_operator_inputs,
     operator_tv_norm,
     stochastic_tensor_product,
     tensor_product,
     tv_distance,
 )
+
+from conftest import oracle_theta
 
 
 def dist(index_set, s, values):
@@ -319,12 +322,29 @@ def contraction_cases(draw):
     return mat, _prob_vector(draw, cols), _prob_vector(draw, cols)
 
 
-def _tvnorm(m):
-    out = 0.0
-    for x in range(m.shape[1] - 1):
-        d = 0.5 * np.abs(m[:, x + 1 :] - m[:, x : x + 1]).sum(axis=0)
-        out = max(out, float(d.max()))
-    return out
+@st.composite
+def laid_out_matrices(draw):
+    """A stochastic matrix in C order, in F order, as a strided view, or
+    as a view with its rows reversed."""
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=6))
+    mat = _stochastic(draw, rows, cols)
+    layout = draw(st.sampled_from(["C", "F", "strided", "reversed"]))
+    if layout == "F":
+        return np.asfortranarray(mat)
+    if layout == "strided":
+        big = np.zeros((2 * rows, 3 * cols))
+        big[::2, ::3] = mat
+        return big[::2, ::3]
+    if layout == "reversed":
+        return mat[::-1]
+    return mat
+
+
+@given(laid_out_matrices())
+@settings(max_examples=300, deadline=None)
+def test_column_tv_norm_matches_pairwise_oracle(mat):
+    assert abs(column_tv_norm(mat) - oracle_theta(mat)) <= 1e-15
 
 
 @given(contraction_cases())
@@ -332,7 +352,7 @@ def _tvnorm(m):
 def test_contraction_inequality(case):
     """tv(Ap, Aq) <= |||A||| tv(p, q), and |||A||| <= 1."""
     mat, p, q = case
-    norm = _tvnorm(mat)
+    norm = column_tv_norm(mat)
     assert norm <= 1.0 + 1e-12
     lhs = 0.5 * np.abs(mat @ (p - q)).sum()
     assert lhs <= norm * 0.5 * np.abs(p - q).sum() + 1e-12
@@ -350,7 +370,7 @@ def composable_pairs(draw):
 @settings(max_examples=300, deadline=None)
 def test_norm_submultiplicative(pair):
     a, b = pair
-    assert _tvnorm(a @ b) <= _tvnorm(a) * _tvnorm(b) + 1e-12
+    assert column_tv_norm(a @ b) <= column_tv_norm(a) * column_tv_norm(b) + 1e-12
 
 
 @given(

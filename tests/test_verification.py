@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treemix import mixing, tvalgebra, verification
-from treemix.mixing import eta_factorization, eta_report
+from treemix.mixing import eta_bar_bound_levels, eta_factorization, eta_report
 from treemix.modelfile import random_model
 from treemix.treegraph import subtree_runs
 from treemix.tvalgebra import alpha
 from treemix.verification import (
     _SUITES,
     SuiteResult,
+    _eta_tables,
     _suite_bound_dominance,
     _suite_factorization,
     _suite_j0_reduction,
@@ -22,7 +23,6 @@ from treemix.verification import (
 
 from conftest import (
     make_model,
-    oracle_eta_factorization,
     oracle_j0_reduction_suite,
     sparsified,
 )
@@ -135,14 +135,23 @@ def test_pivot_suites_match_per_pair_oracle(m):
 # counts keep it under 250.
 @given(pivot_models(max_n=(7, 6)))
 @settings(max_examples=60, deadline=None)
-def test_eta_factorization_matches_per_pair_oracle(m):
+def test_eta_factorization_matches_enumeration(m):
+    """The operator pipeline gives the enumerated eta at every feasible
+    prefix, and its inequality chain holds up to the level bound."""
     s = m.alphabet_size
     for i in range(1, m.n):
         for j in range(i + 1, subtree_runs(m.tree, i)[-1][-1] + 1):
+            tv, feasible = _eta_tables(m, i, j)
+            level = eta_bar_bound_levels(m, i, j)
             for w in range(s):
                 for wp in range(s):
-                    want = _bits(oracle_eta_factorization(m, i, j, w, wp))
-                    assert _bits(eta_factorization(m, i, j, w, wp)) == want
+                    trace = eta_factorization(m, i, j, w, wp)
+                    both = feasible[:, w] & feasible[:, wp]
+                    gap = np.abs(tv[both, w, wp] - trace.value)
+                    assert gap.max(initial=0.0) <= 1e-12
+                    assert trace.value <= trace.norm_chain_bound + 1e-12
+                    assert trace.norm_chain_bound <= trace.alpha_product + 1e-12
+                    assert trace.alpha_product <= level + 1e-12
 
 
 def test_one_state_model_checks_no_pair():
@@ -228,3 +237,21 @@ def test_verify_passes_on_twelve_node_star():
     results = run_verification(m, trials=50, seed=1)
     assert [r.name for r in results] == SUITE_NAMES
     assert all(r.status == "pass" for r in results), results
+
+
+@pytest.mark.parametrize(
+    "name, suite", [("column_tv_norm", "tv-contraction"), ("alpha", "tensor-two-factor")]
+)
+def test_algebra_suites_check_the_library(monkeypatch, name, suite):
+    """The algebra suites take the norm and the alpha bound from the
+    library, so a library function 10% short makes its suite fail."""
+    m = random_model(3, n=6)
+
+    def status():
+        results = run_verification(m, trials=500, seed=42)
+        return {r.name: r.status for r in results}[suite]
+
+    assert status() == "pass"
+    honest = getattr(verification, name)
+    monkeypatch.setattr(verification, name, lambda arg: 0.9 * honest(arg))
+    assert status() == "fail"
