@@ -114,8 +114,7 @@ def _distinct_entries(entries: np.ndarray) -> tuple[list[float], np.ndarray]:
 # ----------------------------------------------------------------- commands
 
 
-def _cmd_inspect(args) -> int:
-    model, relabel = parse_model_file(args.model)
+def _cmd_inspect(args, model, relabel) -> int:
     tree = model.tree
     print(f"nodes:          {model.n}")
     print(f"alphabet size:  {model.alphabet_size}")
@@ -139,8 +138,7 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _cmd_coeffs(args) -> int:
-    model, _ = parse_model_file(args.model)
+def _cmd_coeffs(args, model, _relabel) -> int:
     lines = []
     print("parent  child  theta")
     for u, v in model.tree.edges():
@@ -151,8 +149,7 @@ def _cmd_coeffs(args) -> int:
     return 0
 
 
-def _cmd_eta(args) -> int:
-    model, _ = parse_model_file(args.model)
+def _cmd_eta(args, model, _relabel) -> int:
     if args.pair is not None:
         i, j = args.pair
         report = eta_report(model, i, j)
@@ -190,8 +187,7 @@ def _cmd_eta(args) -> int:
     return 0
 
 
-def _cmd_norms(args) -> int:
-    model, _ = parse_model_file(args.model)
+def _cmd_norms(args, model, _relabel) -> int:
     every = args.source == "all"
     lines = []
     print("source         delta_inf      gamma_l2")
@@ -211,8 +207,7 @@ def _cmd_norms(args) -> int:
     return 0
 
 
-def _cmd_bound(args) -> int:
-    model, _ = parse_model_file(args.model)
+def _cmd_bound(args, model, _relabel) -> int:
     source = _SOURCE_NAMES[args.source]
     delta, gamma = build_mixing_matrices(model, source)
     if args.metric == HAMMING:
@@ -242,8 +237,7 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _cmd_sample(args) -> int:
-    model, _ = parse_model_file(args.model)
+def _cmd_sample(args, model, _relabel) -> int:
     batch = sample_paths(model, args.seed, args.count)
     header = ",".join(["path"] + [f"x{v}" for v in range(1, model.n + 1)])
     states = _joined_rows([f",{x}" for x in range(model.alphabet_size)], batch)
@@ -255,8 +249,7 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    model, _ = parse_model_file(args.model)
+def _cmd_verify(args, model, _relabel) -> int:
     results = run_verification(model, trials=args.trials, seed=args.seed)
     width = max(len(r.name) for r in results)
     failed = False
@@ -308,12 +301,15 @@ def _cmd_gen(args) -> int:
 
 
 def _model_command(sub, name: str, func, help: str, csv: bool = True) -> _Parser:
-    """Register a command that reads a model file and, if ``csv``, offers ``--csv``."""
+    """Register a command that reads a model file and, if ``csv``, offers ``--csv``.
+
+    The command runs as ``func(args, model, relabel)`` on the parsed file.
+    """
     p = sub.add_parser(name, help=help)
     p.add_argument("model", help="model JSON file")
     if csv:
         p.add_argument("--csv", metavar="PATH", help="write CSV output")
-    p.set_defaults(func=func)
+    p.set_defaults(func=lambda args: func(args, *parse_model_file(args.model)))
     return p
 
 

@@ -47,7 +47,6 @@ path; the ``verify`` factorization suite checks the frontier sweep of
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -325,19 +324,18 @@ def eta_bar_bound_linear_growth(
             raise LevelGrowthError(
                 f"level {d} has {len(tree.levels[d])} nodes, exceeding c*d = {c * d}"
             )
-    runs, levels = _subtree_levels(m, i)
-    pivot = bisect_left([run[-1] for run in runs], j)
-    if pivot == len(runs):
+    j0 = first_descendant_at_or_after(tree, i, j)
+    if j0 is None:
         return LinearGrowthBound(
             i=i, j=j, j0=None, c=c, product_bound=0.0, beta=None,
             exponent=None, closed_form=None, beta_premise_holds=True,
             vacuous=False,
         )
-    j0 = max(runs[pivot].start, j)
     d_i = tree.depth_of[i]
+    _, levels = _subtree_levels(m, i)
     product = 1.0
     beta = 0.0
-    for k, thetas in enumerate(levels[:pivot], start=1):
+    for k, thetas in enumerate(levels[: tree.depth_of[j0] - d_i], start=1):
         product *= sum(thetas)
         beta = max(beta, c * k * max(thetas))
     product = min(product, 1.0)

@@ -6,11 +6,12 @@ and passes or fails against a fixed tolerance.  Suites that need the
 joint table are skipped (not failed) when building it would exceed the
 enumeration cap.  Everything is deterministic given the seed.
 
-The j0-reduction and factorization suites come from one pass over the
-nodes: each node's enumeration tables are tabulated once and shared by
-both.  The factorization suite checks the frontier sweep that every
-exact command runs, so no suite builds an object larger than the joint
-table.
+Each product is computed once per model.  The j0-reduction and
+factorization suites read one frontier sweep per node, the sweep every
+exact command runs, against the node's enumeration tables, so no suite
+builds an object larger than the joint table.  Each source's Delta is
+built once and cached on the model: both dominance suites read one
+ladder check of them, and norm-identity reads the level source's.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from . import mixing
 from .concentration import (
     SOURCES,
+    MixingMatrix,
     build_mixing_matrices,
     delta_inf_norm,
     linf_operator_norm,
@@ -34,7 +36,6 @@ from .model import (
     sample_paths,
     verify_markov_property,
 )
-from .treegraph import first_descendant_at_or_after
 from .tvalgebra import alpha, column_tv_norm
 
 _TOL = 1e-12
@@ -49,14 +50,23 @@ class SuiteResult:
     note: str = ""
 
 
-def _result(name: str, violation: float, trials: int, tol: float = _TOL,
-            note: str = "") -> SuiteResult:
+def _result(name: str, violation: float, trials: int, tol: float = _TOL) -> SuiteResult:
     status = "pass" if violation <= tol else "fail"
-    return SuiteResult(name, status, violation, trials, note)
+    return SuiteResult(name, status, violation, trials)
 
 
 def _skip(name: str, note: str) -> SuiteResult:
     return SuiteResult(name, "skip", None, 0, note)
+
+
+def _delta(m: MarkovTreeModel, source: str) -> MixingMatrix:
+    """The Delta that ``build_mixing_matrices(m, source)`` returns, built
+    once per model and source and cached on the model, like the joint
+    table.  A refused source caches nothing and blocks no other."""
+    deltas = m.__dict__.setdefault("_deltas", {})
+    if source not in deltas:
+        deltas[source] = build_mixing_matrices(m, source)[0]
+    return deltas[source]
 
 
 def _suite_measure_normalization(m, trials, rng) -> SuiteResult:
@@ -128,68 +138,57 @@ def _eta_tables(m: MarkovTreeModel, i: int, j: int) -> tuple[np.ndarray, np.ndar
     return _tv_tables(next(islice(_tail_laws(m, i), j - i - 1, None)))
 
 
-def _sweep_violation(
-    m: MarkovTreeModel, i: int, tables: list, pairs: tuple[np.ndarray, np.ndarray]
-) -> tuple[float, int]:
-    """Worst violation of the frontier sweep of node ``i`` against its
-    enumeration ``tables`` over the state ``pairs = (w, w')``, and the
-    number of ``(j, w, w')`` compared.
-
-    Each swept TV must equal the enumerated one at every feasible
-    prefix, and :func:`mixing.exact_row` the enumerated supremum.  The
-    law yielded after the last node of a subtree run is the law of the
-    next level, whose TV the alpha rule contracts: ``TV_k <= alpha_k
-    TV_(k-1)``, with ``TV_0 = 1``.  Every frontier in between is a
-    function of the level above it, so its TV is at most that level's.
-    """
-    runs, levels = mixing._subtree_levels(m, i)
-    level_alpha = {run[-1]: alpha(thetas) for run, thetas in zip(runs, levels)}
-    sup = [tv.max() for tv, _ in tables]
-    worst = float(np.abs(mixing.exact_row(m, i) - sup).max())
-    w, wp = pairs
-    level_tv = np.ones(len(w))
-    checked = 0
-    for js, laws in mixing._frontier_laws(m, i):
-        swept = mixing._pair_tvs(laws, pairs)
-        for tv, feasible in tables[js.start - i - 1 : js.stop - i - 1]:
-            both = feasible[:, w] & feasible[:, wp]
-            gap = np.abs(tv[:, w, wp] - swept)[both]
-            worst = max(worst, float(gap.max(initial=0.0)))
-            checked += len(w)
-        a = level_alpha.get(js.start - 1)
-        if a is None:
-            worst = max(worst, float((swept - level_tv).max(initial=0.0)))
-        else:
-            worst = max(worst, float((swept - a * level_tv).max(initial=0.0)))
-            level_tv = swept
-    return worst, checked
-
-
 def _pivot_suites(m: MarkovTreeModel) -> tuple[SuiteResult, SuiteResult]:
-    """The j0-reduction and factorization suites from one pass over ``i``.
+    """The j0-reduction and factorization suites from one frontier sweep per node.
 
-    Each node's oracle tables are tabulated once and read by both suites;
-    only one node's tables are held at a time.  The factorization suite
-    checks the frontier sweep of the exact engine against them
-    (:func:`_sweep_violation`).  Neither suite draws from the rng, so the
-    pair is computed once per model and cached on it, like the joint
-    table it reads.
+    Each node's enumeration tables are tabulated once and read by both
+    suites; only one node's tables are held at a time.  Each law of
+    :func:`mixing._frontier_laws` serves every ``j`` in its ``js``, and
+    all of them pivot at ``j0 = js.stop - 1``: their tables must equal
+    the pivot's, and each table past the last subtree node must be 0.
+    Each swept TV must equal the enumerated one at every feasible prefix,
+    and each exact row of the Delta the commands print the enumerated
+    supremum.  The law yielded after the last node of a subtree run is
+    the law of the next level, whose TV the alpha rule contracts:
+    ``TV_k <= alpha_k TV_(k-1)``, with ``TV_0 = 1``.  Every frontier in
+    between is a function of the level above it, so its TV is at most
+    that level's.  Neither suite draws from the rng, so the pair is
+    computed once per model and cached on it, like the joint table it
+    reads.
     """
     cached = m.__dict__.get("_pivot_suites")
     if cached is not None:
         return cached
-    state_pairs = np.triu_indices(m.alphabet_size, k=1)
+    pairs = w, wp = np.triu_indices(m.alphabet_size, k=1)
     reduction = worst = 0.0
     checked = 0
     for i in range(1, m.n):
         tables = [_tv_tables(tail) for tail in _tail_laws(m, i)]
-        for j, (tv, _) in enumerate(tables, start=i + 1):
-            j0 = first_descendant_at_or_after(m.tree, i, j)
-            pivot = 0.0 if j0 is None else tables[j0 - i - 1][0]
-            reduction = max(reduction, float(np.abs(tv - pivot).max()))
-        violation, count = _sweep_violation(m, i, tables, state_pairs)
-        worst = max(worst, violation)
-        checked += count
+        runs, levels = mixing._subtree_levels(m, i)
+        level_alpha = {run[-1]: alpha(thetas) for run, thetas in zip(runs, levels)}
+        sup = [tv.max() for tv, _ in tables]
+        exact = _delta(m, "exact").entries[i - 1, i:]
+        worst = max(worst, float(np.abs(exact - sup).max()))
+        level_tv = np.ones(len(w))
+        end = 0
+        for js, laws in mixing._frontier_laws(m, i):
+            swept = mixing._pair_tvs(laws, pairs)
+            end = js.stop - i - 1
+            pivot = tables[end - 1][0]
+            for tv, feasible in tables[js.start - i - 1 : end]:
+                reduction = max(reduction, float(np.abs(tv - pivot).max()))
+                both = feasible[:, w] & feasible[:, wp]
+                gap = np.abs(tv[:, w, wp] - swept)[both]
+                worst = max(worst, float(gap.max(initial=0.0)))
+                checked += len(w)
+            a = level_alpha.get(js.start - 1)
+            if a is None:
+                worst = max(worst, float((swept - level_tv).max(initial=0.0)))
+            else:
+                worst = max(worst, float((swept - a * level_tv).max(initial=0.0)))
+                level_tv = swept
+        for tv, _ in tables[end:]:
+            reduction = max(reduction, float(np.abs(tv).max()))
         del tables
     cached = (
         _result("j0-reduction", reduction, m.n * (m.n - 1) // 2),
@@ -208,20 +207,21 @@ def _suite_factorization(m, trials, rng) -> SuiteResult:
     return _pivot_suites(m)[1]
 
 
-def _ladder_violation(rungs: list[np.ndarray]) -> float:
-    """Largest amount by which a source exceeds the next, looser one."""
-    return max(float((a - b).max()) for a, b in zip(rungs, rungs[1:]))
+def _ladder_violation(m: MarkovTreeModel) -> float:
+    """Largest amount, or 0.0, by which a source's Delta exceeds the next,
+    looser one's on the strictly-upper entries, the rows every command
+    prints.  Gamma entries are sqrt(delta) and IEEE sqrt is monotone, so
+    gamma dominance follows entrywise.
+    """
+    upper = np.triu_indices(m.n, k=1)
+    rungs = [_delta(m, source).entries[upper] for source in SOURCES]
+    return max(0.0, *(float((a - b).max(initial=0.0)) for a, b in zip(rungs, rungs[1:])))
 
 
 def _suite_bound_dominance(m, trials, rng) -> SuiteResult:
     if m.n == 1:
         return _skip("bound-dominance", "single-node model has no pairs")
-    # The strictly-upper entries of the delta matrix of each source, the
-    # rows every command prints; each equals eta_report's value bit for bit.
-    upper = np.triu_indices(m.n, k=1)
-    rungs = [build_mixing_matrices(m, source)[0].entries[upper] for source in SOURCES]
-    worst = max(0.0, _ladder_violation(rungs))
-    return _result("bound-dominance", worst, m.n * (m.n - 1) // 2)
+    return _result("bound-dominance", _ladder_violation(m), m.n * (m.n - 1) // 2)
 
 
 def _suite_tv_contraction(m, trials, rng) -> SuiteResult:
@@ -287,17 +287,14 @@ def _suite_alpha_rules(m, trials, rng) -> SuiteResult:
 
 
 def _suite_norm_identity(m, trials, rng) -> SuiteResult:
-    delta, _ = build_mixing_matrices(m, "level-bound")
+    delta = _delta(m, "level-bound")
     row_formula = delta_inf_norm(delta)
     generic = linf_operator_norm(delta.entries)
     return _result("norm-identity", abs(row_formula - generic), 1, tol=0.0)
 
 
 def _suite_provenance_dominance(m, trials, rng) -> SuiteResult:
-    # Only delta is compared: gamma entries are sqrt(delta) and IEEE
-    # sqrt is monotone, so gamma dominance follows entrywise.
-    deltas = [build_mixing_matrices(m, source)[0].entries for source in SOURCES]
-    return _result("provenance-dominance", _ladder_violation(deltas), len(SOURCES))
+    return _result("provenance-dominance", _ladder_violation(m), len(SOURCES))
 
 
 def _suite_sampling_determinism(m, trials, rng) -> SuiteResult:

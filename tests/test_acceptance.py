@@ -7,7 +7,6 @@ enforce their wall-clock budgets.
 """
 
 import itertools
-import json
 import math
 import time
 

@@ -20,7 +20,7 @@ from treemix.concentration import (
 )
 from treemix.modelfile import random_model
 
-from conftest import ROWS_05, chain_model, make_model
+from conftest import ROWS_05, chain_model
 
 
 def upper_unit(entries: np.ndarray) -> MixingMatrix:

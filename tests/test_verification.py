@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treemix import mixing, tvalgebra, verification
+from treemix import mixing, treegraph, tvalgebra, verification
 from treemix.mixing import eta_bar_bound_levels, eta_factorization, eta_report
 from treemix.modelfile import random_model
 from treemix.treegraph import subtree_runs
@@ -51,9 +52,36 @@ class TestRunVerification:
         by_name = {r.name: r for r in results}
         assert by_name["measure-normalization"].status == "skip"
         assert "cap" in by_name["j0-reduction"].note
+        # Both dominance suites need the exact Delta; norm-identity reads
+        # only the level source's and still runs.
+        for name in ("bound-dominance", "provenance-dominance"):
+            assert by_name[name].status == "skip"
+            assert "cap" in by_name[name].note
+        assert by_name["norm-identity"].status == "pass"
         # algebra suites do not need the table and still run
         assert by_name["alpha-rules"].status == "pass"
         assert by_name["sampling-determinism"].status == "pass"
+
+    def test_each_product_is_computed_once(self, monkeypatch):
+        """One run builds each source's Delta once, reads the exact rows
+        from it and each pivot from the frontier sweep."""
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name if name != "build" else args[1]] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(verification, "build_mixing_matrices",
+                            counted("build", verification.build_mixing_matrices))
+        monkeypatch.setattr(mixing, "exact_row", counted("exact_row", mixing.exact_row))
+        walk = counted("walk", treegraph.first_descendant_at_or_after)
+        for module in (treegraph, mixing, verification):
+            monkeypatch.setattr(module, "first_descendant_at_or_after", walk, raising=False)
+        results = run_verification(random_model(4, n=9, width=3), trials=20, seed=1)
+        assert all(r.status == "pass" for r in results), results
+        assert calls == {"exact": 1, "level-bound": 1, "uniform-bound": 1}
 
     def test_deterministic(self, binary7_05):
         a = run_verification(binary7_05, trials=60, seed=9)
