@@ -9,6 +9,7 @@ same inputs and seed the bytes are identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -313,6 +314,7 @@ def _model_command(sub, name: str, func, help: str, csv: bool = True) -> _Parser
     return p
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="treemix",

@@ -56,10 +56,7 @@ from .model import (
     EnumerationLimitError,
     MarkovTreeModel,
     conditional_future_law,
-    edge_thetas,
     max_contraction,
-    node_marginals,
-    subtree_masses,
 )
 from .treegraph import cut_sets, first_descendant_at_or_after, subtree_runs
 from .treegraph import subtree  # unused here; perfbench/test_perfbench.py patches this binding
@@ -119,7 +116,7 @@ def _feasible_pairs(m: MarkovTreeModel, i: int) -> tuple[np.ndarray, np.ndarray]
         reach = (m.root_dist > 0.0)[:, None]
     else:
         u = m.tree.parent[i]
-        seen = node_marginals(m)[u] > 0.0
+        seen = m.node_marginals[u] > 0.0
         reach = m.kernel_stack[i - 2][:, seen] > 0.0  # [w, a]
     shared = reach.astype(int) @ reach.T.astype(int)  # states reaching both
     return np.nonzero(np.triu(shared, k=1))
@@ -143,7 +140,7 @@ def _frontier_laws(m: MarkovTreeModel, i: int) -> Iterator[tuple[range, np.ndarr
     """
     s, tree = m.alphabet_size, m.tree
     nodes = [v for run in subtree_runs(tree, i) for v in run]
-    mass = subtree_masses(m)
+    mass = m.subtree_masses
     laws = np.eye(s)
     for v, nxt in zip(nodes, nodes[1:]):
         # v is the frontier's first node and its children follow the rest.
@@ -201,7 +198,7 @@ def _subtree_levels(
     coefficients of its edges ending at depth ``depth(i) + 1 + k``, in
     node order.
     """
-    runs, theta = subtree_runs(m.tree, i), edge_thetas(m)
+    runs, theta = subtree_runs(m.tree, i), m.edge_thetas
     return runs, [[theta[v] for v in run] for run in runs[1:]]
 
 
@@ -340,17 +337,12 @@ def eta_bar_bound_linear_growth(
         beta = max(beta, c * k * max(thetas))
     product = min(product, 1.0)
     exponent = math.sqrt(2.0 * (j - i) / c) - d_i - 1.0
-    if beta >= 1.0:
-        return LinearGrowthBound(
-            i=i, j=j, j0=j0, c=c, product_bound=product, beta=beta,
-            exponent=exponent, closed_form=None, beta_premise_holds=False,
-            vacuous=False,
-        )
-    vacuous = exponent <= 0.0
-    closed = 1.0 if vacuous else min(beta**exponent, 1.0)
+    holds = beta < 1.0
+    vacuous = holds and exponent <= 0.0
+    closed = None if not holds else (1.0 if vacuous else min(beta**exponent, 1.0))
     return LinearGrowthBound(
         i=i, j=j, j0=j0, c=c, product_bound=product, beta=beta,
-        exponent=exponent, closed_form=closed, beta_premise_holds=True,
+        exponent=exponent, closed_form=closed, beta_premise_holds=holds,
         vacuous=vacuous,
     )
 

@@ -11,22 +11,26 @@ kernel of the edge into ``v``.  A model given the stack (as the file
 loader gives it) validates it once, as a whole.  Its ``kernels`` and
 ``kernel(edge)`` are :class:`Kernel` views into the stack, each made on
 first access, so a model whose readers use only the stack makes none.
-The per-model tables below (edge contraction coefficients, node
-marginals, subtree masses, the sampler's cumulative laws) read the stack.
+The model's derived tables are ``functools.cached_property`` attributes,
+each computed from the stack on first read and then kept on the model:
+the edge contraction coefficients (``edge_thetas``), the node marginals
+of one forward pass (``node_marginals``), the subtree masses of one
+backward pass (``subtree_masses``) and the joint table behind
+``joint_table()``.
 
 Conditional laws given a prefix and the verification oracles enumerate
-this joint table.  Exact mixing coefficients do not build it: they sweep
+the joint table.  Exact mixing coefficients do not build it: they sweep
 small frontier laws down the tree (:mod:`treemix.mixing`), reading the
-node marginals of one forward pass (``node_marginals``) and the subtree
-masses of one backward pass (``subtree_masses``).  Every exact
-computation is still admitted by one rule, ``check_table_cap``:
-``alphabet_size ** n`` must not exceed ``enumeration_cap()``, which is
-1e7 unless the ``TREEMIX_MAX_ENUM`` environment variable sets it.  Each
-exact entry point asks it before any work and raises
-:class:`EnumerationLimitError` when refused; callers that can go without
-an exact value catch that error instead of comparing cells to the cap.
-So whether a model is admitted does not depend on which computation asks
-first, or on whether the answer would have needed any work.
+node marginals and the subtree masses.  Every exact computation is
+still admitted by one rule, ``check_table_cap``: ``alphabet_size ** n``
+must not exceed ``enumeration_cap()``, which is 1e7 unless the
+``TREEMIX_MAX_ENUM`` environment variable sets it.  Each exact entry
+point asks it before any work, and every exact read asks it again,
+cached or not, so a lowered cap refuses a model admitted before.  A
+refusal raises :class:`EnumerationLimitError`; callers that can go
+without an exact value catch it instead of comparing cells to the cap.
+So admission does not depend on which computation asks first, on
+whether the answer needs any work, or on what was computed before.
 
 Sampling uses one counter-based RNG stream per path, keyed by
 ``(seed, path_index)``, so batches are reproducible, order-independent,
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -271,13 +276,15 @@ class MarkovTreeModel:
     def joint_table(self) -> np.ndarray:
         """Full joint law as an ndarray with one axis per node.
 
-        Cached after the first call.  Raises
-        :class:`EnumerationLimitError` above the cell cap.
+        Built on the first call and cached.  Raises
+        :class:`EnumerationLimitError` above the cell cap on every call,
+        the cached table included.
         """
-        cached = self.__dict__.get("_joint_table")
-        if cached is not None:
-            return cached
         self.check_table_cap()
+        return self._joint_table
+
+    @cached_property
+    def _joint_table(self) -> np.ndarray:
         s, n = self.alphabet_size, self.n
         table = np.ones((s,) * n)
         shape = [1] * n
@@ -289,8 +296,49 @@ class MarkovTreeModel:
             shape[v - 1] = s
             # matrix is [child, parent]; axis u-1 (parent) must index columns
             table *= self.kernel_stack[v - 2].T.reshape(shape)
-        self.__dict__["_joint_table"] = table
         return table
+
+    @cached_property
+    def edge_thetas(self) -> Mapping[int, float]:
+        """Contraction coefficient of every edge, keyed by the edge's child.
+
+        One :func:`~treemix.tvalgebra.column_tv_norms` pass over the kernel
+        stack.  ``column_tv_norm`` runs the same loop on a one-matrix stack,
+        so each value equals it on the edge's kernel bit for bit; computed
+        once per model and cached, like the joint table.
+        """
+        thetas = column_tv_norms(self.kernel_stack).tolist()
+        return MappingProxyType(dict(zip(range(2, self.n + 1), thetas)))
+
+    @cached_property
+    def node_marginals(self) -> np.ndarray:
+        """Law of every node, shape ``(n + 1, s)``; row ``v`` is node ``v``.
+
+        One forward pass down the numbering, ``P(x_v) = K_v P(x_parent)``;
+        computed once per model and cached.  Row 0 is unused.
+        """
+        marginals = np.zeros((self.n + 1, self.alphabet_size))
+        marginals[1] = self.root_dist
+        for u, v in self.tree.edges():
+            marginals[v] = self.kernel_stack[v - 2] @ marginals[u]
+        marginals.flags.writeable = False
+        return marginals
+
+    @cached_property
+    def subtree_masses(self) -> np.ndarray:
+        """Total weight below every node given its state, shape ``(n + 1, s)``.
+
+        ``mass[v][x]`` sums the product of the kernels of ``v``'s subtree
+        over its configurations, given ``x_v = x``: 1 for exactly stochastic
+        kernels, within their column-sum tolerance of 1 otherwise.  One
+        backward pass up the numbering; computed once per model and cached.
+        Row 0 is unused.
+        """
+        mass = np.ones((self.n + 1, self.alphabet_size))
+        for u, v in reversed(self.tree.edges()):
+            mass[u] *= mass[v] @ self.kernel_stack[v - 2]
+        mass.flags.writeable = False
+        return mass
 
 
 def joint_probability(m: MarkovTreeModel, x: Sequence[int]) -> float:
@@ -311,66 +359,14 @@ def joint_probability(m: MarkovTreeModel, x: Sequence[int]) -> float:
 def contraction_coefficient(m: MarkovTreeModel, edge: tuple[int, int]) -> float:
     """Largest TV distance between two columns of the edge's kernel.
 
-    Read from :func:`edge_thetas`.
+    Read from :attr:`MarkovTreeModel.edge_thetas`.
     """
-    return edge_thetas(m)[m.kernel(edge).edge[1]]
-
-
-def edge_thetas(m: MarkovTreeModel) -> Mapping[int, float]:
-    """Contraction coefficient of every edge, keyed by the edge's child.
-
-    One :func:`~treemix.tvalgebra.column_tv_norms` pass over the kernel
-    stack.  ``column_tv_norm`` runs the same loop on a one-matrix stack,
-    so each value equals it on the edge's kernel bit for bit; computed
-    once per model and cached, like the joint table.
-    """
-    cached = m.__dict__.get("_edge_thetas")
-    if cached is None:
-        thetas = column_tv_norms(m.kernel_stack).tolist()
-        cached = MappingProxyType(dict(zip(range(2, m.n + 1), thetas)))
-        m.__dict__["_edge_thetas"] = cached
-    return cached
-
-
-def node_marginals(m: MarkovTreeModel) -> np.ndarray:
-    """Law of every node, shape ``(n + 1, s)``; row ``v`` is node ``v``.
-
-    One forward pass down the numbering, ``P(x_v) = K_v P(x_parent)``;
-    computed once per model and cached.  Row 0 is unused.
-    """
-    cached = m.__dict__.get("_node_marginals")
-    if cached is None:
-        cached = np.zeros((m.n + 1, m.alphabet_size))
-        cached[1] = m.root_dist
-        for u, v in m.tree.edges():
-            cached[v] = m.kernel_stack[v - 2] @ cached[u]
-        cached.flags.writeable = False
-        m.__dict__["_node_marginals"] = cached
-    return cached
-
-
-def subtree_masses(m: MarkovTreeModel) -> np.ndarray:
-    """Total weight below every node given its state, shape ``(n + 1, s)``.
-
-    ``mass[v][x]`` sums the product of the kernels of ``v``'s subtree
-    over its configurations, given ``x_v = x``: 1 for exactly stochastic
-    kernels, within their column-sum tolerance of 1 otherwise.  One
-    backward pass up the numbering; computed once per model and cached.
-    Row 0 is unused.
-    """
-    cached = m.__dict__.get("_subtree_masses")
-    if cached is None:
-        cached = np.ones((m.n + 1, m.alphabet_size))
-        for u, v in reversed(m.tree.edges()):
-            cached[u] *= cached[v] @ m.kernel_stack[v - 2]
-        cached.flags.writeable = False
-        m.__dict__["_subtree_masses"] = cached
-    return cached
+    return m.edge_thetas[m.kernel(edge).edge[1]]
 
 
 def max_contraction(m: MarkovTreeModel) -> float:
     """Largest contraction coefficient over all edges (0 for n = 1)."""
-    return max(edge_thetas(m).values(), default=0.0)
+    return max(m.edge_thetas.values(), default=0.0)
 
 
 def conditional_future_law(

@@ -161,11 +161,8 @@ def build_tree(
 
     parent_c = {canon[v]: canon[u] for v, u in parent_in.items()}
     children_c: dict[int, tuple[int, ...]] = {v: () for v in range(1, n + 1)}
-    grouped: dict[int, list[int]] = defaultdict(list)
-    for v, u in parent_c.items():
-        grouped[u].append(v)
-    for u, vs in grouped.items():
-        children_c[u] = tuple(sorted(vs))
+    for v in range(2, n + 1):  # increasing, so each tuple comes out sorted
+        children_c[parent_c[v]] += (v,)
 
     levels = tuple(frozenset(canon[v] for v in lev) for lev in levels_in)
     depth_of = {v: d for d, lev in enumerate(levels) for v in lev}

@@ -62,7 +62,10 @@ def _skip(name: str, note: str) -> SuiteResult:
 def _delta(m: MarkovTreeModel, source: str) -> MixingMatrix:
     """The Delta that ``build_mixing_matrices(m, source)`` returns, built
     once per model and source and cached on the model, like the joint
-    table.  A refused source caches nothing and blocks no other."""
+    table.  A refused source caches nothing and blocks no other, and the
+    cached exact Delta is read only while the model is under the cap."""
+    if source == "exact":
+        m.check_table_cap()
     deltas = m.__dict__.setdefault("_deltas", {})
     if source not in deltas:
         deltas[source] = build_mixing_matrices(m, source)[0]
@@ -154,8 +157,9 @@ def _pivot_suites(m: MarkovTreeModel) -> tuple[SuiteResult, SuiteResult]:
     between is a function of the level above it, so its TV is at most
     that level's.  Neither suite draws from the rng, so the pair is
     computed once per model and cached on it, like the joint table it
-    reads.
+    reads, and read again only while the model is under the cap.
     """
+    m.check_table_cap()
     cached = m.__dict__.get("_pivot_suites")
     if cached is not None:
         return cached

@@ -103,3 +103,13 @@ def test_single_node_exact_source_is_refused(monkeypatch):
     monkeypatch.setenv("TREEMIX_MAX_ENUM", "2")
     with pytest.raises(EnumerationLimitError, match="cap is 2"):
         build_mixing_matrices(m, "exact")
+
+
+def test_cached_table_is_refused_after_the_cap_drops(monkeypatch):
+    # The table admitted and built under the default cap is not handed
+    # out once the cap is lowered below its size.
+    m = random_model(3, n=5, alphabet_size=2, depth=1)
+    assert m.joint_table().shape == (2,) * 5
+    monkeypatch.setenv("TREEMIX_MAX_ENUM", "4")
+    with pytest.raises(EnumerationLimitError, match="cap is 4"):
+        m.joint_table()

@@ -64,6 +64,18 @@ class TestExitCodes:
         assert "treemix" in capsys.readouterr().out
         assert main(["--version"]) == 0
 
+    def test_parser_is_built_once(self, model_path, capsys):
+        # A usage error leaves nothing behind in the shared parser: the
+        # next command prints what it prints from a freshly built one.
+        cli._build_parser.cache_clear()
+        assert main(["eta", model_path, "--source", "uniform"]) == 0
+        fresh = capsys.readouterr().out
+        cli._build_parser.cache_clear()
+        assert main(["eta", model_path, "--source", "nope"]) == 1
+        assert main(["eta", model_path, "--source", "uniform"]) == 0
+        assert capsys.readouterr().out == fresh
+        assert cli._build_parser.cache_info().misses == 1
+
     def test_verification_failure_is_exit_three(self, model_path, monkeypatch, capsys):
         def broken(m, trials, rng):
             return SuiteResult("always-broken", "fail", 1.0, trials)

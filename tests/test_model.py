@@ -12,7 +12,6 @@ from treemix.model import (
     _philox_uniforms,
     conditional_future_law,
     contraction_coefficient,
-    edge_thetas,
     enumeration_cap,
     joint_probability,
     max_contraction,
@@ -227,7 +226,7 @@ class TestContraction:
         rows = {edge: k.matrix.T.tolist() for edge, k in parsed.kernels.items()}
         mapped = make_model(9, list(rows), 3, parsed.root_dist, rows)
         for m in (parsed, mapped):
-            thetas = edge_thetas(m)
+            thetas = m.edge_thetas
             assert sorted(thetas) == list(range(2, 10))
             for (u, v), k in m.kernels.items():
                 assert thetas[v] == column_tv_norm(k.matrix)

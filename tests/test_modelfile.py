@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treemix.cli import main as cli_main
-from treemix.model import Kernel, edge_thetas, max_contraction
+from treemix.model import Kernel, max_contraction
 from treemix.modelfile import (
     ModelFileError,
     parse_model_file,
@@ -525,7 +525,7 @@ def test_parser_matches_per_row_oracle(doc):
     assert m.kernel_stack.shape == (len(edges), m.alphabet_size, m.alphabet_size)
     old_stack = np.array([m_old.kernels[edge].matrix for edge in edges])
     assert m.kernel_stack.tobytes() == old_stack.tobytes()
-    thetas = edge_thetas(m)
+    thetas = m.edge_thetas
     for u, v in edges:
         assert m.kernels[(u, v)].matrix.base is not None  # a view into the stack
         assert thetas[v] == column_tv_norm(m_old.kernels[(u, v)].matrix)

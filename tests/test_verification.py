@@ -83,6 +83,18 @@ class TestRunVerification:
         assert all(r.status == "pass" for r in results), results
         assert calls == {"exact": 1, "level-bound": 1, "uniform-bound": 1}
 
+    def test_reused_model_rechecks_the_cap(self, monkeypatch):
+        """A model verified once, then again under a lower cap, reports
+        what a freshly built model reports: its cached tables, Deltas and
+        pivot suites are not read past the cap."""
+        m = random_model(4, n=9, width=3)
+        assert all(r.status == "pass" for r in run_verification(m, trials=20, seed=1))
+        monkeypatch.setenv("TREEMIX_MAX_ENUM", "16")
+        reused = run_verification(m, trials=20, seed=1)
+        fresh = run_verification(random_model(4, n=9, width=3), trials=20, seed=1)
+        assert [(r.name, r.status) for r in reused] == [(r.name, r.status) for r in fresh]
+        assert sum(r.status == "skip" for r in reused) == 7
+
     def test_deterministic(self, binary7_05):
         a = run_verification(binary7_05, trials=60, seed=9)
         b = run_verification(binary7_05, trials=60, seed=9)
