@@ -28,6 +28,7 @@ from .concentration import (
 from .mixing import eta_report
 from .model import (
     EnumerationLimitError,
+    _cells_text,
     contraction_coefficient,
     enumeration_cap,
     sample_paths,
@@ -121,7 +122,7 @@ def _cmd_inspect(args, model, relabel) -> int:
     print(f"alphabet size:  {model.alphabet_size}")
     print(f"depth:          {tree.depth}")
     print(f"width:          {tree.width}")
-    print(f"table cells:    {model.table_cells()} (cap {enumeration_cap()})")
+    print(f"table cells:    {_cells_text(model)} (cap {enumeration_cap()})")
     print("levels:")
     for d, lev in enumerate(tree.levels):
         print(f"  {d}: {' '.join(str(v) for v in sorted(lev))}")

@@ -38,6 +38,7 @@ from .mixing import exact_row, level_bound_row, uniform_bound_or_one
 from .model import (
     EnumerationLimitError,
     MarkovTreeModel,
+    _cells_text,
     max_contraction,
     sample_paths,
 )
@@ -242,12 +243,15 @@ def hamming_lipschitz_constant(f: np.ndarray, n: int) -> float:
     ``f`` is a flat table over all configurations (same layout as the
     joint table).  The constant is ``n`` times the largest change of f
     along a single-coordinate move, which equals the max over all
-    configuration pairs of ``|f(x) - f(y)| / dist(x, y)``.
+    configuration pairs of ``|f(x) - f(y)| / dist(x, y)``.  A table
+    with a non-finite entry has no such constant and is rejected.
     """
     vals = np.asarray(f, dtype=float).reshape(-1)
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not np.isfinite(vals).all():
+        raise ValueError("function table has non-finite entries")
     s = _infer_alphabet(vals.size, n)
     nd = vals.reshape((s,) * n)
     worst = 0.0
@@ -281,8 +285,8 @@ def monte_carlo_deviation(
 ) -> DeviationEstimate:
     """Estimate ``P(|f - E f| > t)`` by sampling.
 
-    ``f`` must be 1-Lipschitz in the normalized Hamming metric (within
-    1e-9); other tables are rejected.  The mean is exact (joint-table
+    ``f`` must be finite and 1-Lipschitz in the normalized Hamming metric
+    (within 1e-9); other tables are rejected.  The mean is exact (joint-table
     dot product) when the model admits the table, and otherwise
     estimated from an independent pre-batch drawn from a disjoint slice
     of the seed's sample streams.  The radius is the
@@ -296,7 +300,7 @@ def monte_carlo_deviation(
     vals = np.asarray(f, dtype=float).reshape(-1)
     if vals.size != m.table_cells():
         raise ValueError(
-            f"function table has {vals.size} entries, expected {m.table_cells()}"
+            f"function table has {vals.size} entries, expected {_cells_text(m)}"
         )
     constant = hamming_lipschitz_constant(vals, m.n)
     if constant > 1.0 + 1e-9:

@@ -49,7 +49,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .treegraph import TreeTopology, subtree
-from .tvalgebra import STOCHASTIC_ATOL, IndexedTensor, column_tv_norms
+from .tvalgebra import IndexedTensor, column_tv_norms, stochastic_fault
 
 DEFAULT_ENUM_CAP = 10_000_000
 ENUM_CAP_ENV = "TREEMIX_MAX_ENUM"
@@ -73,17 +73,12 @@ def enumeration_cap() -> int:
     return cap
 
 
-def _check_stack(stack: np.ndarray, edges: Sequence[tuple[int, int]]) -> None:
-    """Validate a kernel stack in one pass; on failure, raise the
-    :class:`Kernel` error of the first edge that fails."""
-    if (
-        np.isfinite(stack).all()
-        and stack.min(initial=0.0) >= 0.0
-        and np.abs(stack.sum(axis=1) - 1.0).max(initial=0.0) <= STOCHASTIC_ATOL
-    ):
-        return
-    for u, v in edges:
-        Kernel((u, v), stack[v - 2])
+def _cells_text(m: "MarkovTreeModel") -> str:
+    """``s ** n`` in decimal, or as ``s**n`` past Python's int-to-str limit."""
+    try:
+        return str(m.table_cells())
+    except ValueError:
+        return f"{m.alphabet_size}**{m.n}"
 
 
 def _stack_kernels(
@@ -131,19 +126,9 @@ class Kernel:
         mat = np.array(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError(f"kernel for edge ({u}, {v}) must be square, got {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise ValueError(f"kernel for edge ({u}, {v}) has non-finite entries")
-        if not mat.min() >= 0.0:
-            raise ValueError(
-                f"kernel for edge ({u}, {v}) has negative entry {mat.min()}"
-            )
-        colsums = mat.sum(axis=0)
-        worst = float(np.abs(colsums - 1.0).max())
-        if worst > STOCHASTIC_ATOL:
-            raise ValueError(
-                f"kernel for edge ({u}, {v}): columns must sum to 1 within "
-                f"{STOCHASTIC_ATOL}, worst deviation {worst:.3e}"
-            )
+        fault = stochastic_fault(mat)
+        if fault is not None:
+            raise ValueError(f"kernel for edge ({u}, {v}): {fault}")
         mat.flags.writeable = False
         object.__setattr__(self, "edge", (int(u), int(v)))
         object.__setattr__(self, "matrix", mat)
@@ -200,11 +185,11 @@ class MarkovTreeModel:
     covering the tree's edges, which ``kernel_stack`` then copies, or as
     the kernel stack itself, an array of shape ``(n - 1, s, s)`` whose
     entry ``v - 2`` is the kernel of the edge into ``v``.  A stack is
-    copied and validated once: finite, non-negative, columns summing to 1
-    within ``STOCHASTIC_ATOL``; an invalid stack raises the error of its
-    first invalid edge.  Either way ``kernels`` becomes a read-only
-    mapping of every edge to a :class:`Kernel` view into the read-only
-    ``kernel_stack``, made when first looked up.
+    copied and validated once, as a whole, by ``stochastic_fault``; an
+    invalid stack raises the error of its first invalid edge.  Either way
+    ``kernels`` becomes a read-only mapping of every edge to a
+    :class:`Kernel` view into the read-only ``kernel_stack``, made when
+    first looked up.
     """
 
     tree: TreeTopology
@@ -222,10 +207,9 @@ class MarkovTreeModel:
             raise ValueError(
                 f"root distribution has {dist.size} entries, expected {s}"
             )
-        if not np.isfinite(dist).all():
-            raise ValueError("root distribution has non-finite entries")
-        if not dist.min() >= 0.0 or abs(dist.sum() - 1.0) > STOCHASTIC_ATOL:
-            raise ValueError("root distribution is not a probability vector")
+        fault = stochastic_fault(dist[:, None])
+        if fault is not None:
+            raise ValueError(f"root distribution is not a probability vector: {fault}")
         dist.flags.writeable = False
         edges = self.tree.edges()
         if isinstance(self.kernels, np.ndarray):
@@ -235,7 +219,9 @@ class MarkovTreeModel:
                     f"kernel stack has shape {stack.shape}, expected "
                     f"{(len(edges), s, s)}"
                 )
-            _check_stack(stack, edges)
+            if stochastic_fault(stack) is not None:
+                for u, v in edges:  # raises the first failing edge's error
+                    Kernel((u, v), stack[v - 2])
         else:
             stack = _stack_kernels(dict(self.kernels), edges, s)
         stack.flags.writeable = False  # before the views, which inherit it
@@ -266,10 +252,9 @@ class MarkovTreeModel:
         it builds the table.
         """
         cap = enumeration_cap()
-        cells = self.table_cells()
-        if cells > cap:
+        if self.table_cells() > cap:
             raise EnumerationLimitError(
-                f"joint table needs {cells} cells, cap is {cap} "
+                f"joint table needs {_cells_text(self)} cells, cap is {cap} "
                 f"(raise {ENUM_CAP_ENV} to override)"
             )
 

@@ -28,6 +28,7 @@ a small frontier of nodes at (or one level below) the depth of ``j0``.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
@@ -98,6 +99,12 @@ def build_tree(
     (topology, relabel) where ``relabel`` maps input labels to canonical
     numbers.  Raises :class:`TreeStructureError` for cycles, nodes with
     two parents, disconnected inputs, or out-of-range labels.
+
+    Each edge gives a distinct node its parent, so the edge count is
+    checked against ``n - 1`` before any work that grows with ``n``.  One
+    breadth-first pass then lists each level as the children, sorted by
+    input label, of the already canonical level above, and numbers the
+    nodes in that order.
     """
     try:
         n = operator.index(n)
@@ -125,33 +132,23 @@ def build_tree(
         parent_in[v] = u
         children_in[u].append(v)
 
-    roots = [v for v in range(1, n + 1) if v not in parent_in]
-    if not roots:
+    if len(parent_in) == n:
         raise TreeStructureError("cycle detected: every node has a parent")
-    if len(roots) > 1:
+    parentless = (v for v in range(1, n + 1) if v not in parent_in)
+    if len(parent_in) < n - 1:
+        first = list(itertools.islice(parentless, 5))
         raise TreeStructureError(
-            f"disconnected: {len(roots)} parentless nodes {roots}, expected one root"
+            f"disconnected: {n - len(parent_in)} parentless nodes (first {first}), "
+            f"expected one root"
         )
-    root = roots[0]
+    root = next(parentless)
 
-    # Breadth-first sweep assigning canonical numbers level by level.
-    # Within a level, order by (canonical parent number, input label).
-    canon: dict[int, int] = {root: 1}
-    levels_in: list[list[int]] = [[root]]
-    next_id = 2
-    frontier = [root]
-    while True:
-        nxt = sorted(
-            (c for u in frontier for c in children_in[u]),
-            key=lambda c: (canon[parent_in[c]], c),
-        )
-        if not nxt:
-            break
-        for c in nxt:
-            canon[c] = next_id
-            next_id += 1
+    for kids in children_in.values():
+        kids.sort()
+    levels_in = [[root]]
+    while nxt := [c for u in levels_in[-1] for c in children_in[u]]:
         levels_in.append(nxt)
-        frontier = nxt
+    canon = {v: k for k, v in enumerate(itertools.chain(*levels_in), start=1)}
 
     if len(canon) != n:
         missing = sorted(set(range(1, n + 1)) - set(canon))
@@ -160,9 +157,8 @@ def build_tree(
         )
 
     parent_c = {canon[v]: canon[u] for v, u in parent_in.items()}
-    children_c: dict[int, tuple[int, ...]] = {v: () for v in range(1, n + 1)}
-    for v in range(2, n + 1):  # increasing, so each tuple comes out sorted
-        children_c[parent_c[v]] += (v,)
+    # A node's children are numbered consecutively, in their sorted order.
+    children_c = {k: tuple(canon[c] for c in children_in[v]) for v, k in canon.items()}
 
     levels = tuple(frozenset(canon[v] for v in lev) for lev in levels_in)
     depth_of = {v: d for d, lev in enumerate(levels) for v in lev}
@@ -177,7 +173,7 @@ def build_tree(
         depth_of=depth_of,
         width=width,
     )
-    return topo, dict(canon)
+    return topo, canon
 
 
 def subtree_runs(t: TreeTopology, i: int) -> tuple[range, ...]:

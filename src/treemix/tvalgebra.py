@@ -8,7 +8,9 @@ equals ``max_A |p(A) - q(A)|`` over events A.
 
 Stochastic operators map tensors on their input node set to tensors on
 their output node set; columns (one per input configuration) are
-probability vectors.  Their TV operator norm
+probability vectors.  ``stochastic_fault`` checks every stochastic
+array of the package by that one rule: operators, edge kernels, the
+model's kernel stack and its root law.  Their TV operator norm
 
     ``|||A||| = max_{x, x'} tv(A[:, x], A[:, x'])``
 
@@ -35,6 +37,25 @@ STOCHASTIC_ATOL = 1e-9
 # Tolerance for range checks on alpha arguments (absorbs float dust from
 # upstream TV computations).
 _RANGE_ATOL = 1e-12
+
+
+def stochastic_fault(mat: np.ndarray, min_entry: float = 0.0) -> str | None:
+    """Why the columns of ``mat`` along axis -2 are not probability
+    vectors (entries finite and at least ``min_entry``, sums within
+    ``STOCHASTIC_ATOL`` of 1), or None.  Axis -2 lets one call check a
+    ``(k, rows, cols)`` stack; an empty stack passes."""
+    if not np.isfinite(mat).all():
+        return "non-finite entries"
+    low = mat.min(initial=np.inf)
+    if low < min_entry:
+        return f"negative entry {low}"
+    worst = float(np.abs(mat.sum(axis=-2) - 1.0).max(initial=0.0))
+    if worst > STOCHASTIC_ATOL:
+        return (
+            f"columns must sum to 1 within {STOCHASTIC_ATOL}, worst "
+            f"deviation {worst:.3e}"
+        )
+    return None
 
 
 def _check_index(index_set: Sequence[int], what: str) -> tuple[int, ...]:
@@ -167,17 +188,9 @@ class StochasticOperator:
         want = (s ** len(out_nodes), s ** len(in_nodes))
         if mat.shape != want:
             raise ValueError(f"expected entries of shape {want}, got {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise ValueError("stochastic operator has non-finite entries")
-        if mat.min() < -_RANGE_ATOL:
-            raise ValueError(f"negative entry {mat.min()} in stochastic operator")
-        colsums = mat.sum(axis=0)
-        worst = float(np.abs(colsums - 1.0).max())
-        if worst > STOCHASTIC_ATOL:
-            raise ValueError(
-                f"columns must sum to 1 within {STOCHASTIC_ATOL}, worst "
-                f"deviation {worst:.3e}"
-            )
+        fault = stochastic_fault(mat, min_entry=-_RANGE_ATOL)
+        if fault is not None:
+            raise ValueError(f"stochastic operator: {fault}")
         mat.flags.writeable = False
         object.__setattr__(self, "in_index", in_nodes)
         object.__setattr__(self, "out_index", out_nodes)

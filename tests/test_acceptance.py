@@ -9,6 +9,7 @@ enforce their wall-clock budgets.
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -329,7 +330,7 @@ def test_criterion_8_csv_determinism(tmp_path):
         b = str(tmp_path / f"{name}_b.csv")
         assert cli_main(argv + ["--csv", a]) == 0
         assert cli_main(argv + ["--csv", b]) == 0
-        pairs.append(open(a, "rb").read() == open(b, "rb").read())
+        pairs.append(Path(a).read_bytes() == Path(b).read_bytes())
 
     ok = all(pairs)
     report(

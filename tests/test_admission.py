@@ -7,6 +7,8 @@ the cap, and its pair (2, 3) needs no sweep at all (node 2 is a leaf),
 so only the admission rule can refuse it.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,9 @@ from treemix.concentration import (
     monte_carlo_deviation,
 )
 from treemix.mixing import eta_bar_exact, eta_report, exact_row
-from treemix.model import EnumerationLimitError
+from treemix.model import EnumerationLimitError, MarkovTreeModel
 from treemix.modelfile import random_model, save_model
+from treemix.treegraph import build_tree
 
 REFUSAL = "joint table needs 32 cells, cap is 4 (raise TREEMIX_MAX_ENUM to override)"
 
@@ -113,3 +116,24 @@ def test_cached_table_is_refused_after_the_cap_drops(monkeypatch):
     monkeypatch.setenv("TREEMIX_MAX_ENUM", "4")
     with pytest.raises(EnumerationLimitError, match="cap is 4"):
         m.joint_table()
+
+
+def test_cell_count_past_the_int_to_str_limit(tmp_path, capsys):
+    # 2**15000 has 4,516 digits, more than Python's default limit (4,300)
+    # on converting an int to decimal; the count then reads 2**15000.
+    n = 15_000
+    tree, _ = build_tree(n, [(v - 1, v) for v in range(2, n + 1)])
+    stack = np.tile(np.array([[0.9, 0.2], [0.1, 0.8]]), (n - 1, 1, 1))
+    m = MarkovTreeModel(tree, 2, np.array([0.5, 0.5]), stack)
+    try:
+        count = str(2**n)
+    except ValueError:
+        count = f"2**{n}"
+    with pytest.raises(EnumerationLimitError, match=re.escape(f"needs {count} cells")):
+        m.check_table_cap()
+    path = str(tmp_path / "chain.json")
+    save_model(m, path)
+    assert main(["eta", path, "--pair", "1", "2"]) == 0
+    assert "  exact:      not computed (enumeration cap)\n" in capsys.readouterr().out
+    assert main(["inspect", path]) == 0
+    assert f"table cells:    {count} (cap " in capsys.readouterr().out

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -50,6 +51,18 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text("{", encoding="utf-8")
         assert main(["inspect", str(path)]) == 2
+
+    def test_huge_node_count_is_refused_briefly(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"format_version": 1, "alphabet_size": 2, "nodes": 1000000, '
+            '"root_dist": [0.5, 0.5], "edges": []}',
+            encoding="utf-8",
+        )
+        assert main(["inspect", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "disconnected: 1000000 parentless nodes" in err
+        assert len(err.encode()) < 300
 
     def test_gen_capacity_error(self, tmp_path, capsys):
         out = str(tmp_path / "m.json")
@@ -178,7 +191,7 @@ class TestEta:
     def test_csv_output(self, model_path, tmp_path, capsys):
         csv = str(tmp_path / "eta.csv")
         assert main(["eta", model_path, "--source", "exact", "--csv", csv]) == 0
-        lines = open(csv, encoding="utf-8").read().splitlines()
+        lines = Path(csv).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "i,j,eta_bar,provenance"
         assert len(lines) == 1 + 15  # 6 choose 2 pairs
 
@@ -193,7 +206,7 @@ class TestCoeffs:
     def test_csv_output(self, model_path, tmp_path):
         csv = str(tmp_path / "coeffs.csv")
         assert main(["coeffs", model_path, "--csv", csv]) == 0
-        lines = open(csv, encoding="utf-8").read().splitlines()
+        lines = Path(csv).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "parent,child,theta"
         assert len(lines) == 6
 
@@ -260,7 +273,7 @@ class TestSampleDeterminism:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["sample", model_path, "--count", "50", "--seed", "7", "--csv", a]) == 0
         assert main(["sample", model_path, "--count", "50", "--seed", "7", "--csv", b]) == 0
-        ba, bb = open(a, "rb").read(), open(b, "rb").read()
+        ba, bb = Path(a).read_bytes(), Path(b).read_bytes()
         assert ba == bb
         assert ba.decode("utf-8").splitlines()[0] == "path,x1,x2,x3,x4,x5,x6"
 
@@ -275,7 +288,7 @@ class TestVerifyCommand:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["verify", model_path, "--trials", "60", "--csv", a]) == 0
         assert main(["verify", model_path, "--trials", "60", "--csv", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL " not in out
@@ -292,7 +305,7 @@ class TestGen:
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         assert main(["gen", "--nodes", "5", "--seed", "9", "-o", a]) == 0
         assert main(["gen", "--nodes", "5", "--seed", "9", "-o", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_env_cap_applies(self, model_path, monkeypatch):
         monkeypatch.setenv("TREEMIX_MAX_ENUM", "not-a-number")

@@ -247,6 +247,13 @@ class TestHammingLipschitz:
                 worst, abs=1e-12
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_table_rejected(self, bad):
+        table = np.zeros(8)
+        table[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            hamming_lipschitz_constant(table, 3)
+
     def test_size_must_be_power(self):
         with pytest.raises(ValueError, match="power"):
             hamming_lipschitz_constant(np.zeros(6), 2)
@@ -296,6 +303,14 @@ class TestMonteCarloDeviation:
         freq = (np.indices((2,) * 3) == 0).sum(axis=0) / 3
         with pytest.raises(ValueError, match="Lipschitz"):
             monte_carlo_deviation(m, 2.0 * freq.reshape(-1), 0.1, 100, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_function(self, bad):
+        m = random_model(seed=3, n=5)
+        f = np.zeros(m.table_cells())
+        f[7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            monte_carlo_deviation(m, f, 0.1, 1000, 1)
 
     def test_rejects_wrong_table_size(self):
         m = self.fair_bits(3)

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,7 +197,7 @@ class TestRoundTrip:
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         save_model(m, p1)
         save_model(m, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 class TestRandomModel:

@@ -77,6 +77,20 @@ class TestBuildTree:
         with pytest.raises(TreeStructureError, match="disconnected"):
             build_tree(4, [(1, 2), (3, 4)])
 
+    def test_disconnected_names_the_first_five_roots(self):
+        with pytest.raises(
+            TreeStructureError,
+            match=r"^disconnected: 7 parentless nodes \(first \[1, 3, 4, 5, 6\]\), "
+            r"expected one root$",
+        ):
+            build_tree(8, [(1, 2)])
+
+    def test_huge_node_count_gets_a_short_refusal(self):
+        # The edge count is checked before anything scans all n labels.
+        with pytest.raises(TreeStructureError, match="disconnected") as info:
+            build_tree(10**6, [(1, 2)])
+        assert len(str(info.value)) < 200
+
     def test_self_loop_rejected(self):
         with pytest.raises(TreeStructureError, match="cycle"):
             build_tree(2, [(1, 1)])

@@ -12,6 +12,7 @@ from treemix.tvalgebra import (
     column_tv_norm,
     expand_operator_inputs,
     operator_tv_norm,
+    stochastic_fault,
     stochastic_tensor_product,
     tensor_product,
     tv_distance,
@@ -22,6 +23,26 @@ from conftest import oracle_theta
 
 def dist(index_set, s, values):
     return IndexedTensor(tuple(index_set), s, np.array(values, float))
+
+
+class TestStochasticFault:
+    GOOD = np.array([[0.9, 0.2], [0.1, 0.8]])
+
+    def test_stack_is_checked_per_column(self):
+        assert stochastic_fault(np.stack([self.GOOD, self.GOOD[::-1]])) is None
+        assert stochastic_fault(np.empty((0, 3, 3))) is None
+        off = np.stack([self.GOOD, self.GOOD.T])  # the transpose's columns miss 1
+        assert "sum to 1" in stochastic_fault(off)
+
+    def test_each_fault_is_named(self):
+        assert "non-finite" in stochastic_fault(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        assert "negative" in stochastic_fault(np.array([[1.5], [-0.5]]))
+        assert "sum to 1" in stochastic_fault(np.array([0.5, 0.6])[:, None])
+
+    def test_min_entry_tolerance(self):
+        dust = np.array([[1.0 + 1e-13], [-1e-13]])
+        assert "negative entry -1e-13" in stochastic_fault(dust)
+        assert stochastic_fault(dust, min_entry=-1e-12) is None
 
 
 class TestIndexedTensor:
