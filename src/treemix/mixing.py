@@ -11,7 +11,8 @@ prefixes and state pairs.  These suprema assemble into the mixing
 matrices that drive the concentration bounds in
 :mod:`treemix.concentration`.
 
-Three computations are provided, cheapest last:
+All of them read the model's one normalized measure, so they describe
+one process.  Three computations are provided, cheapest last:
 
 * exact values (``exact_row``), admitted by
   ``MarkovTreeModel.check_table_cap``: above the cell cap it raises
@@ -129,24 +130,22 @@ def _frontier_laws(m: MarkovTreeModel, i: int) -> Iterator[tuple[range, np.ndarr
     ``parent(v) < j``; the tail ``x_{j..n}`` feels ``x_i`` only through
     it.  Starting from the identity on ``x_i``, each subtree node ``v`` in
     turn is replaced by its children: multiply in the law of the children
-    given ``x_v``, sum out ``x_v``.  That law is the product of their
-    kernels, each weighted by the child's subtree mass and divided by
-    ``v``'s, so it sums to 1 even when the kernels are stochastic only
-    within tolerance, and each ``laws[w]`` is the normalised conditional
-    law that enumeration divides out.  Yields ``(js, laws)`` where ``laws[w]`` is the law of
-    ``F_j``, flat over its nodes in increasing order, for every ``j`` in
-    ``js``: from ``v + 1`` to the next subtree node.  Past the last
-    subtree node the frontier is empty.  Its callers admit the model.
+    given ``x_v``, the product of their kernels, and sum out ``x_v``.  The
+    model's kernel columns sum to 1 within a few ulp, so each ``laws[w]``
+    is the conditional law that enumeration divides out.  Yields ``(js,
+    laws)`` where ``laws[w]`` is the law of ``F_j``, flat over its nodes in
+    increasing order, for every ``j`` in ``js``: from ``v + 1`` to the next
+    subtree node.  Past the last subtree node the frontier is empty.  Its
+    callers admit the model.
     """
     s, tree = m.alphabet_size, m.tree
     nodes = [v for run in subtree_runs(tree, i) for v in run]
-    mass = m.subtree_masses
     laws = np.eye(s)
     for v, nxt in zip(nodes, nodes[1:]):
         # v is the frontier's first node and its children follow the rest.
-        block = 1.0 / mass[v][:, None]  # [x_v, children of v]
+        block = np.ones((s, 1))  # [x_v, children of v]
         for c in tree.children[v]:
-            k = m.kernel_stack[c - 2].T * mass[c]  # [x_v, x_c]
+            k = m.kernel_stack[c - 2].T  # [x_v, x_c]
             block = (block[:, :, None] * k[:, None, :]).reshape(s, -1)
         laws = np.tensordot(laws.reshape(s, s, -1), block, axes=([1], [0]))
         laws = laws.reshape(s, -1)

@@ -11,17 +11,18 @@ kernel of the edge into ``v``.  A model given the stack (as the file
 loader gives it) validates it once, as a whole.  Its ``kernels`` and
 ``kernel(edge)`` are :class:`Kernel` views into the stack, each made on
 first access, so a model whose readers use only the stack makes none.
+Its copies of the stack and root law are normalized once, so θ, the
+frontier sweep, the joint table and the sampler read one measure.
 The model's derived tables are ``functools.cached_property`` attributes,
 each computed from the stack on first read and then kept on the model:
 the edge contraction coefficients (``edge_thetas``), the node marginals
-of one forward pass (``node_marginals``), the subtree masses of one
-backward pass (``subtree_masses``) and the joint table behind
+of one forward pass (``node_marginals``) and the joint table behind
 ``joint_table()``.
 
 Conditional laws given a prefix and the verification oracles enumerate
 the joint table.  Exact mixing coefficients do not build it: they sweep
 small frontier laws down the tree (:mod:`treemix.mixing`), reading the
-node marginals and the subtree masses.  Every exact computation is
+node marginals.  Every exact computation is
 still admitted by one rule, ``check_table_cap``: ``alphabet_size ** n``
 must not exceed ``enumeration_cap()``, which is 1e7 unless the
 ``TREEMIX_MAX_ENUM`` environment variable sets it.  Each exact entry
@@ -40,6 +41,7 @@ The streams are computed together, as uint64 array arithmetic.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -53,6 +55,9 @@ from .tvalgebra import IndexedTensor, column_tv_norms, stochastic_fault
 
 DEFAULT_ENUM_CAP = 10_000_000
 ENUM_CAP_ENV = "TREEMIX_MAX_ENUM"
+
+_EPS = float(np.finfo(float).eps)
+_NORM_BAND = 4 * _EPS  # columns whose exact sum is this close to 1 stay as given
 
 
 class EnumerationLimitError(RuntimeError):
@@ -79,6 +84,25 @@ def _cells_text(m: "MarkovTreeModel") -> str:
         return str(m.table_cells())
     except ValueError:
         return f"{m.alphabet_size}**{m.n}"
+
+
+def _normalize_columns(mat: np.ndarray) -> None:
+    """Divide in place each column of ``mat`` (axis -2, probability vectors
+    within ``STOCHASTIC_ATOL``) whose exact sum misses 1 by more than
+    ``_NORM_BAND`` by that sum.  The band is safe: a divided column sums to
+    within 1 eps, so a second pass or a save/parse round trip changes no
+    bit; ``random_model`` laws sum to within 1 eps and stay as drawn; and
+    D levels of drift within it move eta_bar by about D bands, far below
+    1e-12 at the exact engine's depth (at most 22).  A float sum of ``s``
+    such entries errs by at most (s - 1) eps / 2: only a column whose float
+    sum is not clearly inside the band is summed exactly (``math.fsum``)."""
+    screen = _NORM_BAND - (mat.shape[-2] - 1) * _EPS / 2
+    off = np.abs(mat.sum(axis=-2) - 1.0) > screen
+    for *lead, col in zip(*np.nonzero(off)):
+        column = mat[(*lead, slice(None), col)]
+        total = math.fsum(column.tolist())
+        if abs(total - 1.0) > _NORM_BAND:
+            column /= total
 
 
 def _stack_kernels(
@@ -187,9 +211,9 @@ class MarkovTreeModel:
     entry ``v - 2`` is the kernel of the edge into ``v``.  A stack is
     copied and validated once, as a whole, by ``stochastic_fault``; an
     invalid stack raises the error of its first invalid edge.  Either way
-    ``kernels`` becomes a read-only mapping of every edge to a
-    :class:`Kernel` view into the read-only ``kernel_stack``, made when
-    first looked up.
+    the copied stack and root law are normalized, and ``kernels`` becomes
+    a read-only mapping of every edge to a :class:`Kernel` view into the
+    read-only ``kernel_stack``, made when first looked up.
     """
 
     tree: TreeTopology
@@ -210,6 +234,7 @@ class MarkovTreeModel:
         fault = stochastic_fault(dist[:, None])
         if fault is not None:
             raise ValueError(f"root distribution is not a probability vector: {fault}")
+        _normalize_columns(dist[:, None])
         dist.flags.writeable = False
         edges = self.tree.edges()
         if isinstance(self.kernels, np.ndarray):
@@ -224,6 +249,7 @@ class MarkovTreeModel:
                     Kernel((u, v), stack[v - 2])
         else:
             stack = _stack_kernels(dict(self.kernels), edges, s)
+        _normalize_columns(stack)
         stack.flags.writeable = False  # before the views, which inherit it
         object.__setattr__(self, "alphabet_size", s)
         object.__setattr__(self, "root_dist", dist)
@@ -308,22 +334,6 @@ class MarkovTreeModel:
             marginals[v] = self.kernel_stack[v - 2] @ marginals[u]
         marginals.flags.writeable = False
         return marginals
-
-    @cached_property
-    def subtree_masses(self) -> np.ndarray:
-        """Total weight below every node given its state, shape ``(n + 1, s)``.
-
-        ``mass[v][x]`` sums the product of the kernels of ``v``'s subtree
-        over its configurations, given ``x_v = x``: 1 for exactly stochastic
-        kernels, within their column-sum tolerance of 1 otherwise.  One
-        backward pass up the numbering; computed once per model and cached.
-        Row 0 is unused.
-        """
-        mass = np.ones((self.n + 1, self.alphabet_size))
-        for u, v in reversed(self.tree.edges()):
-            mass[u] *= mass[v] @ self.kernel_stack[v - 2]
-        mass.flags.writeable = False
-        return mass
 
 
 def joint_probability(m: MarkovTreeModel, x: Sequence[int]) -> float:

@@ -16,19 +16,17 @@ Schema (format_version 1)::
 Kernel rows are parent-major: ``kernel[x_parent][x_child]`` is the
 transition probability, i.e. each row is the child distribution for one
 parent state.  Rows (and ``root_dist``) must sum to 1 within 1e-9 and
-are renormalized at load; renormalization is skipped when the sum is
-already within 1e-13 of 1, which makes save/parse round trips bit-exact
-while keeping downstream identities tight.  Node labels may be any
-permutation of ``1..n``; the loaded model is always relabeled to the
-canonical breadth-first numbering, and the relabeling map is returned
-alongside it.
+are normalized at load by the model's one rule, which leaves a normalized
+row as it is, so save/parse round trips are bit-exact.  Node labels may
+be any permutation of ``1..n``; the loaded model is always relabeled to
+the canonical breadth-first numbering, and the relabeling map is
+returned alongside it.
 
 Loading checks each edge record (an object with integer ``parent`` and
 ``child`` and ``s`` rows of ``s`` entries), then converts every kernel
 entry in one ``float()`` pass and range-checks all rows at once.  Only a
-row whose float sum is not clearly within 1e-13 of 1 is summed exactly
-(``math.fsum``) and renormalized, so the values are those of a row-by-row
-load bit for bit.  The kernels reach the model as one ``(n - 1, s, s)``
+row whose float sum is not clearly within 1e-9 of 1 is summed exactly
+(``math.fsum``).  The kernels reach the model as one ``(n - 1, s, s)``
 stack in canonical child order (:class:`~treemix.model.MarkovTreeModel`),
 validated once.  A bad file raises :class:`ModelFileError` for its first
 fault in file order; a kernel fault names the edge, in the file's labels,
@@ -43,30 +41,15 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .model import Kernel, MarkovTreeModel
+from .model import _EPS, Kernel, MarkovTreeModel, _normalize_columns
 from .treegraph import TreeStructureError, build_tree
-from .tvalgebra import column_tv_norm
+from .tvalgebra import STOCHASTIC_ATOL, column_tv_norm
 
 FORMAT_VERSION = 1
-
-_RENORM_SKIP = 1e-13
-_RENORM_MAX = 1e-9
-_EPS = float(np.finfo(float).eps)
 
 
 class ModelFileError(ValueError):
     """A model file is malformed or inconsistent."""
-
-
-def _normalize(vec: np.ndarray, what: str) -> np.ndarray:
-    total = math.fsum(vec.tolist())
-    if abs(total - 1.0) > _RENORM_MAX:
-        raise ModelFileError(
-            f"{what} sums to {total!r}, expected 1 within {_RENORM_MAX}"
-        )
-    if abs(total - 1.0) <= _RENORM_SKIP:
-        return vec
-    return vec / total
 
 
 def _as_float(x: Any) -> float:
@@ -77,15 +60,16 @@ def _as_float(x: Any) -> float:
 
 
 def _probability_rows(raw_rows: list, s: int, name: Callable[[int], str]) -> np.ndarray:
-    """Check and renormalize rows of ``s`` probabilities, as one
+    """Check and normalize rows of ``s`` probabilities, as one
     ``(len(raw_rows), s)`` array.
 
     A fault raises :class:`ModelFileError` for the first faulty row
     ``k``, named ``name(k)``; within a row the checks run in the order
     shape, non-numeric entry, range, sum.  All rows are converted in one
     ``float()`` pass and range-checked together; only a row whose float
-    sum is not clearly within ``_RENORM_SKIP`` of 1 is summed exactly
-    (``math.fsum``) by :func:`_normalize`.
+    sum is not clearly within ``STOCHASTIC_ATOL`` of 1 is summed exactly
+    (``math.fsum``).  The rows are then normalized, so that the model's
+    float-sum check cannot refuse a row the exact check accepted.
     """
     shaped = next(
         (k for k, row in enumerate(raw_rows) if not isinstance(row, list) or len(row) != s),
@@ -105,19 +89,23 @@ def _probability_rows(raw_rows: list, s: int, name: Callable[[int], str]) -> np.
             numeric = shaped
     rows = np.array(flat).reshape(numeric, s)
     # NaN fails both comparisons.
-    outside = ~((rows >= 0.0) & (rows <= 1.0 + _RENORM_MAX)).all(axis=1)
+    outside = ~((rows >= 0.0) & (rows <= 1.0 + STOCHASTIC_ATOL)).all(axis=1)
     # The float sum of s entries in [0, 1] is within (s - 1) / 2 ulp of
-    # their exact sum, so inside this band the exact sum is within
-    # _RENORM_SKIP of 1 and _normalize would return the row unchanged.
-    near = np.abs(rows.sum(axis=1) - 1.0) <= _RENORM_SKIP - s * _EPS
+    # their exact sum, so inside this band the exact sum is within tolerance.
+    near = np.abs(rows.sum(axis=1) - 1.0) <= STOCHASTIC_ATOL - s * _EPS
     for k in np.flatnonzero(outside | ~near).tolist():
         if outside[k]:
             raise ModelFileError(f"{name(k)} has entries outside [0, 1]")
-        rows[k] = _normalize(rows[k], name(k))
+        total = math.fsum(rows[k].tolist())
+        if abs(total - 1.0) > STOCHASTIC_ATOL:
+            raise ModelFileError(
+                f"{name(k)} sums to {total!r}, expected 1 within {STOCHASTIC_ATOL}"
+            )
     if numeric < shaped:
         raise ModelFileError(f"{name(numeric)} contains non-numeric entries")
     if shaped < len(raw_rows):
         raise ModelFileError(f"{name(shaped)} must be a list of {s} probabilities")
+    _normalize_columns(rows.T)
     return rows
 
 
@@ -151,7 +139,7 @@ def _edge_record(rec: Any, pos: int, s: int, path: str) -> tuple[int, int, list]
 
 
 def parse_model_file(path: str) -> tuple[MarkovTreeModel, dict[int, int]]:
-    """Load, validate, renormalize, and canonicalize a model file.
+    """Load, validate, normalize, and canonicalize a model file.
 
     Returns ``(model, relabel)`` where ``relabel`` maps the file's node
     labels to the canonical breadth-first numbers used by the model.
@@ -263,19 +251,21 @@ def _random_tree(
             f"cannot place {n} nodes with width {width} and depth {depth} "
             f"(capacity {1 + width * depth})"
         )
-    depth_of = {1: 0}
-    level_count = {0: 1}
+    # Allowed parents in increasing order; levels only fill, so none returns.
+    depth_of = [0, 0]
+    level_count = [1] + [0] * depth
+    allowed = [1] if depth > 0 and width > 0 else []
     edges: list[tuple[int, int]] = []
     for v in range(2, n + 1):
-        allowed = [
-            u
-            for u in range(1, v)
-            if depth_of[u] < depth and level_count.get(depth_of[u] + 1, 0) < width
-        ]
-        u = int(allowed[rng.integers(len(allowed))])
+        u = allowed[rng.integers(len(allowed))]
+        d = depth_of[u] + 1
         edges.append((u, v))
-        depth_of[v] = depth_of[u] + 1
-        level_count[depth_of[v]] = level_count.get(depth_of[v], 0) + 1
+        depth_of.append(d)
+        level_count[d] += 1
+        if level_count[d] == width:
+            allowed = [a for a in allowed if depth_of[a] != d - 1]
+        if d < depth and level_count[d + 1] < width:
+            allowed.append(v)
     return edges
 
 

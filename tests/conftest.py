@@ -254,6 +254,31 @@ def oracle_sample_paths(m, seed, count, stream_offset=0) -> np.ndarray:
 
 
 
+def oracle_random_tree(rng, n, width, depth) -> list[tuple[int, int]]:
+    """``modelfile._random_tree`` as it was: the allowed parents rebuilt
+    from every earlier node for each new node.  The library keeps the same
+    list incrementally, so it must draw the same edges."""
+    if n > 1 + width * depth:
+        raise ValueError(
+            f"cannot place {n} nodes with width {width} and depth {depth} "
+            f"(capacity {1 + width * depth})"
+        )
+    depth_of = {1: 0}
+    level_count = {0: 1}
+    edges: list[tuple[int, int]] = []
+    for v in range(2, n + 1):
+        allowed = [
+            u
+            for u in range(1, v)
+            if depth_of[u] < depth and level_count.get(depth_of[u] + 1, 0) < width
+        ]
+        u = int(allowed[rng.integers(len(allowed))])
+        edges.append((u, v))
+        depth_of[v] = depth_of[u] + 1
+        level_count[depth_of[v]] = level_count.get(depth_of[v], 0) + 1
+    return edges
+
+
 # ------------------------------------------------- per-row model parser
 #
 # The model-file parser as it was before kernels were parsed as one

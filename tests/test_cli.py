@@ -294,6 +294,24 @@ class TestVerifyCommand:
         assert "FAIL " not in out
 
 
+class TestNearlyStochasticFile:
+    def test_deep_chain_keeps_the_ladder(self, tmp_path, capsys):
+        # Every kernel has the rows [1 - 0.99e-13, 0] and [0, 1]: loaded
+        # normalized, so over 22 levels no rung falls below the exact value.
+        rows = [[1 - 0.99e-13, 0.0], [0.0, 1.0]]
+        doc = {
+            "format_version": 1, "alphabet_size": 2, "nodes": 23, "root_dist": [0.5, 0.5],
+            "edges": [{"parent": k, "child": k + 1, "kernel": rows} for k in range(1, 23)],
+        }
+        path = tmp_path / "chain23.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(path), "--trials", "20"]) == 0
+        capsys.readouterr()
+        assert main(["eta", str(path), "--pair", "1", "23"]) == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert ["exact:", "1"] in lines and ["level:", "1"] in lines
+
+
 class TestGen:
     def test_stdout_document(self, capsys):
         assert main(["gen", "--nodes", "4", "--seed", "1"]) == 0

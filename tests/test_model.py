@@ -1,14 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treemix.model import (
+    _NORM_BAND,
     _SAMPLE_BLOCK,
     EnumerationLimitError,
     Kernel,
     MarkovTreeModel,
     _independence_violation,
+    _normalize_columns,
     _philox_uniforms,
     conditional_future_law,
     contraction_coefficient,
@@ -18,7 +22,7 @@ from treemix.model import (
     sample_paths,
     verify_markov_property,
 )
-from treemix.modelfile import parse_model_file, random_model, save_model
+from treemix.modelfile import _random_kernel, parse_model_file, random_model, save_model
 from treemix.treegraph import build_tree
 from treemix.tvalgebra import column_tv_norm
 
@@ -78,6 +82,63 @@ class TestModelConstruction:
         np.testing.assert_allclose(m.joint_table(), [0.2, 0.3, 0.5])
         assert max_contraction(m) == 0.0
         assert m.kernel_stack.shape == (0, 3, 3)
+
+
+def _column_sums(mat):
+    cols = np.moveaxis(mat, -2, -1).reshape(-1, mat.shape[-2])
+    return np.array([math.fsum(col) for col in cols.tolist()])
+
+
+@given(
+    s=st.integers(2, 40),
+    cols=st.integers(1, 6),
+    drift=st.sampled_from([0.0, 2.0**-52, 4 * 2.0**-52, 5 * 2.0**-52, 1e-13, 9e-10]),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_normalize_columns_twice_changes_no_bit(s, cols, drift, zeros, seed):
+    rng = np.random.default_rng(seed)
+    mat = rng.random((2, s, cols)) ** 3
+    if zeros:
+        mat[rng.random(mat.shape) < 0.4] = 0.0
+        mat[0, 0] = mat[1, -1] = 1.0  # no empty column
+    mat /= mat.sum(axis=-2, keepdims=True)
+    mat *= 1.0 + drift * rng.uniform(-1.0, 1.0, (2, 1, cols))
+    before = mat.copy()
+    _normalize_columns(mat)
+    inside = np.abs(_column_sums(before) - 1.0) <= _NORM_BAND
+    unchanged = np.moveaxis(mat == before, -2, -1).reshape(-1, s).all(axis=1)
+    assert unchanged[inside].all()
+    assert (np.abs(_column_sums(mat) - 1.0) <= _NORM_BAND).all()
+    once = mat.copy()
+    _normalize_columns(mat)
+    assert mat.tobytes() == once.tobytes()
+
+
+class TestNormalization:
+    def test_model_normalizes_its_own_copy(self):
+        m = random_model(3, n=6, alphabet_size=3)
+        stack = m.kernel_stack * (1 + np.linspace(-9e-10, 9e-10, 15).reshape(5, 1, 3))
+        root = m.root_dist * (1 - 7e-10)
+        given_stack, given_root = stack.copy(), root.copy()
+        for kernels in (stack, {(u, v): Kernel((u, v), stack[v - 2]) for u, v in m.tree.edges()}):
+            drifted = MarkovTreeModel(m.tree, 3, root, kernels)
+            assert (np.abs(_column_sums(drifted.kernel_stack) - 1.0) <= _NORM_BAND).all()
+            assert abs(math.fsum(drifted.root_dist.tolist()) - 1.0) <= _NORM_BAND
+            assert stack.tobytes() == given_stack.tobytes()
+            assert root.tobytes() == given_root.tobytes()
+
+    def test_generated_laws_are_left_as_drawn(self):
+        rng = np.random.default_rng(0)
+        for s in range(2, 12):
+            for _ in range(20):
+                root = rng.random(s) + 1e-3
+                root /= root.sum()  # as random_model draws it
+                laws = np.column_stack([_random_kernel(rng, s, 0.9), root])
+                drawn = laws.tobytes()
+                _normalize_columns(laws)
+                assert laws.tobytes() == drawn
 
 
 class TestKernelStack:

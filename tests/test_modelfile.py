@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treemix.cli import main as cli_main
-from treemix.model import Kernel, max_contraction
+from treemix.model import _NORM_BAND, Kernel, MarkovTreeModel, max_contraction
 from treemix.modelfile import (
     ModelFileError,
+    _random_tree,
     parse_model_file,
     random_model,
     save_model,
@@ -24,7 +25,9 @@ from treemix.modelfile import (
 )
 from treemix.tvalgebra import STOCHASTIC_ATOL, column_tv_norm
 
-from conftest import ROWS_05, ROWS_07, oracle_parse_model
+from conftest import ROWS_05, ROWS_07, oracle_parse_model, oracle_random_tree
+
+_ULP = 2.0**-52
 
 
 def write_doc(tmp_path, doc, name="model.json"):
@@ -156,12 +159,21 @@ class TestRenormalization:
         assert float(np.sum(m.root_dist)) == pytest.approx(1.0, abs=1e-15)
 
     def test_tiny_drift_left_alone(self, tmp_path):
-        # below the skip threshold the entries pass through untouched
+        # a sum within the normalization band passes through untouched
+        doc = chain3_doc()
+        val = 0.5 + 2 * _ULP
+        doc["root_dist"] = [0.5, val]
+        m, _ = parse_model_file(write_doc(tmp_path, doc))
+        assert m.root_dist[1] == val
+
+    def test_drift_past_the_band_normalized(self, tmp_path):
         doc = chain3_doc()
         val = 0.5 + 4e-14
         doc["root_dist"] = [0.5, val]
         m, _ = parse_model_file(write_doc(tmp_path, doc))
-        assert m.root_dist[1] == val
+        total = math.fsum([0.5, val])
+        assert m.root_dist.tolist() == [0.5 / total, val / total]
+        assert abs(math.fsum(m.root_dist.tolist()) - 1.0) <= _ULP
 
     def test_large_drift_rejected(self, tmp_path):
         doc = chain3_doc()
@@ -171,6 +183,23 @@ class TestRenormalization:
 
 
 class TestRoundTrip:
+    def test_drifted_model_round_trip_is_bit_exact(self, tmp_path):
+        # Columns off by up to 1e-9 are normalized once, by the model; the
+        # saved file then loads back into the same bits.
+        m = random_model(2, n=9, alphabet_size=3, width=3)
+        rng = np.random.default_rng(2)
+        stack = m.kernel_stack * (1 + rng.uniform(-1e-9, 1e-9, (8, 1, 3)))
+        drifted = MarkovTreeModel(m.tree, 3, m.root_dist * (1 + 5e-10), stack)
+        assert not np.array_equal(drifted.kernel_stack, stack)
+        path = str(tmp_path / "drifted.json")
+        save_model(drifted, path)
+        back, _ = parse_model_file(path)
+        assert back.kernel_stack.tobytes() == drifted.kernel_stack.tobytes()
+        assert back.root_dist.tobytes() == drifted.root_dist.tobytes()
+        again = str(tmp_path / "again.json")
+        save_model(back, again)
+        assert Path(again).read_bytes() == Path(path).read_bytes()
+
     def test_bit_exact(self, tmp_path):
         for seed in range(5):
             m = random_model(seed, n=7, alphabet_size=3)
@@ -249,6 +278,30 @@ class TestRandomModel:
         m = random_model(0, n=1)
         assert m.n == 1
         assert m.tree.edges() == ()
+
+
+@st.composite
+def tree_shapes(draw):
+    """``(n, width, depth)``: a chain, a star, or caps that a tree on n
+    nodes can meet."""
+    n = draw(st.integers(1, 80))
+    kind = draw(st.sampled_from(["chain", "star", "capped"]))
+    if kind == "chain":
+        return n, 1, max(n - 1, 1)
+    if kind == "star":
+        return n, max(n - 1, 1), 1
+    width = draw(st.integers(1, n))
+    depth = draw(st.integers(-(-(n - 1) // width) if n > 1 else 1, n))
+    return n, width, depth
+
+
+@given(shape=tree_shapes(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_random_tree_matches_per_node_oracle(shape, seed):
+    n, width, depth = shape
+    assert _random_tree(np.random.default_rng(seed), n, width, depth) == oracle_random_tree(
+        np.random.default_rng(seed), n, width, depth
+    )
 
 
 # ------------------------------------------------------------------ fuzzer
@@ -429,14 +482,13 @@ def test_integer_beyond_float_range_is_rejected(tmp_path):
 # ------------------------------------------- parser against its oracle
 
 # Row sums placed just inside or just outside the band that loading
-# leaves alone (1e-13) and the tolerance (1e-9), by up to 8 ulp of 1.
-_BANDS = {"skip": 1e-13, "max": 1e-9}
-_ULP = 2.0**-52
+# leaves alone (4 ulp), 1e-13 and the tolerance (1e-9), by up to 8 ulp of 1.
+_BANDS = {"1e-13": 1e-13, "max": 1e-9, "band": _NORM_BAND}
 
 
 @st.composite
 def _row(draw, rng, s):
-    kind = draw(st.sampled_from(["plain", "skip", "skip", "max", "one-hot"]))
+    kind = draw(st.sampled_from(["plain", "1e-13", "band", "max", "one-hot"]))
     if kind == "one-hot":
         hot = draw(st.integers(0, s - 1))
         ones = draw(st.sampled_from([(True, False), (1, 0), (1.0, 0.0)]))

@@ -1,5 +1,8 @@
 import collections
 import dataclasses
+import json
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -7,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treemix import mixing, treegraph, tvalgebra, verification
+from treemix import MarkovTreeModel, mixing, treegraph, tvalgebra, verification
+from treemix.concentration import SOURCES, build_mixing_matrices
 from treemix.mixing import eta_bar_bound_levels, eta_factorization, eta_report
-from treemix.modelfile import random_model
-from treemix.treegraph import subtree_runs
+from treemix.modelfile import parse_model_file, random_model, serialize_model
+from treemix.treegraph import build_tree, subtree_runs
 from treemix.tvalgebra import alpha
 from treemix.verification import (
     _SUITES,
@@ -104,6 +108,15 @@ class TestRunVerification:
         with pytest.raises(ValueError, match="trials"):
             run_verification(chain3_07, trials=0)
 
+    def test_drifted_library_chain_verifies(self):
+        # Column 0 of each kernel is [1 - 9e-10, 0]: accepted, and every
+        # suite reads it normalized to [1, 0].
+        topo, _ = build_tree(3, [(1, 2), (2, 3)])
+        kernel = [[1 - 9e-10, 0.0], [0.0, 1.0]]
+        m = MarkovTreeModel(topo, 2, np.array([0.5, 0.5]), np.array([kernel, kernel]))
+        results = run_verification(m, trials=50, seed=1)
+        assert [r for r in results if r.status == "fail"] == []
+
     def test_three_state_model(self):
         m = random_model(11, n=5, alphabet_size=3)
         results = run_verification(m, trials=80, seed=2)
@@ -153,6 +166,38 @@ def pivot_models(draw, max_n=(12, 9)):
     if draw(st.booleans()):
         m = sparsified(m, seed, deterministic_root=draw(st.booleans()))
     return m
+
+
+@st.composite
+def drifted_models(draw):
+    """A :func:`pivot_models` model whose root law and kernel columns drift
+    off a sum of 1: by up to 0.9e-9 through the library, or by up to 1e-13
+    in the rows of a model file."""
+    m = draw(pivot_models(max_n=(9, 6)))
+    s, rng = m.alphabet_size, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        drift = 1.0 + 0.9e-9 * rng.uniform(-1.0, 1.0, (m.n, 1, s))
+        return MarkovTreeModel(m.tree, s, m.root_dist * drift[0, 0], m.kernel_stack * drift[1:])
+    doc = serialize_model(m)
+    for row in [doc["root_dist"]] + [row for e in doc["edges"] for row in e["kernel"]]:
+        row[:] = (np.array(row) * (1.0 + rng.uniform(-1e-13, 1e-13))).tolist()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drifted.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        return parse_model_file(path)[0]
+
+
+@given(drifted_models())
+@settings(max_examples=40, deadline=None)
+def test_drifted_models_keep_the_ladder(m):
+    upper = np.triu_indices(m.n, k=1)
+    exact, level, uniform = (
+        build_mixing_matrices(m, source)[0].entries[upper] for source in SOURCES
+    )
+    assert (exact <= level + 1e-12).all() and (level <= uniform + 1e-12).all()
+    results = run_verification(m, trials=20, seed=1)
+    assert [r for r in results if r.status == "fail"] == []
 
 
 def _sweep_trials(m):
