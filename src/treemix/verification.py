@@ -12,13 +12,20 @@ exact command runs, against the node's enumeration tables, so no suite
 builds an object larger than the joint table.  Each source's Delta is
 built once and cached on the model: both dominance suites read one
 ladder check of them, and norm-identity reads the level source's.
+
+The tv-contraction and tensor-two-factor suites draw each trial on its
+own, in order, from one stream, so every later suite's seed does not
+depend on how the trials are checked.  They check them in array passes:
+the draws of each chunk of at most ``_TRIAL_CHUNK`` trials are stacked
+by shape and normalized and checked together, so memory stays bounded
+for any trial count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -36,9 +43,13 @@ from .model import (
     sample_paths,
     verify_markov_property,
 )
-from .tvalgebra import alpha, column_tv_norm
+from .tvalgebra import alpha, column_tv_norms
 
 _TOL = 1e-12
+# Trials per array pass of the random-trial suites: one chunk's draws are
+# held at a time, so memory stays bounded for any trial count.
+_TRIAL_CHUNK = 1024
+_NO_PAIRS = "single-node model has no pairs"
 
 
 @dataclass(frozen=True)
@@ -121,12 +132,14 @@ def _tv_tables(tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = tail.shape[1]
     mass = tail.sum(axis=2)  # (prefix, w)
     feasible = mass > 0.0
-    laws = np.zeros_like(tail)
-    np.divide(tail, mass[:, :, None], out=laws, where=feasible[:, :, None])
+    # An infeasible row is all zeros, so dividing it by 1 leaves it zero.
+    laws = tail / np.where(feasible, mass, 1.0)[:, :, None]
     tv = np.zeros((tail.shape[0], s, s))
+    gap = np.empty((tail.shape[0], tail.shape[2]))
     for w in range(s):
         for wp in range(w + 1, s):
-            d = 0.5 * np.abs(laws[:, w, :] - laws[:, wp, :]).sum(axis=1)
+            np.subtract(laws[:, w, :], laws[:, wp, :], out=gap)
+            d = 0.5 * np.abs(gap, out=gap).sum(axis=1)
             both = feasible[:, w] & feasible[:, wp]
             # Laws with disjoint supports can sum to just over 1 in rounding.
             d = np.where(both, np.minimum(d, 1.0), 0.0)
@@ -204,6 +217,8 @@ def _pivot_suites(m: MarkovTreeModel) -> tuple[SuiteResult, SuiteResult]:
 
 
 def _suite_j0_reduction(m, trials, rng) -> SuiteResult:
+    if m.n == 1:
+        return _skip("j0-reduction", _NO_PAIRS)
     return _pivot_suites(m)[0]
 
 
@@ -224,44 +239,63 @@ def _ladder_violation(m: MarkovTreeModel) -> float:
 
 def _suite_bound_dominance(m, trials, rng) -> SuiteResult:
     if m.n == 1:
-        return _skip("bound-dominance", "single-node model has no pairs")
+        return _skip("bound-dominance", _NO_PAIRS)
     return _result("bound-dominance", _ladder_violation(m), m.n * (m.n - 1) // 2)
 
 
+def _stacked_trials(
+    trials: int, draw: Callable[[], tuple[np.ndarray, ...]]
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """The ``trials`` draws of a random-trial suite, stacked by shape.
+
+    ``draw`` makes one trial's rng calls and returns its arrays; it is
+    called once per trial, in order, so the stream, and the seed of every
+    later suite, is what a loop over trials reads.  The draws of each
+    chunk of at most ``_TRIAL_CHUNK`` trials are grouped by shape, and
+    each group is yielded as its arrays stacked along a new first axis.
+    """
+    for start in range(0, trials, _TRIAL_CHUNK):
+        groups: dict[tuple, list[tuple[np.ndarray, ...]]] = {}
+        for _ in range(min(_TRIAL_CHUNK, trials - start)):
+            arrays = draw()
+            groups.setdefault(tuple(a.shape for a in arrays), []).append(arrays)
+        for group in groups.values():
+            yield tuple(np.stack(parts) for parts in zip(*group))
+
+
 def _suite_tv_contraction(m, trials, rng) -> SuiteResult:
-    worst = 0.0
-    for _ in range(trials):
+    def draw():
         rows = int(rng.integers(1, 6))
         cols = int(rng.integers(2, 6))
-        mat = rng.random((rows, cols)) + 1e-9
-        mat /= mat.sum(axis=0)
-        p = rng.random(cols)
-        p /= p.sum()
-        q = rng.random(cols)
-        q /= q.sum()
-        norm = column_tv_norm(mat)
-        lhs = 0.5 * float(np.abs(mat @ p - mat @ q).sum())
-        rhs = norm * 0.5 * float(np.abs(p - q).sum())
-        worst = max(worst, lhs - rhs)
+        return rng.random((rows, cols)), rng.random(cols), rng.random(cols)
+
+    worst = 0.0
+    for mat, p, q in _stacked_trials(trials, draw):
+        mat += 1e-9
+        for stack in (mat, p, q):
+            stack /= stack.sum(axis=1, keepdims=True)
+        lhs = 0.5 * np.abs(mat @ p[:, :, None] - mat @ q[:, :, None])[:, :, 0].sum(axis=1)
+        rhs = column_tv_norms(mat) * 0.5 * np.abs(p - q).sum(axis=1)
+        worst = max(worst, float((lhs - rhs).max()))
     return _result("tv-contraction", worst, trials)
 
 
 def _suite_tensor_two_factor(m, trials, rng) -> SuiteResult:
-    worst = 0.0
-    for _ in range(trials):
+    def draw():
         sp = int(rng.integers(1, 6))
         sq = int(rng.integers(1, 6))
-        p, pp = rng.random(sp), rng.random(sp)
-        q, qq = rng.random(sq), rng.random(sq)
-        for vec in (p, pp):
-            vec /= vec.sum()
-        for vec in (q, qq):
-            vec /= vec.sum()
-        lhs = 0.5 * float(np.abs(np.outer(p, q) - np.outer(pp, qq)).sum())
-        dp = 0.5 * float(np.abs(p - pp).sum())
-        dq = 0.5 * float(np.abs(q - qq).sum())
-        rhs = alpha([dp, dq])
-        worst = max(worst, lhs - rhs)
+        return rng.random(sp), rng.random(sp), rng.random(sq), rng.random(sq)
+
+    worst = 0.0
+    for p, pp, q, qq in _stacked_trials(trials, draw):
+        for stack in (p, pp, q, qq):
+            stack /= stack.sum(axis=1, keepdims=True)
+        outer = p[:, :, None] * q[:, None, :] - pp[:, :, None] * qq[:, None, :]
+        lhs = 0.5 * np.abs(outer).reshape(len(p), -1).sum(axis=1)
+        dp = 0.5 * np.abs(p - pp).sum(axis=1)
+        dq = 0.5 * np.abs(q - qq).sum(axis=1)
+        rhs = np.array([alpha(pair) for pair in zip(dp.tolist(), dq.tolist())])
+        worst = max(worst, float((lhs - rhs).max()))
     return _result("tensor-two-factor", worst, trials)
 
 
@@ -298,6 +332,8 @@ def _suite_norm_identity(m, trials, rng) -> SuiteResult:
 
 
 def _suite_provenance_dominance(m, trials, rng) -> SuiteResult:
+    if m.n == 1:
+        return _skip("provenance-dominance", _NO_PAIRS)
     return _result("provenance-dominance", _ladder_violation(m), len(SOURCES))
 
 

@@ -405,25 +405,109 @@ def oracle_parse_model(path: str) -> tuple[MarkovTreeModel, dict[int, int]]:
     return model, relabel
 
 
+def oracle_normalize_columns(mat):
+    """``model._normalize_columns`` with its screen's sums taken by
+    ``sum(axis=-2)``, as before it used ``einsum``."""
+    from treemix.model import _EPS, _NORM_BAND
+
+    screen = _NORM_BAND - (mat.shape[-2] - 1) * _EPS / 2
+    off = np.abs(mat.sum(axis=-2) - 1.0) > screen
+    for *lead, col in zip(*np.nonzero(off)):
+        column = mat[(*lead, slice(None), col)]
+        total = math.fsum(column.tolist())
+        if abs(total - 1.0) > _NORM_BAND:
+            column /= total
+
+
 # ------------------------------------------------------ per-node pivot oracle
 #
-# The j0-reduction suite tabulating each node's tables on its own.  The
+# The j0-reduction suite tabulating each node's tables on its own, from
+# the enumeration oracle as it was before it divided in one pass.  The
 # library must return the same result, bit for bit.
+
+
+def oracle_tv_tables(tail):
+    """``verification._tv_tables``, masked divide and one array per pair."""
+    s = tail.shape[1]
+    mass = tail.sum(axis=2)  # (prefix, w)
+    feasible = mass > 0.0
+    laws = np.zeros_like(tail)
+    np.divide(tail, mass[:, :, None], out=laws, where=feasible[:, :, None])
+    tv = np.zeros((tail.shape[0], s, s))
+    for w in range(s):
+        for wp in range(w + 1, s):
+            d = 0.5 * np.abs(laws[:, w, :] - laws[:, wp, :]).sum(axis=1)
+            both = feasible[:, w] & feasible[:, wp]
+            d = np.where(both, np.minimum(d, 1.0), 0.0)
+            tv[:, w, wp] = d
+            tv[:, wp, w] = d
+    return tv, feasible
 
 
 def oracle_j0_reduction_suite(m):
     """The j0-reduction suite, tabulating each node's tables on its own."""
     from treemix.treegraph import first_descendant_at_or_after
-    from treemix.verification import _result, _tail_laws, _tv_tables
+    from treemix.verification import _result, _tail_laws
 
     worst = 0.0
     for i in range(1, m.n):
-        tables = [_tv_tables(tail)[0] for tail in _tail_laws(m, i)]
+        tables = [oracle_tv_tables(tail)[0] for tail in _tail_laws(m, i)]
         for j, tv in enumerate(tables, start=i + 1):
             j0 = first_descendant_at_or_after(m.tree, i, j)
             pivot = 0.0 if j0 is None else tables[j0 - i - 1]
             worst = max(worst, float(np.abs(tv - pivot).max()))
     return _result("j0-reduction", worst, m.n * (m.n - 1) // 2)
+
+
+# ------------------------------------------------------ per-trial algebra suites
+#
+# The tv-contraction and tensor-two-factor suites as they were before they
+# checked their trials stacked by shape: one numpy round per trial.  The
+# library suites must draw the same stream and return the same result,
+# bit for bit.
+
+
+def oracle_tv_contraction_suite(m, trials, rng):
+    from treemix.tvalgebra import column_tv_norm
+    from treemix.verification import _result
+
+    worst = 0.0
+    for _ in range(trials):
+        rows = int(rng.integers(1, 6))
+        cols = int(rng.integers(2, 6))
+        mat = rng.random((rows, cols)) + 1e-9
+        mat /= mat.sum(axis=0)
+        p = rng.random(cols)
+        p /= p.sum()
+        q = rng.random(cols)
+        q /= q.sum()
+        norm = column_tv_norm(mat)
+        lhs = 0.5 * float(np.abs(mat @ p - mat @ q).sum())
+        rhs = norm * 0.5 * float(np.abs(p - q).sum())
+        worst = max(worst, lhs - rhs)
+    return _result("tv-contraction", worst, trials)
+
+
+def oracle_tensor_two_factor_suite(m, trials, rng):
+    from treemix.tvalgebra import alpha
+    from treemix.verification import _result
+
+    worst = 0.0
+    for _ in range(trials):
+        sp = int(rng.integers(1, 6))
+        sq = int(rng.integers(1, 6))
+        p, pp = rng.random(sp), rng.random(sp)
+        q, qq = rng.random(sq), rng.random(sq)
+        for vec in (p, pp):
+            vec /= vec.sum()
+        for vec in (q, qq):
+            vec /= vec.sum()
+        lhs = 0.5 * float(np.abs(np.outer(p, q) - np.outer(pp, qq)).sum())
+        dp = 0.5 * float(np.abs(p - pp).sum())
+        dq = 0.5 * float(np.abs(q - qq).sum())
+        rhs = alpha([dp, dq])
+        worst = max(worst, lhs - rhs)
+    return _result("tensor-two-factor", worst, trials)
 
 
 # ------------------------------------------------- per-cell table writers

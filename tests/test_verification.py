@@ -29,6 +29,9 @@ from treemix.verification import (
 from conftest import (
     make_model,
     oracle_j0_reduction_suite,
+    oracle_tensor_two_factor_suite,
+    oracle_tv_contraction_suite,
+    oracle_tv_tables,
     sparsified,
 )
 
@@ -247,6 +250,44 @@ def test_one_state_model_checks_no_pair():
     )
 
 
+_MUTANT_MODELS = [
+    dict(seed=3, n=7, alphabet_size=2, width=1),
+    dict(seed=4, n=7, alphabet_size=3, depth=1),
+    dict(seed=5, n=9, alphabet_size=2, width=3),
+    dict(seed=6, n=8, alphabet_size=3),
+]
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("params", _MUTANT_MODELS)
+def test_tv_tables_match_oracle(params, sparse):
+    """The one-pass divide gives the masked divide's tables, bit for bit,
+    also where a prefix has zero mass."""
+    m = random_model(**params)
+    if sparse:
+        m = sparsified(m, params["seed"], deterministic_root=True)
+    infeasible = False
+    for i in range(1, m.n):
+        for tail in verification._tail_laws(m, i):
+            tv, feasible = verification._tv_tables(tail)
+            oracle_tv, oracle_feasible = oracle_tv_tables(tail)
+            assert tv.tobytes() == oracle_tv.tobytes()
+            assert np.array_equal(feasible, oracle_feasible)
+            infeasible |= not feasible.all()
+    assert infeasible == sparse
+
+
+def test_single_node_model_has_no_pairs():
+    m = make_model(1, [], 2, [0.3, 0.7], {})
+    by_name = {r.name: r for r in run_verification(m, trials=20, seed=1)}
+    for name in ("j0-reduction", "bound-dominance", "provenance-dominance"):
+        assert by_name[name] == SuiteResult(
+            name, "skip", None, 0, "single-node model has no pairs"
+        )
+    assert by_name["factorization"].status == "skip"
+    assert all(r.status != "fail" for r in by_name.values())
+
+
 def _perturbed(sweep):
     def mutant(m, i):
         for js, laws in sweep(m, i):
@@ -263,12 +304,6 @@ def _late(sweep):
     return mutant
 
 
-_MUTANT_MODELS = [
-    dict(seed=3, n=7, alphabet_size=2, width=1),
-    dict(seed=4, n=7, alphabet_size=3, depth=1),
-    dict(seed=5, n=9, alphabet_size=2, width=3),
-    dict(seed=6, n=8, alphabet_size=3),
-]
 
 
 @pytest.mark.parametrize("mutate", [_perturbed, _late])
@@ -325,7 +360,9 @@ def test_verify_passes_on_twelve_node_star():
 
 
 @pytest.mark.parametrize(
-    "name, suite", [("column_tv_norm", "tv-contraction"), ("alpha", "tensor-two-factor")]
+    "name, suite",
+    [("column_tv_norms", "tv-contraction"), ("alpha", "tensor-two-factor")],
+    ids=["column_tv_norm-tv-contraction", "alpha-tensor-two-factor"],
 )
 def test_algebra_suites_check_the_library(monkeypatch, name, suite):
     """The algebra suites take the norm and the alpha bound from the
@@ -340,3 +377,39 @@ def test_algebra_suites_check_the_library(monkeypatch, name, suite):
     honest = getattr(verification, name)
     monkeypatch.setattr(verification, name, lambda arg: 0.9 * honest(arg))
     assert status() == "fail"
+
+
+@pytest.mark.parametrize("seed", [0, 42, 977])
+@pytest.mark.parametrize("trials", [1, 2, 7, 40, 500, verification._TRIAL_CHUNK + 1])
+@pytest.mark.parametrize(
+    "suite, oracle",
+    [
+        (verification._suite_tv_contraction, oracle_tv_contraction_suite),
+        (verification._suite_tensor_two_factor, oracle_tensor_two_factor_suite),
+    ],
+    ids=["tv-contraction", "tensor-two-factor"],
+)
+def test_trial_suites_match_per_trial_oracle(suite, oracle, trials, seed):
+    """The stacked suites read the per-trial loop's stream and return its
+    result, bit for bit, so every later suite draws the same seed."""
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _bits(suite(None, trials, rng)) == _bits(oracle(None, trials, oracle_rng))
+    assert rng.integers(0, 2**63) == oracle_rng.integers(0, 2**63)
+
+
+def test_trial_suites_hold_one_chunk():
+    """The stacked suites hold one chunk of trials at a time, so four
+    chunks peak about where one does."""
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            for suite in (verification._suite_tv_contraction,
+                          verification._suite_tensor_two_factor):
+                suite(None, trials, np.random.default_rng(0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # numpy's one-time allocations land here
+    one = peak(verification._TRIAL_CHUNK)
+    assert peak(4 * verification._TRIAL_CHUNK) < 1.5 * one

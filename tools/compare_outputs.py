@@ -21,8 +21,8 @@ level|uniform``, of ``sample`` at two seeds and counts, and of ``eta``
 fed the model's level-bound Delta with ``-0.0`` written into two cells.
 On models of at most 1e6 cells it also hashes the same of ``eta --source
 exact``, ``eta --pair``, ``norms``, ``bound`` for both metrics and
-``verify`` with ``--csv``.  The CSV path in the ``wrote ...`` line is
-replaced by ``<csv>``.
+``verify`` with ``--csv``, at 40 trials and at the default of 500.  The
+CSV path in the ``wrote ...`` line is replaced by ``<csv>``.
 A last pass lowers ``TREEMIX_MAX_ENUM`` so that most models exceed it
 and hashes the same for the commands that ask for exact values.  Prints
 the differing entries, with the largest entrywise gap of each differing
@@ -167,6 +167,7 @@ def _hash_cli(path: str, csv_path: str, m) -> dict[str, str]:
     for metric in ("hamming", "euclidean"):
         rec[f"cli_bound_{metric}"] = _run_cli(["bound", path, "--metric", metric], csv_path)
     rec["cli_verify"] = _run_cli(["verify", path, "--trials", "40"], csv_path)
+    rec["cli_verify_default"] = _run_cli(["verify", path], csv_path)
     rec["cli_pairs"] = _digest(
         "".join(_run_cli(["eta", path, "--pair", str(i), str(j)]) for i, j in _pairs(m.n)[::5])
         .encode()
