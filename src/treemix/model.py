@@ -94,12 +94,10 @@ def _normalize_columns(mat: np.ndarray) -> None:
     bit; ``random_model`` laws sum to within 1 eps and stay as drawn; and
     D levels of drift within it move eta_bar by about D bands, far below
     1e-12 at the exact engine's depth (at most 22).  A float sum of ``s``
-    such entries errs by at most (s - 1) eps / 2 in any summation order:
-    only a column whose float sum is not clearly inside the band is summed
-    exactly (``math.fsum``).  The screen's sums come from ``einsum``, which
-    is cheaper than ``sum(axis=-2)`` on a small stack."""
+    such entries errs by at most (s - 1) eps / 2: only a column whose float
+    sum is not clearly inside the band is summed exactly (``math.fsum``)."""
     screen = _NORM_BAND - (mat.shape[-2] - 1) * _EPS / 2
-    off = np.abs(np.einsum("...ij->...j", mat) - 1.0) > screen
+    off = np.abs(mat.sum(axis=-2) - 1.0) > screen
     for *lead, col in zip(*np.nonzero(off)):
         column = mat[(*lead, slice(None), col)]
         total = math.fsum(column.tolist())

@@ -135,11 +135,9 @@ def _tv_tables(tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # An infeasible row is all zeros, so dividing it by 1 leaves it zero.
     laws = tail / np.where(feasible, mass, 1.0)[:, :, None]
     tv = np.zeros((tail.shape[0], s, s))
-    gap = np.empty((tail.shape[0], tail.shape[2]))
     for w in range(s):
         for wp in range(w + 1, s):
-            np.subtract(laws[:, w, :], laws[:, wp, :], out=gap)
-            d = 0.5 * np.abs(gap, out=gap).sum(axis=1)
+            d = 0.5 * np.abs(laws[:, w, :] - laws[:, wp, :]).sum(axis=1)
             both = feasible[:, w] & feasible[:, wp]
             # Laws with disjoint supports can sum to just over 1 in rounding.
             d = np.where(both, np.minimum(d, 1.0), 0.0)

@@ -405,20 +405,6 @@ def oracle_parse_model(path: str) -> tuple[MarkovTreeModel, dict[int, int]]:
     return model, relabel
 
 
-def oracle_normalize_columns(mat):
-    """``model._normalize_columns`` with its screen's sums taken by
-    ``sum(axis=-2)``, as before it used ``einsum``."""
-    from treemix.model import _EPS, _NORM_BAND
-
-    screen = _NORM_BAND - (mat.shape[-2] - 1) * _EPS / 2
-    off = np.abs(mat.sum(axis=-2) - 1.0) > screen
-    for *lead, col in zip(*np.nonzero(off)):
-        column = mat[(*lead, slice(None), col)]
-        total = math.fsum(column.tolist())
-        if abs(total - 1.0) > _NORM_BAND:
-            column /= total
-
-
 # ------------------------------------------------------ per-node pivot oracle
 #
 # The j0-reduction suite tabulating each node's tables on its own, from
@@ -427,7 +413,7 @@ def oracle_normalize_columns(mat):
 
 
 def oracle_tv_tables(tail):
-    """``verification._tv_tables``, masked divide and one array per pair."""
+    """``verification._tv_tables`` with the masked divide into ``zeros_like``."""
     s = tail.shape[1]
     mass = tail.sum(axis=2)  # (prefix, w)
     feasible = mass > 0.0
