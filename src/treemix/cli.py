@@ -27,6 +27,7 @@ from .concentration import (
 )
 from .mixing import eta_report
 from .model import (
+    _SAMPLE_BLOCK,
     EnumerationLimitError,
     _cells_text,
     contraction_coefficient,
@@ -240,14 +241,25 @@ def _cmd_bound(args, model, _relabel) -> int:
 
 
 def _cmd_sample(args, model, _relabel) -> int:
-    batch = sample_paths(model, args.seed, args.count)
+    # Drawn and written _SAMPLE_BLOCK paths at a time: path p of block
+    # ``start`` is stream ``start + p``, so the blocks equal one call.
+    tokens = [f",{x}" for x in range(model.alphabet_size)]
     header = ",".join(["path"] + [f"x{v}" for v in range(1, model.n + 1)])
-    states = _joined_rows([f",{x}" for x in range(model.alphabet_size)], batch)
-    lines = [f"{p}{row}" for p, row in enumerate(states)]
+
+    def write(fh) -> None:
+        fh.write(header + "\n")
+        for start in range(0, args.count, _SAMPLE_BLOCK):
+            size = min(_SAMPLE_BLOCK, args.count - start)
+            batch = sample_paths(model, args.seed, size, stream_offset=start)
+            rows = _joined_rows(tokens, batch)
+            fh.write("".join([f"{p}{row}\n" for p, row in enumerate(rows, start)]))
+
     if args.csv:
-        _write_csv(args.csv, header, lines)
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        print(f"wrote {args.csv} ({args.count} rows)")
     else:
-        sys.stdout.write(_table_text(header, lines))
+        write(sys.stdout)
     return 0
 
 

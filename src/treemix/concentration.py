@@ -243,8 +243,12 @@ def hamming_lipschitz_constant(f: np.ndarray, n: int) -> float:
     ``f`` is a flat table over all configurations (same layout as the
     joint table).  The constant is ``n`` times the largest change of f
     along a single-coordinate move, which equals the max over all
-    configuration pairs of ``|f(x) - f(y)| / dist(x, y)``.  A table
-    with a non-finite entry has no such constant and is rejected.
+    configuration pairs of ``|f(x) - f(y)| / dist(x, y)``.  Along each
+    axis the largest change is max - min over the fibres of the view
+    ``reshape(s**axis, s, -1)``, folded slice by slice: no copy of the
+    table is made, and since rounding is monotone the result is the
+    largest ``|f(x) - f(y)|`` over the fibre's pairs bit for bit.  A
+    table with a non-finite entry has no such constant and is rejected.
     """
     vals = np.asarray(f, dtype=float).reshape(-1)
     n = int(n)
@@ -253,13 +257,17 @@ def hamming_lipschitz_constant(f: np.ndarray, n: int) -> float:
     if not np.isfinite(vals).all():
         raise ValueError("function table has non-finite entries")
     s = _infer_alphabet(vals.size, n)
-    nd = vals.reshape((s,) * n)
+    if s == 1:
+        return 0.0
     worst = 0.0
     for axis in range(n):
-        moved = np.moveaxis(nd, axis, 0).reshape(s, -1)
-        for a in range(s - 1):
-            d = np.abs(moved[a + 1 :] - moved[a]).max()
-            worst = max(worst, float(d))
+        fibres = vals.reshape(s**axis, s, -1)
+        hi = np.maximum(fibres[:, 0], fibres[:, 1])
+        lo = np.minimum(fibres[:, 0], fibres[:, 1])
+        for a in range(2, s):
+            np.maximum(hi, fibres[:, a], out=hi)
+            np.minimum(lo, fibres[:, a], out=lo)
+        worst = max(worst, float(np.subtract(hi, lo, out=hi).max()))
     return n * worst
 
 
@@ -340,24 +348,38 @@ def lipschitz_test_corpus(
 
     Returns named flat tables: the frequency of symbol 0, a scaled
     subcube indicator (1/n on a random fixed assignment of a random
-    coordinate subset), and one normalized random table.
+    coordinate subset), and one normalized random table.  The first two
+    are built axis by axis as outer products, so the only arrays of
+    ``alphabet_size**n`` entries are the tables themselves.  A random
+    table whose Lipschitz constant is 0 (one state) is left unscaled.
     """
     s = int(alphabet_size)
     n = int(n)
-    shape = (s,) * n
-    grids = np.indices(shape)
-    freq = (grids == 0).sum(axis=0) / n
-    out = [("symbol-frequency", freq.reshape(-1))]
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if s < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {s}")
+    is_zero = np.arange(s) == 0
+    freq = np.zeros(1)
+    for _ in range(n):
+        freq = np.add.outer(freq, is_zero).reshape(-1)
+    freq /= n
+    out = [("symbol-frequency", freq)]
 
     k = int(rng.integers(1, n + 1))
     coords = rng.choice(n, size=k, replace=False)
     states = rng.integers(0, s, size=k)
-    cube = np.ones(shape, dtype=bool)
+    allowed = [np.ones(s, dtype=bool)] * n
     for c, st in zip(coords, states):
-        cube &= grids[c] == st
-    out.append(("subcube-indicator", cube.reshape(-1) / n))
+        allowed[c] = np.arange(s) == st
+    cube = np.ones(1, dtype=bool)
+    for axis_allowed in allowed:
+        cube = np.logical_and.outer(cube, axis_allowed).reshape(-1)
+    out.append(("subcube-indicator", cube / n))
 
     raw = rng.random(s**n)
     constant = hamming_lipschitz_constant(raw, n)
-    out.append(("random-table-0", raw / constant))
+    if constant > 0.0:
+        raw /= constant
+    out.append(("random-table-0", raw))
     return out

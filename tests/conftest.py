@@ -536,3 +536,46 @@ def oracle_sample_text(batch, alphabet_size):
         for p, row in enumerate(batch.tolist())
     ]
     return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
+# ---------------------------------------------------- Monte Carlo oracles
+#
+# The Lipschitz constant and the test corpus as they were before they
+# built their tables axis by axis: the corpus from an ``np.indices`` grid
+# of n * s**n entries, the constant from a ``moveaxis`` copy of the table
+# per axis.  The library must return the same tables and constants, bit
+# for bit, and leave the caller's rng in the same state.
+
+
+def oracle_hamming_lipschitz_constant(f, n) -> float:
+    vals = np.asarray(f, dtype=float).reshape(-1)
+    if not np.isfinite(vals).all():
+        raise ValueError("function table has non-finite entries")
+    s = round(vals.size ** (1.0 / n))
+    s = next(c for c in (s - 1, s, s + 1) if c >= 1 and c**n == vals.size)
+    nd = vals.reshape((s,) * n)
+    worst = 0.0
+    for axis in range(n):
+        moved = np.moveaxis(nd, axis, 0).reshape(s, -1)
+        for a in range(s - 1):
+            d = np.abs(moved[a + 1 :] - moved[a]).max()
+            worst = max(worst, float(d))
+    return n * worst
+
+
+def oracle_lipschitz_test_corpus(n, alphabet_size, rng) -> list[tuple[str, np.ndarray]]:
+    s = int(alphabet_size)
+    shape = (s,) * n
+    grids = np.indices(shape)
+    freq = (grids == 0).sum(axis=0) / n
+    out = [("symbol-frequency", freq.reshape(-1))]
+    k = int(rng.integers(1, n + 1))
+    coords = rng.choice(n, size=k, replace=False)
+    states = rng.integers(0, s, size=k)
+    cube = np.ones(shape, dtype=bool)
+    for c, st in zip(coords, states):
+        cube &= grids[c] == st
+    out.append(("subcube-indicator", cube.reshape(-1) / n))
+    raw = rng.random(s**n)
+    out.append(("random-table-0", raw / oracle_hamming_lipschitz_constant(raw, n)))
+    return out

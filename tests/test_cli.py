@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from treemix import cli, concentration, verification
 from treemix.cli import main
 from treemix.mixing import eta_bar_exact
-from treemix.model import MarkovTreeModel, sample_paths
+from treemix.model import _SAMPLE_BLOCK, MarkovTreeModel, sample_paths
 from treemix.modelfile import parse_model_file, random_model, save_model
 from treemix.verification import SuiteResult
 
@@ -281,6 +282,42 @@ class TestSampleDeterminism:
         assert main(["sample", model_path, "--count", "3", "--seed", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 4
+
+    @pytest.mark.parametrize(
+        "count",
+        [1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 2 * _SAMPLE_BLOCK + 3],
+    )
+    def test_blocks_match_one_call(self, model_path, tmp_path, count):
+        # The table is drawn and written a block at a time; the bytes are
+        # those of one sample_paths call over every path.
+        m, _ = parse_model_file(model_path)
+        want = oracle_sample_text(sample_paths(m, 11, count), m.alphabet_size)
+        csv = tmp_path / "out.csv"
+        argv = ["sample", model_path, "--count", str(count), "--seed", "11"]
+        printed, _ = _run(argv, csv)
+        with_csv, written = _run([*argv, "--csv", str(csv)], csv)
+        assert printed == want
+        assert written == want.encode()
+        assert with_csv == f"wrote {csv} ({count} rows)\n"
+
+    def test_memory_does_not_grow_with_count(self, tmp_path):
+        # A 64-node chain: the whole table at 60,000 paths would take
+        # about 66 MiB to hold; one block at a time takes a few MiB.
+        path = str(tmp_path / "chain.json")
+        save_model(random_model(seed=5, n=64, width=1), path)
+        csv = str(tmp_path / "out.csv")
+        peaks = {}
+        for count in (20_000, 60_000):
+            argv = ["sample", path, "--count", str(count), "--csv", csv]
+            tracemalloc.start()
+            try:
+                with mock.patch("sys.stdout", new_callable=io.StringIO):
+                    assert main(argv) == 0
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[60_000] < 10 * 2**20
+        assert peaks[60_000] <= 1.02 * peaks[20_000]
 
 
 class TestVerifyCommand:

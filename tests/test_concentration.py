@@ -20,7 +20,12 @@ from treemix.concentration import (
 )
 from treemix.modelfile import random_model
 
-from conftest import ROWS_05, chain_model
+from conftest import (
+    ROWS_05,
+    chain_model,
+    oracle_hamming_lipschitz_constant,
+    oracle_lipschitz_test_corpus,
+)
 
 
 def upper_unit(entries: np.ndarray) -> MixingMatrix:
@@ -264,6 +269,87 @@ class TestHammingLipschitz:
             for name, table in lipschitz_test_corpus(4, 2, rng):
                 c = hamming_lipschitz_constant(table, 4)
                 assert c <= 1.0 + 1e-12, (seed, name)
+
+    def test_corpus_rejects_no_nodes_and_no_states(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="n must"):
+            lipschitz_test_corpus(0, 2, rng)
+        with pytest.raises(ValueError, match="n must"):
+            lipschitz_test_corpus(-1, 2, rng)
+        with pytest.raises(ValueError, match="alphabet size"):
+            lipschitz_test_corpus(3, 0, rng)
+
+    def test_corpus_over_one_state_is_finite(self):
+        # One configuration: every table has constant 0, and the random
+        # table is left as drawn instead of divided by 0.
+        corpus = lipschitz_test_corpus(3, 1, np.random.default_rng(4))
+        assert [name for name, _ in corpus] == [
+            "symbol-frequency", "subcube-indicator", "random-table-0"
+        ]
+        for _, table in corpus:
+            assert table.shape == (1,) and np.isfinite(table).all()
+            assert hamming_lipschitz_constant(table, 3) == 0.0
+        rng = np.random.default_rng(4)
+        k = int(rng.integers(1, 4))
+        rng.choice(3, size=k, replace=False)
+        rng.integers(0, 1, size=k)
+        assert corpus[2][1].tobytes() == rng.random(1).tobytes()
+        assert corpus[0][1].tolist() == [1.0] and corpus[1][1].tolist() == [1 / 3]
+
+
+# Shapes (n, s) with n up to 12 and s up to 5, at most 4e5 cells.
+_ORACLE_SHAPES = [
+    (n, s) for n in range(1, 13) for s in range(2, 6) if s**n <= 4 * 10**5
+]
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestAgainstGridOracles:
+    """The axis-by-axis builders equal the grid and ``moveaxis`` code they
+    replaced, bit for bit."""
+
+    @pytest.mark.parametrize("n, s", _ORACLE_SHAPES)
+    def test_corpus_matches_oracle(self, n, s):
+        for seed in (0, 1, 2, 1801):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = lipschitz_test_corpus(n, s, rng)
+            want = oracle_lipschitz_test_corpus(n, s, oracle_rng)
+            assert [name for name, _ in got] == [name for name, _ in want]
+            for (name, table), (_, expected) in zip(got, want):
+                assert table.dtype == expected.dtype, (seed, name)
+                assert table.tobytes() == expected.tobytes(), (seed, name)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n, s", _ORACLE_SHAPES)
+    def test_constant_matches_oracle(self, n, s):
+        # Tables drawn from small pools, so that ties, both zeros, the
+        # smallest subnormal and +-1e300 meet along every axis.
+        pools = [
+            [0.0, -0.0],
+            [0.0, -0.0, 1.0, 0.5, 5e-324],
+            [1e300, -1e300, 0.0, -0.0, 1.0],
+            [0.1, 0.2, 0.30000000000000004, 1 / 3, 2 / 3],
+        ]
+        rng = np.random.default_rng(n * 10 + s)
+        for pool in pools:
+            for _ in range(2):
+                table = rng.choice(np.array(pool), size=s**n)
+                got = hamming_lipschitz_constant(table, n)
+                assert _bits(got) == _bits(oracle_hamming_lipschitz_constant(table, n))
+        table = rng.standard_normal(s**n) * 1e300
+        got = hamming_lipschitz_constant(table, n)
+        assert _bits(got) == _bits(oracle_hamming_lipschitz_constant(table, n))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused_alike(self, bad):
+        table = np.zeros(27)
+        table[13] = bad
+        for constant in (hamming_lipschitz_constant, oracle_hamming_lipschitz_constant):
+            with pytest.raises(ValueError, match="^function table has non-finite entries$"):
+                constant(table, 3)
 
 
 class TestMonteCarloDeviation:

@@ -17,12 +17,16 @@ coeffs --csv``, and the repr of ``eta_report``, ``eta_bar_bound_levels``
 and ``eta_bar_bound_linear_growth`` on a spread of pairs.  On every model
 it hashes the CLI run (exit code, stdout, stderr and the bytes of the
 ``--csv`` file, with and without ``--csv``) of ``eta --source
-level|uniform``, of ``sample`` at two seeds and counts, and of ``eta``
-fed the model's level-bound Delta with ``-0.0`` written into two cells.
-On models of at most 1e6 cells it also hashes the same of ``eta --source
-exact``, ``eta --pair``, ``norms``, ``bound`` for both metrics and
-``verify`` with ``--csv``, at 40 trials and at the default of 500.  The
-CSV path in the ``wrote ...`` line is replaced by ``<csv>``.
+level|uniform``, of ``sample`` at three seeds and counts (5,000 paths
+span three sampling blocks), and of ``eta`` fed the model's level-bound
+Delta with ``-0.0`` written into two cells.  On models of at most 1e6
+cells it also hashes the same of ``eta --source exact``, ``eta --pair``,
+``norms``, ``bound`` for both metrics and ``verify`` with ``--csv``, at 40
+trials and at the default of 500.  On models of at most 1e5 cells it
+hashes the Monte Carlo layer: the names and bytes of the
+``lipschitz_test_corpus`` tables, their ``hamming_lipschitz_constant`` and
+the repr of each table's ``monte_carlo_deviation`` estimate.  The CSV
+path in the ``wrote ...`` line is replaced by ``<csv>``.
 A last pass lowers ``TREEMIX_MAX_ENUM`` so that most models exceed it
 and hashes the same for the commands that ask for exact values.  Prints
 the differing entries, with the largest entrywise gap of each differing
@@ -51,6 +55,7 @@ import numpy as np
 
 EXACT_MAX_CELLS = 3 * 10**6
 CLI_MAX_CELLS = 10**6
+MC_MAX_CELLS = 10**5
 LOWERED_CAP = "1000"
 
 
@@ -147,7 +152,7 @@ def _hash_writers(path: str, csv_path: str, m) -> dict[str, str]:
         argv = ["eta", path, "--source", source]
         rec[f"cli_eta_{source}"] = _run_cli(argv, csv_path)
         rec[f"cli_eta_{source}_stdout"] = _run_cli(argv)
-    for seed, count in ((1, 7), (777, 2000)):
+    for seed, count in ((1, 7), (777, 2000), (5, 5000)):
         argv = ["sample", path, "--seed", str(seed), "--count", str(count)]
         rec[f"cli_sample_{seed}"] = _run_cli(argv, csv_path)
         rec[f"cli_sample_{seed}_stdout"] = _run_cli(argv)
@@ -173,6 +178,26 @@ def _hash_cli(path: str, csv_path: str, m) -> dict[str, str]:
         .encode()
     )
     return rec
+
+
+def _hash_monte_carlo(m) -> dict[str, str]:
+    """Hashes of the test corpus, its Lipschitz constants and the Monte
+    Carlo estimates over it."""
+    from treemix import concentration
+
+    corpus = concentration.lipschitz_test_corpus(
+        m.n, m.alphabet_size, np.random.default_rng(1801)
+    )
+    constants = [concentration.hamming_lipschitz_constant(f, m.n) for _, f in corpus]
+    estimates = [
+        concentration.monte_carlo_deviation(m, f, 0.3, 1000, seed=1801) for _, f in corpus
+    ]
+    tables = b"".join(name.encode() + f.dtype.str.encode() + f.tobytes() for name, f in corpus)
+    return {
+        "mc_corpus": _digest(tables),
+        "mc_constants": _digest(repr(constants).encode()),
+        "mc_estimates": _digest(repr(estimates).encode()),
+    }
 
 
 def _hash_lowered_cap(path: str) -> str:
@@ -240,6 +265,8 @@ def _hash_model(path: str, csv_path: str, matrices: dict) -> dict[str, str]:
     rec.update(_hash_writers(path, csv_path, m))
     if m.table_cells() <= CLI_MAX_CELLS:
         rec.update(_hash_cli(path, csv_path, m))
+    if m.table_cells() <= MC_MAX_CELLS:
+        rec.update(_hash_monte_carlo(m))
     return rec
 
 
