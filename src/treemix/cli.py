@@ -157,14 +157,12 @@ def _cmd_eta(args, model, _relabel) -> int:
         i, j = args.pair
         report = eta_report(model, i, j)
         print(f"pair ({i}, {j}): j0={report.j0 if report.j0 is not None else '-'}")
-        if report.exact is not None:
-            print(f"  exact:      {_fmt(report.exact)}")
-        else:
-            print("  exact:      not computed (enumeration cap)")
-        print(f"  level:      {_fmt(report.level_bound)}")
-        print(f"  uniform:    {_fmt(report.uniform_bound)}")
+        entries = [(source.removesuffix("-bound"), v) for source, v in report.values]
         if report.geometric_bound is not None:
-            print(f"  geometric:  {_fmt(report.geometric_bound)}")
+            entries.append(("geometric", report.geometric_bound))
+        for short, value in entries:
+            text = "not computed (enumeration cap)" if value is None else _fmt(value)
+            print(f"  {short + ':':<12s}{text}")
         return 0
     source = _SOURCE_NAMES[args.source]
     delta, _ = build_mixing_matrices(model, source)

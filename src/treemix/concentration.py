@@ -2,7 +2,8 @@
 
 The mixing coefficients bound how a function of all node variables can
 deviate from its mean.  Two matrices are built from any eta_bar source
-(exact, level bound, or uniform closed form):
+of ``SOURCES`` (re-exported from :mod:`treemix.mixing`: exact, level
+bound, or uniform closed form), each filled from its entry's rows:
 
 * ``delta``: unit diagonal, ``eta_bar(i, j)`` above it;
 * ``gamma``: unit diagonal, ``sqrt(eta_bar(i, j))`` above it.
@@ -31,21 +32,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .mixing import exact_row, level_bound_row, uniform_bound_or_one
+from .mixing import SOURCES
 from .model import (
+    _SAMPLE_BLOCK,
     EnumerationLimitError,
     MarkovTreeModel,
     _cells_text,
-    max_contraction,
     sample_paths,
 )
-
-# The eta_bar sources, tightest first: each bounds the one before it.
-# The command line offers each by its name without "-bound".
-SOURCES = ("exact", "level-bound", "uniform-bound")
 
 HAMMING = "hamming"
 EUCLIDEAN = "euclidean"
@@ -72,7 +70,7 @@ class MixingMatrix:
             raise ValueError(f"kind must be 'delta' or 'gamma', got {self.kind!r}")
         if self.provenance not in SOURCES:
             raise ValueError(
-                f"provenance must be one of {SOURCES}, got {self.provenance!r}"
+                f"provenance must be one of {tuple(SOURCES)}, got {self.provenance!r}"
             )
         mat = np.array(self.entries, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
@@ -97,33 +95,19 @@ def build_mixing_matrices(
 ) -> tuple[MixingMatrix, MixingMatrix]:
     """Fill (delta, gamma) from the chosen eta_bar source.
 
-    ``source`` is one of ``SOURCES``; row ``i`` of delta above the
-    diagonal is ``eta_bar(i, j)`` for ``j = i+1..n``.  The exact source
-    runs one frontier sweep per row (:func:`treemix.mixing.exact_row`),
-    without the joint table, and raises
-    :class:`~treemix.model.EnumerationLimitError` above the table's cell
-    cap, even when there is no row to fill (``n == 1``).  The level
-    source reads :func:`treemix.mixing.level_bound_row`.  The uniform
-    source uses the closed form with the model's own max contraction
-    coefficient and width, computed once per offset ``j - i``; if the
-    coefficient reaches 1 the closed form does not apply and the
-    trivial bound 1.0 fills the strictly-upper entries.
+    ``source`` is a key of ``SOURCES``; its entry admits the model, or
+    raises :class:`~treemix.model.EnumerationLimitError` (the exact
+    source above the table's cell cap, even when ``n == 1`` and there is
+    no row to fill), and row ``i`` of delta above the diagonal is its
+    row ``i``: ``eta_bar(i, j)`` for ``j = i+1..n``.
     """
     if source not in SOURCES:
-        raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
+        raise ValueError(f"source must be one of {tuple(SOURCES)}, got {source!r}")
+    rows = SOURCES[source](m)
     n = m.n
-    if source == "exact":
-        m.check_table_cap()
     delta = np.eye(n)
-    if source == "uniform-bound":
-        theta, wid = max_contraction(m), m.tree.width
-        by_offset = [uniform_bound_or_one(theta, wid, 1, 1 + k) for k in range(1, n)]
-        for i in range(1, n):
-            delta[i - 1, i:] = by_offset[: n - i]
-    else:
-        row = exact_row if source == "exact" else level_bound_row
-        for i in range(1, n):
-            delta[i - 1, i:] = row(m, i)
+    for i in range(1, n):
+        delta[i - 1, i:] = rows(i)
     gamma = np.eye(n)
     iu = np.triu_indices(n, k=1)
     gamma[iu] = np.sqrt(delta[iu])
@@ -299,6 +283,10 @@ def monte_carlo_deviation(
     estimated from an independent pre-batch drawn from a disjoint slice
     of the seed's sample streams.  The radius is the
     3-sigma binomial half-width ``3 sqrt(p (1 - p) / samples)``.
+
+    Paths are drawn ``_SAMPLE_BLOCK`` at a time, and their blocks equal
+    one draw: the exceedances are counted block by block, and only the
+    pre-batch's f values, one float per path, are held at once.
     """
     t = float(t)
     if t <= 0.0:
@@ -320,18 +308,30 @@ def monte_carlo_deviation(
         mean = float(m.joint_table().reshape(-1) @ vals)
         mean_source = "exact"
     except EnumerationLimitError:
-        pre = sample_paths(m, seed, samples, stream_offset=samples)
-        mean = float(vals[_flat_indices(pre, m.alphabet_size)].mean())
+        pre = _sampled_values(m, vals, seed, samples, samples)
+        mean = float(np.concatenate(list(pre)).mean())
         mean_source = "sampled"
-    batch = sample_paths(m, seed, samples)
-    fx = vals[_flat_indices(batch, m.alphabet_size)]
-    exceed = int((np.abs(fx - mean) > t).sum())
+    exceed = sum(
+        int((np.abs(fx - mean) > t).sum())
+        for fx in _sampled_values(m, vals, seed, samples, 0)
+    )
     p_hat = exceed / samples
     radius = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / samples)
     return DeviationEstimate(
         t=t, samples=samples, exceed_count=exceed, empirical=p_hat,
         radius=radius, mean=mean, mean_source=mean_source,
     )
+
+
+def _sampled_values(
+    m: MarkovTreeModel, vals: np.ndarray, seed: int, samples: int, offset: int
+) -> Iterator[np.ndarray]:
+    """``vals`` at the paths of streams ``offset .. offset + samples - 1``,
+    one block of at most ``_SAMPLE_BLOCK`` paths at a time."""
+    for start in range(0, samples, _SAMPLE_BLOCK):
+        size = min(_SAMPLE_BLOCK, samples - start)
+        batch = sample_paths(m, seed, size, stream_offset=offset + start)
+        yield vals[_flat_indices(batch, m.alphabet_size)]
 
 
 def _flat_indices(configs: np.ndarray, alphabet_size: int) -> np.ndarray:

@@ -35,6 +35,12 @@ one process.  Three computations are provided, cheapest last:
   (``eta_bar_bound_uniform``, ``geometric_rate``) or from linear level
   growth (``eta_bar_bound_linear_growth``).
 
+``SOURCES`` is the bound ladder as one table, tightest first: each
+source (``"exact"``, ``"level-bound"``, ``"uniform-bound"``) maps a model
+to its rows, admitting the model or refusing it once.  The mixing
+matrices of :mod:`treemix.concentration`, ``eta_report`` and the command
+line read every source through it, so a new rung is one entry.
+
 ``eta_factorization`` rebuilds eta(i, j; y, w, w') for one state pair
 as ``tv(B A^(d_k) ... A^(d_2) h)``: the column-difference tensor ``h``
 at the first level below ``i``, one dense stochastic operator per level
@@ -47,9 +53,11 @@ path; the ``verify`` factorization suite checks the frontier sweep of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -229,6 +237,12 @@ def eta_bar_bound_levels(m: MarkovTreeModel, i: int, j: int) -> float:
     return float(level_bound_row(m, i)[j - i - 1])
 
 
+def _uniform_step(theta: float, L: int) -> float:
+    """The uniform bound's factor per ``L`` steps: ``1 - (1 - theta)**L``,
+    computed as ``theta`` on a chain (``L == 1``)."""
+    return theta if L == 1 else 1.0 - (1.0 - theta) ** L
+
+
 def eta_bar_bound_uniform(theta: float, width_cap: int, i: int, j: int) -> float:
     """Closed-form bound from a uniform contraction coefficient.
 
@@ -245,14 +259,7 @@ def eta_bar_bound_uniform(theta: float, width_cap: int, i: int, j: int) -> float
     i, j = int(i), int(j)
     if not i < j:
         raise ValueError(f"need i < j, got i={i}, j={j}")
-    if L == 1:
-        return theta ** (j - i)
-    return (1.0 - (1.0 - theta) ** L) ** ((j - i) // L)
-
-
-def uniform_bound_or_one(theta: float, width_cap: int, i: int, j: int) -> float:
-    """:func:`eta_bar_bound_uniform`, or the trivial bound 1.0 once theta reaches 1."""
-    return eta_bar_bound_uniform(theta, width_cap, i, j) if theta < 1.0 else 1.0
+    return _uniform_step(theta, L) ** ((j - i) // L)
 
 
 def geometric_rate(theta: float, width_cap: int) -> float:
@@ -439,43 +446,80 @@ def eta_factorization(
     )
 
 
+def _exact_rows(m: MarkovTreeModel) -> Callable[[int], np.ndarray]:
+    """Rows of :func:`exact_row`, once the model is admitted.  The check
+    runs here, before any row is asked, so it also refuses a single-node
+    model over the cap, which has no row."""
+    m.check_table_cap()
+    return functools.partial(exact_row, m)
+
+
+def _uniform_rows(m: MarkovTreeModel) -> Callable[[int], np.ndarray]:
+    """Rows of :func:`eta_bar_bound_uniform` with the model's largest
+    contraction coefficient theta and its width ``L``.
+
+    The bound is ``step ** ((j - i) // L)``: the step is computed once per
+    model and raised to each exponent once, ``(n - 1) // L + 1`` powers
+    in all, not one per cell.  Row ``i`` is the first ``n - i`` offsets
+    ``j - i``.  Once theta reaches 1 the closed form does not apply, and
+    the trivial bound 1.0 fills every row.
+    """
+    theta, wid, n = max_contraction(m), m.tree.width, m.n
+    if theta < 1.0:
+        step = _uniform_step(theta, wid)
+        by_offset = np.repeat([step ** e for e in range((n - 1) // wid + 1)], wid)[1:n]
+    else:
+        by_offset = np.ones(n - 1)
+    return lambda i: by_offset[: n - i]
+
+
+# The eta_bar sources, tightest first: each bounds the one before it.  Each
+# maps a model to its rows, ``rows(i)`` being eta_bar(i, j) for j = i+1..n,
+# or raises EnumerationLimitError if it refuses the model.
+SOURCES: Mapping[str, Callable[[MarkovTreeModel], Callable[[int], np.ndarray]]] = (
+    MappingProxyType({
+        "exact": _exact_rows,
+        "level-bound": lambda m: functools.partial(level_bound_row, m),
+        "uniform-bound": _uniform_rows,
+    })
+)
+
+
 @dataclass(frozen=True)
 class EtaReport:
-    """All available values and bounds for one pair (i, j)."""
+    """Every source's eta_bar(i, j) for one pair, and the geometric bound.
+
+    ``values`` pairs each source of :data:`SOURCES`, in ladder order,
+    with its value, or with None where the source refuses the model
+    (exact above the cell cap).  ``geometric_bound`` is present only when
+    the largest contraction coefficient is in (0, 1) and ``j - i`` is at
+    least the width.
+    """
 
     i: int
     j: int
     j0: int | None
-    exact: float | None
-    level_bound: float
-    uniform_bound: float
+    values: tuple[tuple[str, float | None], ...]
     geometric_bound: float | None
 
 
-def eta_report(m: MarkovTreeModel, i: int, j: int) -> EtaReport:
-    """Assemble the exact value and the bound ladder for one pair.
-
-    ``exact`` is None when :func:`eta_bar_exact` refuses the model (above
-    the cell cap).  For a model whose largest contraction coefficient
-    reaches 1, the uniform closed form does not apply and the trivial
-    bound 1.0 is reported; the geometric bound is present only when the
-    largest coefficient is in (0, 1) and ``j - i >= wid``.
-    """
-    i, j = _check_pair(m, i, j)
+def _entry(factory, m: MarkovTreeModel, i: int, j: int) -> float | None:
     try:
-        exact: float | None = eta_bar_exact(m, i, j)
+        return float(factory(m)(i)[j - i - 1])
     except EnumerationLimitError:
-        exact = None
+        return None
 
-    level = eta_bar_bound_levels(m, i, j)
-    theta = max_contraction(m)
-    wid = m.tree.width
-    uniform = uniform_bound_or_one(theta, wid, i, j)
+
+def eta_report(m: MarkovTreeModel, i: int, j: int) -> EtaReport:
+    """Every source's eta_bar(i, j), read off its row ``i``, and the
+    geometric bound."""
+    i, j = _check_pair(m, i, j)
+    values = tuple((source, _entry(factory, m, i, j)) for source, factory in SOURCES.items())
+    theta, wid = max_contraction(m), m.tree.width
     geometric: float | None = None
     if 0.0 < theta < 1.0 and j - i >= wid:
         geometric = geometric_rate(theta, wid) ** (j - i)
-    j0 = first_descendant_at_or_after(m.tree, i, j)
     return EtaReport(
-        i=i, j=j, j0=j0, exact=exact, level_bound=level,
-        uniform_bound=uniform, geometric_bound=geometric,
+        i=i, j=j, j0=first_descendant_at_or_after(m.tree, i, j), values=values,
+        geometric_bound=geometric,
     )

@@ -24,7 +24,6 @@ for any trial count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -73,10 +72,11 @@ def _skip(name: str, note: str) -> SuiteResult:
 def _delta(m: MarkovTreeModel, source: str) -> MixingMatrix:
     """The Delta that ``build_mixing_matrices(m, source)`` returns, built
     once per model and source and cached on the model, like the joint
-    table.  A refused source caches nothing and blocks no other, and the
-    cached exact Delta is read only while the model is under the cap."""
-    if source == "exact":
-        m.check_table_cap()
+    table.  Every source admits the model through its ``SOURCES`` entry
+    on every call: a refused source caches nothing and blocks no other,
+    and the cached exact Delta is read only while the model is under the
+    cap."""
+    SOURCES[source](m)
     deltas = m.__dict__.setdefault("_deltas", {})
     if source not in deltas:
         deltas[source] = build_mixing_matrices(m, source)[0]
@@ -101,10 +101,10 @@ def _suite_markov_property(m, trials, rng) -> SuiteResult:
 
 # The enumeration oracle: eta(i, j; y, w, w') for every prefix y, read
 # off the joint table.  The exact engine (mixing.exact_row) never builds
-# the table; the tests, and the j0-reduction and factorization suites,
-# check the pivot identity and the engine's frontier sweep against these
-# tables.  The suites tabulate each pair (i, j) once per run and hold one
-# node's tables at a time.
+# the table; the j0-reduction and factorization suites check the pivot
+# identity and the engine's frontier sweep against these tables.  They
+# tabulate each pair (i, j) once per run and hold one node's tables at a
+# time.
 
 
 def _tail_laws(m: MarkovTreeModel, i: int) -> Iterator[np.ndarray]:
@@ -144,12 +144,6 @@ def _tv_tables(tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             tv[:, w, wp] = d
             tv[:, wp, w] = d
     return tv, feasible
-
-
-def _eta_tables(m: MarkovTreeModel, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_tv_tables` of the tail law at ``j``."""
-    i, j = mixing._check_pair(m, i, j)
-    return _tv_tables(next(islice(_tail_laws(m, i), j - i - 1, None)))
 
 
 def _pivot_suites(m: MarkovTreeModel) -> tuple[SuiteResult, SuiteResult]:

@@ -430,6 +430,15 @@ def oracle_tv_tables(tail):
     return tv, feasible
 
 
+def oracle_eta_tables(m, i, j):
+    """eta(i, j; y, w, w') for every prefix y, as :func:`oracle_tv_tables`
+    of the law of (x_{1..i-1}, x_i, x_{j..n}), the nodes between summed
+    out of the joint table in one step."""
+    s = m.alphabet_size
+    joint = m.joint_table().reshape(s ** (i - 1), s, s ** (j - i - 1), -1)
+    return oracle_tv_tables(joint.sum(axis=2))
+
+
 def oracle_j0_reduction_suite(m):
     """The j0-reduction suite, tabulating each node's tables on its own."""
     from treemix.treegraph import first_descendant_at_or_after
@@ -544,7 +553,8 @@ def oracle_sample_text(batch, alphabet_size):
 # built their tables axis by axis: the corpus from an ``np.indices`` grid
 # of n * s**n entries, the constant from a ``moveaxis`` copy of the table
 # per axis.  The library must return the same tables and constants, bit
-# for bit, and leave the caller's rng in the same state.
+# for bit, and leave the caller's rng in the same state.  The deviation
+# estimate (last) must equal the library's, repr for repr.
 
 
 def oracle_hamming_lipschitz_constant(f, n) -> float:
@@ -579,3 +589,28 @@ def oracle_lipschitz_test_corpus(n, alphabet_size, rng) -> list[tuple[str, np.nd
     raw = rng.random(s**n)
     out.append(("random-table-0", raw / oracle_hamming_lipschitz_constant(raw, n)))
     return out
+
+
+def oracle_monte_carlo_deviation(m, f, t, samples, seed):
+    """``monte_carlo_deviation`` as it was before it drew its paths in
+    blocks: each batch in one ``sample_paths`` call."""
+    from treemix.concentration import DeviationEstimate, _flat_indices
+    from treemix.model import EnumerationLimitError, sample_paths
+
+    vals = np.asarray(f, dtype=float).reshape(-1)
+    try:
+        mean = float(m.joint_table().reshape(-1) @ vals)
+        mean_source = "exact"
+    except EnumerationLimitError:
+        pre = sample_paths(m, seed, samples, stream_offset=samples)
+        mean = float(vals[_flat_indices(pre, m.alphabet_size)].mean())
+        mean_source = "sampled"
+    batch = sample_paths(m, seed, samples)
+    fx = vals[_flat_indices(batch, m.alphabet_size)]
+    exceed = int((np.abs(fx - mean) > t).sum())
+    p_hat = exceed / samples
+    radius = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / samples)
+    return DeviationEstimate(
+        t=float(t), samples=samples, exceed_count=exceed, empirical=p_hat,
+        radius=radius, mean=mean, mean_source=mean_source,
+    )

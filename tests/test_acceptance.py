@@ -37,7 +37,6 @@ from treemix.model import (
 )
 from treemix.modelfile import random_model
 from treemix.treegraph import first_descendant_at_or_after
-from treemix.verification import _eta_tables
 from treemix.tvalgebra import (
     IndexedTensor,
     StochasticOperator,
@@ -47,6 +46,8 @@ from treemix.tvalgebra import (
     tensor_product,
     tv_distance,
 )
+
+from conftest import oracle_eta_tables
 
 
 def report(num: int, ok: bool, what: str, detail: str) -> None:
@@ -125,14 +126,14 @@ def test_criterion_3_pivot_equality():
             for j in range(i + 1, n + 1):
                 j0 = first_descendant_at_or_after(m.tree, i, j)
                 if j0 is None:
-                    tv, _ = _eta_tables(m, i, j)
+                    tv, _ = oracle_eta_tables(m, i, j)
                     worst_zero = max(worst_zero, float(tv.max()))
                     zero_pairs += 1
                     continue
                 if j0 == j:
                     continue
-                tv_j, feas = _eta_tables(m, i, j)
-                tv_p, _ = _eta_tables(m, i, j0)
+                tv_j, feas = oracle_eta_tables(m, i, j)
+                tv_p, _ = oracle_eta_tables(m, i, j0)
                 both = feas[:, :, None] & feas[:, None, :]
                 gap = np.abs(tv_j - tv_p)[both]
                 if gap.size:

@@ -1,6 +1,9 @@
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -189,12 +192,46 @@ class TestEta:
         assert "level:" in out
         assert "uniform:" in out
 
+    def test_pair_lines_follow_the_rung_table(self, model_path, capsys):
+        assert main(["eta", model_path, "--pair", "1", "6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = [line.split(":")[0].strip() for line in lines[1:]]
+        short = [source.removesuffix("-bound") for source in concentration.SOURCES]
+        assert names[: len(short)] == short
+        assert names[len(short) :] in ([], ["geometric"])
+
     def test_csv_output(self, model_path, tmp_path, capsys):
         csv = str(tmp_path / "eta.csv")
         assert main(["eta", model_path, "--source", "exact", "--csv", csv]) == 0
         lines = Path(csv).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "i,j,eta_bar,provenance"
         assert len(lines) == 1 + 15  # 6 choose 2 pairs
+
+
+class TestEntryPoint:
+    def test_python_m_treemix_matches_main(self, tmp_path, capsys, monkeypatch):
+        # The package's __main__ in a child process: exit code, stdout and
+        # stderr equal those of cli.main in-process.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        monkeypatch.delenv("TREEMIX_MAX_ENUM", raising=False)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        path = str(tmp_path / "model.json")
+        runs = [
+            (["gen", "--nodes", "7", "--seed", "3", "-o", path], {}, 0),
+            (["eta", path, "--pair", "1", "5"], {}, 0),
+            (["eta", path, "--source", "exact"], {"TREEMIX_MAX_ENUM": "4"}, 2),
+        ]
+        for argv, extra, code in runs:
+            child = subprocess.run(
+                [sys.executable, "-m", "treemix", *argv],
+                env={**env, **extra}, capture_output=True, text=True, timeout=120,
+            )
+            for key, value in extra.items():
+                monkeypatch.setenv(key, value)
+            assert main(argv) == code
+            out = capsys.readouterr()
+            assert (child.returncode, child.stdout, child.stderr) == (code, out.out, out.err)
 
 
 class TestCoeffs:
@@ -441,7 +478,7 @@ def eta_matrices(draw):
     return np.array(cells, dtype=np.float64).reshape(n, n)
 
 
-@given(entries=eta_matrices(), source=st.sampled_from(concentration.SOURCES))
+@given(entries=eta_matrices(), source=st.sampled_from(tuple(concentration.SOURCES)))
 @example(entries=np.array([[1.0]]), source="exact")
 @example(entries=np.array([[1.0, -0.0], [0.0, 1.0]]), source="level-bound")
 @settings(max_examples=150, deadline=None)

@@ -1,10 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from treemix import concentration
+from treemix import concentration, mixing
 from treemix.concentration import (
     EUCLIDEAN,
     HAMMING,
@@ -18,6 +19,7 @@ from treemix.concentration import (
     monte_carlo_deviation,
     tail_bound,
 )
+from treemix.model import _SAMPLE_BLOCK, max_contraction
 from treemix.modelfile import random_model
 
 from conftest import (
@@ -25,6 +27,7 @@ from conftest import (
     chain_model,
     oracle_hamming_lipschitz_constant,
     oracle_lipschitz_test_corpus,
+    oracle_monte_carlo_deviation,
 )
 
 
@@ -89,6 +92,23 @@ class TestBuildMixingMatrices:
         m = chain_model([ROWS_05])
         with pytest.raises(ValueError, match="source"):
             build_mixing_matrices(m, "approximate")
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_uniform_step_once_per_matrix(self, monkeypatch, width):
+        # The closed form is step ** ((j - i) // width): one step per matrix,
+        # not one closed form per cell, and every cell equals the per-pair
+        # closed form bit for bit.
+        calls = []
+        step = mixing._uniform_step
+        monkeypatch.setattr(mixing, "_uniform_step", lambda *a: calls.append(a) or step(*a))
+        m = random_model(6, n=9, alphabet_size=2, width=width)
+        delta, _ = build_mixing_matrices(m, "uniform-bound")
+        assert m.tree.width == width
+        assert len(calls) == 1
+        theta = max_contraction(m)
+        for i, j in zip(*np.triu_indices(m.n, k=1)):
+            want = mixing.eta_bar_bound_uniform(theta, width, i + 1, j + 1)
+            assert delta.entries[i, j] == want
 
 
 class TestDeltaInfNorm:
@@ -383,6 +403,36 @@ class TestMonteCarloDeviation:
         est = monte_carlo_deviation(m, freq.reshape(-1), 0.3, 4000, seed=2)
         assert est.mean_source == "sampled"
         assert est.mean == pytest.approx(0.5, abs=0.05)
+
+    @pytest.mark.parametrize("mean_source", ["exact", "sampled"])
+    def test_blocks_equal_one_draw(self, monkeypatch, mean_source):
+        # Samples spanning three blocks, the last one partial, give the
+        # estimate of one sample_paths call per batch, bit for bit.
+        m = random_model(2, n=7, alphabet_size=3)
+        corpus = lipschitz_test_corpus(m.n, 3, np.random.default_rng(5))
+        if mean_source == "sampled":
+            monkeypatch.setenv("TREEMIX_MAX_ENUM", "1000")
+        samples = 2 * _SAMPLE_BLOCK + 7
+        for _, f in corpus:
+            est = monte_carlo_deviation(m, f, 0.1, samples, seed=9)
+            assert est.mean_source == mean_source
+            assert repr(est) == repr(oracle_monte_carlo_deviation(m, f, 0.1, samples, 9))
+
+    def test_memory_does_not_grow_with_samples(self):
+        # A 10-node, 3-state chain under the cap: the exact mean, and each
+        # block's paths held one block at a time.
+        m = random_model(5, n=10, alphabet_size=3, width=1)
+        _, f = lipschitz_test_corpus(m.n, 3, np.random.default_rng(0))[0]
+        m.joint_table()  # built once, outside both measurements
+        peaks = []
+        for samples in (100_000, 400_000):
+            tracemalloc.start()
+            try:
+                monte_carlo_deviation(m, f, 0.2, samples, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], peaks
 
     def test_rejects_unnormalized_function(self):
         m = self.fair_bits(3)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treemix.mixing import (
+    SOURCES,
     LevelGrowthError,
     eta_bar_bound_levels,
     eta_bar_bound_linear_growth,
@@ -21,7 +22,6 @@ from treemix.concentration import build_mixing_matrices
 from treemix.model import EnumerationLimitError, Kernel, MarkovTreeModel, max_contraction
 from treemix.modelfile import random_model
 from treemix.treegraph import first_descendant_at_or_after
-from treemix.verification import _eta_tables
 
 from conftest import (
     ROWS_05,
@@ -30,6 +30,7 @@ from conftest import (
     make_model,
     oracle_eta,
     oracle_eta_bar,
+    oracle_eta_tables,
     oracle_level_bound,
     sparsified,
 )
@@ -100,7 +101,7 @@ class TestEtaBarExact:
         # deterministic root: only state 0 is ever seen at node 1, so
         # the sup over feasible pairs at node 1 is empty and equals 0
         m = chain_model([ROWS_07], root_dist=[1.0, 0.0])
-        tv, feasible = _eta_tables(m, 1, 2)
+        tv, feasible = oracle_eta_tables(m, 1, 2)
         assert not feasible[0, 1]
         assert eta_bar_exact(m, 1, 2) == 0.0
 
@@ -115,8 +116,8 @@ class TestJ0Reduction:
                     j0 = first_descendant_at_or_after(m.tree, i, j)
                     if j0 is None or j0 == j:
                         continue
-                    tv_j, feas = _eta_tables(m, i, j)
-                    tv_j0, _ = _eta_tables(m, i, j0)
+                    tv_j, feas = oracle_eta_tables(m, i, j)
+                    tv_j0, _ = oracle_eta_tables(m, i, j0)
                     np.testing.assert_allclose(tv_j, tv_j0, atol=1e-12)
 
     def test_chain_pivot_is_j(self, chain3_07):
@@ -332,7 +333,7 @@ class TestFactorization:
                     if first_descendant_at_or_after(m.tree, i, j) is None:
                         continue
                     trace = eta_factorization(m, i, j, 0, 1)
-                    tv, feasible = _eta_tables(m, i, j)
+                    tv, feasible = oracle_eta_tables(m, i, j)
                     got = tv[:, 0, 1][feasible[:, 0] & feasible[:, 1]]
                     if got.size:
                         # y-independence: every feasible prefix agrees
@@ -372,31 +373,39 @@ class TestFactorization:
 
 
 class TestEtaReport:
+    @pytest.mark.parametrize("cap", [None, "4"])
+    def test_values_follow_the_rung_table(self, monkeypatch, binary7_05, cap):
+        if cap is not None:
+            monkeypatch.setenv("TREEMIX_MAX_ENUM", cap)
+        r = eta_report(binary7_05, 2, 6)
+        assert tuple(source for source, _ in r.values) == tuple(SOURCES)
+        assert (r.values[0][1] is None) == (cap is not None)
+
     def test_ladder_ordering(self):
         for seed in range(5):
             m = random_model(seed, n=6, alphabet_size=2)
             for i, j in [(1, 4), (2, 6), (1, 6)]:
-                r = eta_report(m, i, j)
-                assert r.exact is not None
-                assert r.exact <= r.level_bound + 1e-12
-                assert r.level_bound <= r.uniform_bound + 1e-12
+                exact, level, uniform = (v for _, v in eta_report(m, i, j).values)
+                assert exact is not None
+                assert exact <= level + 1e-12
+                assert level <= uniform + 1e-12
 
     def test_geometric_presence_rule(self, binary7_05):
         # width 4: pairs closer than 4 get no geometric bound
         assert eta_report(binary7_05, 1, 4).geometric_bound is None
         r = eta_report(binary7_05, 1, 5)
         assert r.geometric_bound is not None
-        assert r.uniform_bound <= r.geometric_bound + 1e-12
+        assert dict(r.values)["uniform-bound"] <= r.geometric_bound + 1e-12
 
     def test_exact_omitted_over_cap(self, monkeypatch, binary7_05):
         monkeypatch.setenv("TREEMIX_MAX_ENUM", "4")
         r = eta_report(binary7_05, 1, 4)
-        assert r.exact is None
+        assert dict(r.values)["exact"] is None
         with pytest.raises(EnumerationLimitError):
             eta_bar_exact(binary7_05, 1, 4)
 
     def test_degenerate_kernel_reports_trivial_uniform(self):
         m = chain_model([[[1.0, 0.0], [0.0, 1.0]], ROWS_07])
         r = eta_report(m, 1, 3)
-        assert r.uniform_bound == 1.0
+        assert dict(r.values)["uniform-bound"] == 1.0
         assert r.geometric_bound is None

@@ -19,7 +19,6 @@ from treemix.tvalgebra import alpha
 from treemix.verification import (
     _SUITES,
     SuiteResult,
-    _eta_tables,
     _suite_bound_dominance,
     _suite_factorization,
     _suite_j0_reduction,
@@ -28,6 +27,7 @@ from treemix.verification import (
 
 from conftest import (
     make_model,
+    oracle_eta_tables,
     oracle_j0_reduction_suite,
     oracle_tensor_two_factor_suite,
     oracle_tv_contraction_suite,
@@ -71,7 +71,8 @@ class TestRunVerification:
 
     def test_each_product_is_computed_once(self, monkeypatch):
         """One run builds each source's Delta once, reads the exact rows
-        from it and each pivot from the frontier sweep."""
+        from it (each row is swept once, by that build) and each pivot
+        from the frontier sweep."""
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -86,9 +87,10 @@ class TestRunVerification:
         walk = counted("walk", treegraph.first_descendant_at_or_after)
         for module in (treegraph, mixing, verification):
             monkeypatch.setattr(module, "first_descendant_at_or_after", walk, raising=False)
-        results = run_verification(random_model(4, n=9, width=3), trials=20, seed=1)
+        m = random_model(4, n=9, width=3)
+        results = run_verification(m, trials=20, seed=1)
         assert all(r.status == "pass" for r in results), results
-        assert calls == {"exact": 1, "level-bound": 1, "uniform-bound": 1}
+        assert calls == {"exact": 1, "level-bound": 1, "uniform-bound": 1, "exact_row": m.n - 1}
 
     def test_reused_model_rechecks_the_cap(self, monkeypatch):
         """A model verified once, then again under a lower cap, reports
@@ -135,9 +137,9 @@ def test_bound_dominance_matches_per_pair_reports(seed):
     pairs = 0
     for i in range(1, m.n):
         for j in range(i + 1, m.n + 1):
-            report = eta_report(m, i, j)
-            worst = max(worst, report.exact - report.level_bound)
-            worst = max(worst, report.level_bound - report.uniform_bound)
+            exact, level, uniform = (v for _, v in eta_report(m, i, j).values)
+            worst = max(worst, exact - level)
+            worst = max(worst, level - uniform)
             pairs += 1
     result = _suite_bound_dominance(m, 1, np.random.default_rng(0))
     assert (result.max_violation, result.trials) == (worst, pairs)
@@ -229,7 +231,7 @@ def test_eta_factorization_matches_enumeration(m):
     s = m.alphabet_size
     for i in range(1, m.n):
         for j in range(i + 1, subtree_runs(m.tree, i)[-1][-1] + 1):
-            tv, feasible = _eta_tables(m, i, j)
+            tv, feasible = oracle_eta_tables(m, i, j)
             level = eta_bar_bound_levels(m, i, j)
             for w in range(s):
                 for wp in range(s):
