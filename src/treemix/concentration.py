@@ -289,7 +289,7 @@ def monte_carlo_deviation(
     pre-batch's f values, one float per path, are held at once.
     """
     t = float(t)
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")

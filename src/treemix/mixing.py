@@ -319,7 +319,7 @@ def eta_bar_bound_linear_growth(
     """
     i, j = _check_pair(m, i, j)
     c = float(c)
-    if c <= 0.0:
+    if not (math.isfinite(c) and c > 0.0):
         raise ValueError(f"growth constant must be positive, got {c}")
     tree = m.tree
     for d in range(1, tree.depth + 1):

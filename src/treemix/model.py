@@ -22,13 +22,12 @@ of one forward pass (``node_marginals``) and the joint table behind
 Conditional laws given a prefix and the verification oracles enumerate
 the joint table.  Exact mixing coefficients do not build it: they sweep
 small frontier laws down the tree (:mod:`treemix.mixing`), reading the
-node marginals.  Every exact computation is
-still admitted by one rule, ``check_table_cap``: ``alphabet_size ** n``
-must not exceed ``enumeration_cap()``, which is 1e7 unless the
-``TREEMIX_MAX_ENUM`` environment variable sets it.  Each exact entry
-point asks it before any work, and every exact read asks it again,
-cached or not, so a lowered cap refuses a model admitted before.  A
-refusal raises :class:`EnumerationLimitError`; callers that can go
+node marginals.  Every exact computation is still admitted by one
+rule, ``check_table_cap``: ``alphabet_size ** n`` must not exceed
+``enumeration_cap()``, which is 1e7 unless the ``TREEMIX_MAX_ENUM``
+environment variable sets it.  Each exact entry point asks it before any
+work, and every read of the joint table asks it again, cached or not, so
+a lowered cap refuses a model admitted before.  A refusal raises :class:`EnumerationLimitError`; callers that can go
 without an exact value catch it instead of comparing cells to the cap.
 So admission does not depend on which computation asks first, on
 whether the answer needs any work, or on what was computed before.

@@ -6,12 +6,17 @@ and passes or fails against a fixed tolerance.  Suites that need the
 joint table are skipped (not failed) when building it would exceed the
 enumeration cap.  Everything is deterministic given the seed.
 
-Each product is computed once per model.  The j0-reduction and
-factorization suites read one frontier sweep per node, the sweep every
-exact command runs, against the node's enumeration tables, so no suite
-builds an object larger than the joint table.  Each source's Delta is
-built once and cached on the model: both dominance suites read one
-ladder check of them, and norm-identity reads the level source's.
+Each suite is one ``_SUITES`` row of its name, check and tolerance.  A
+check returns its worst violation and trial count, or raises
+:class:`_Skip` with its note; :func:`run_verification` alone turns that,
+or a refusal by the cap, into a :class:`SuiteResult`.
+
+Each shared product is built once per run, on first use, and kept by
+the run, not the model.  The j0-reduction and factorization suites read
+one pivot pass: a frontier sweep per node, the sweep every exact command
+runs, against the node's enumeration tables, so no suite builds an
+object larger than the joint table.  Both dominance suites read one
+ladder check of the sources' Delta, and norm-identity the level one.
 
 The tv-contraction and tensor-two-factor suites draw each trial on its
 own, in order, from one stream, so every later suite's seed does not
@@ -23,6 +28,7 @@ for any trial count.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -31,7 +37,6 @@ import numpy as np
 from . import mixing
 from .concentration import (
     SOURCES,
-    MixingMatrix,
     build_mixing_matrices,
     delta_inf_norm,
     linf_operator_norm,
@@ -44,7 +49,6 @@ from .model import (
 )
 from .tvalgebra import alpha, column_tv_norms
 
-_TOL = 1e-12
 # Trials per array pass of the random-trial suites: one chunk's draws are
 # held at a time, so memory stays bounded for any trial count.
 _TRIAL_CHUNK = 1024
@@ -60,51 +64,15 @@ class SuiteResult:
     note: str = ""
 
 
-def _result(name: str, violation: float, trials: int, tol: float = _TOL) -> SuiteResult:
-    status = "pass" if violation <= tol else "fail"
-    return SuiteResult(name, status, violation, trials)
-
-
-def _skip(name: str, note: str) -> SuiteResult:
-    return SuiteResult(name, "skip", None, 0, note)
-
-
-def _delta(m: MarkovTreeModel, source: str) -> MixingMatrix:
-    """The Delta that ``build_mixing_matrices(m, source)`` returns, built
-    once per model and source and cached on the model, like the joint
-    table.  Every source admits the model through its ``SOURCES`` entry
-    on every call: a refused source caches nothing and blocks no other,
-    and the cached exact Delta is read only while the model is under the
-    cap."""
-    SOURCES[source](m)
-    deltas = m.__dict__.setdefault("_deltas", {})
-    if source not in deltas:
-        deltas[source] = build_mixing_matrices(m, source)[0]
-    return deltas[source]
-
-
-def _suite_measure_normalization(m, trials, rng) -> SuiteResult:
-    total = float(m.joint_table().sum())
-    return _result("measure-normalization", abs(total - 1.0), 1, tol=1e-10)
-
-
-def _suite_markov_property(m, trials, rng) -> SuiteResult:
-    branchers = [u for u in range(1, m.n + 1) if len(m.tree.children[u]) >= 2]
-    if not branchers:
-        return _skip("markov-property", "no node with two or more children")
-    worst = 0.0
-    for u in branchers:
-        _, violation = verify_markov_property(m, u)
-        worst = max(worst, violation)
-    return _result("markov-property", worst, len(branchers))
+class _Skip(Exception):
+    """Raised by a check that does not apply to the model; the message is its note."""
 
 
 # The enumeration oracle: eta(i, j; y, w, w') for every prefix y, read
 # off the joint table.  The exact engine (mixing.exact_row) never builds
-# the table; the j0-reduction and factorization suites check the pivot
-# identity and the engine's frontier sweep against these tables.  They
-# tabulate each pair (i, j) once per run and hold one node's tables at a
-# time.
+# the table; the pivot pass checks the pivot identity and the engine's
+# frontier sweep against these tables.  It tabulates each pair (i, j)
+# once per run and holds one node's tables at a time.
 
 
 def _tail_laws(m: MarkovTreeModel, i: int) -> Iterator[np.ndarray]:
@@ -146,93 +114,125 @@ def _tv_tables(tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tv, feasible
 
 
-def _pivot_suites(m: MarkovTreeModel) -> tuple[SuiteResult, SuiteResult]:
-    """The j0-reduction and factorization suites from one frontier sweep per node.
+class _Run:
+    """One ``verify`` run: the model, the trial count and the one stream
+    the suites draw from in order.  Each shared product is built on first
+    use and kept for this run only; one refused by the cap is asked for
+    again by the next suite that reads it, and refused again."""
 
-    Each node's enumeration tables are tabulated once and read by both
-    suites; only one node's tables are held at a time.  Each law of
-    :func:`mixing._frontier_laws` serves every ``j`` in its ``js``, and
-    all of them pivot at ``j0 = js.stop - 1``: their tables must equal
-    the pivot's, and each table past the last subtree node must be 0.
-    Each swept TV must equal the enumerated one at every feasible prefix,
-    and each exact row of the Delta the commands print the enumerated
-    supremum.  The law yielded after the last node of a subtree run is
-    the law of the next level, whose TV the alpha rule contracts:
-    ``TV_k <= alpha_k TV_(k-1)``, with ``TV_0 = 1``.  Every frontier in
-    between is a function of the level above it, so its TV is at most
-    that level's.  Neither suite draws from the rng, so the pair is
-    computed once per model and cached on it, like the joint table it
-    reads, and read again only while the model is under the cap.
-    """
-    m.check_table_cap()
-    cached = m.__dict__.get("_pivot_suites")
-    if cached is not None:
-        return cached
-    pairs = w, wp = np.triu_indices(m.alphabet_size, k=1)
-    reduction = worst = 0.0
-    checked = 0
-    for i in range(1, m.n):
-        tables = [_tv_tables(tail) for tail in _tail_laws(m, i)]
-        runs, levels = mixing._subtree_levels(m, i)
-        level_alpha = {run[-1]: alpha(thetas) for run, thetas in zip(runs, levels)}
-        sup = [tv.max() for tv, _ in tables]
-        exact = _delta(m, "exact").entries[i - 1, i:]
-        worst = max(worst, float(np.abs(exact - sup).max()))
-        level_tv = np.ones(len(w))
-        end = 0
-        for js, laws in mixing._frontier_laws(m, i):
-            swept = mixing._pair_tvs(laws, pairs)
-            end = js.stop - i - 1
-            pivot = tables[end - 1][0]
-            for tv, feasible in tables[js.start - i - 1 : end]:
-                reduction = max(reduction, float(np.abs(tv - pivot).max()))
-                both = feasible[:, w] & feasible[:, wp]
-                gap = np.abs(tv[:, w, wp] - swept)[both]
-                worst = max(worst, float(gap.max(initial=0.0)))
-                checked += len(w)
-            a = level_alpha.get(js.start - 1)
-            if a is None:
-                worst = max(worst, float((swept - level_tv).max(initial=0.0)))
-            else:
-                worst = max(worst, float((swept - a * level_tv).max(initial=0.0)))
-                level_tv = swept
-        for tv, _ in tables[end:]:
-            reduction = max(reduction, float(np.abs(tv).max()))
-        del tables
-    cached = (
-        _result("j0-reduction", reduction, m.n * (m.n - 1) // 2),
-        _result("factorization", worst, checked) if checked
-        else _skip("factorization", "no pair (i, j) with a pivot"),
-    )
-    m.__dict__["_pivot_suites"] = cached
-    return cached
+    def __init__(self, m: MarkovTreeModel, trials: int, rng: np.random.Generator) -> None:
+        self.m, self.trials, self.rng = m, trials, rng
+        # The Delta that ``build_mixing_matrices(m, source)`` returns.
+        self.delta = functools.cache(lambda source: build_mixing_matrices(m, source)[0])
+
+    def result(
+        self, name: str, check: Callable[[_Run], tuple[float, int]], tol: float
+    ) -> SuiteResult:
+        """The result of one ``_SUITES`` row."""
+        try:
+            violation, trials = check(self)
+        except _Skip as skip:
+            return SuiteResult(name, "skip", None, 0, str(skip))
+        except EnumerationLimitError:
+            return SuiteResult(name, "skip", None, 0, "joint table exceeds the enumeration cap")
+        return SuiteResult(name, "pass" if violation <= tol else "fail", violation, trials)
+
+    @functools.cached_property
+    def pivots(self) -> tuple[float, float, int]:
+        """``(reduction, worst, checked)`` of the j0-reduction and
+        factorization suites, from one frontier sweep per node.
+
+        Each node's enumeration tables are tabulated once and read by
+        both suites; only one node's tables are held at a time.  Each law
+        of :func:`mixing._frontier_laws` serves every ``j`` in its ``js``,
+        and all of them pivot at ``j0 = js.stop - 1``: their tables must
+        equal the pivot's, and each table past the last subtree node must
+        be 0.  Each swept TV must equal the enumerated one at every
+        feasible prefix, and each exact row of the Delta the commands
+        print the enumerated supremum.  The law yielded after the last
+        node of a subtree run is the law of the next level, whose TV the
+        alpha rule contracts: ``TV_k <= alpha_k TV_(k-1)``, with
+        ``TV_0 = 1``.  Every frontier in between is a function of the
+        level above it, so its TV is at most that level's.
+        """
+        m = self.m
+        m.check_table_cap()
+        pairs = w, wp = np.triu_indices(m.alphabet_size, k=1)
+        reduction = worst = 0.0
+        checked = 0
+        for i in range(1, m.n):
+            tables = [_tv_tables(tail) for tail in _tail_laws(m, i)]
+            runs, levels = mixing._subtree_levels(m, i)
+            level_alpha = {run[-1]: alpha(thetas) for run, thetas in zip(runs, levels)}
+            sup = [tv.max() for tv, _ in tables]
+            exact = self.delta("exact").entries[i - 1, i:]
+            worst = max(worst, float(np.abs(exact - sup).max()))
+            level_tv = np.ones(len(w))
+            end = 0
+            for js, laws in mixing._frontier_laws(m, i):
+                swept = mixing._pair_tvs(laws, pairs)
+                end = js.stop - i - 1
+                pivot = tables[end - 1][0]
+                for tv, feasible in tables[js.start - i - 1 : end]:
+                    reduction = max(reduction, float(np.abs(tv - pivot).max()))
+                    both = feasible[:, w] & feasible[:, wp]
+                    gap = np.abs(tv[:, w, wp] - swept)[both]
+                    worst = max(worst, float(gap.max(initial=0.0)))
+                    checked += len(w)
+                a = level_alpha.get(js.start - 1)
+                if a is None:
+                    worst = max(worst, float((swept - level_tv).max(initial=0.0)))
+                else:
+                    worst = max(worst, float((swept - a * level_tv).max(initial=0.0)))
+                    level_tv = swept
+            for tv, _ in tables[end:]:
+                reduction = max(reduction, float(np.abs(tv).max()))
+            del tables
+        return reduction, worst, checked
+
+    @functools.cached_property
+    def ladder(self) -> float:
+        """Largest amount, or 0.0, by which a source's Delta exceeds the
+        next, looser one's on the strictly-upper entries, the rows every
+        command prints.  Gamma entries are sqrt(delta) and IEEE sqrt is
+        monotone, so gamma dominance follows entrywise.  A single-node
+        model has no such entry and skips.
+        """
+        if self.m.n == 1:
+            raise _Skip(_NO_PAIRS)
+        upper = np.triu_indices(self.m.n, k=1)
+        rungs = [self.delta(source).entries[upper] for source in SOURCES]
+        return max(0.0, *(float((a - b).max(initial=0.0)) for a, b in zip(rungs, rungs[1:])))
 
 
-def _suite_j0_reduction(m, trials, rng) -> SuiteResult:
-    if m.n == 1:
-        return _skip("j0-reduction", _NO_PAIRS)
-    return _pivot_suites(m)[0]
+def _suite_measure_normalization(run: _Run) -> tuple[float, int]:
+    total = float(run.m.joint_table().sum())
+    return abs(total - 1.0), 1
 
 
-def _suite_factorization(m, trials, rng) -> SuiteResult:
-    return _pivot_suites(m)[1]
+def _suite_markov_property(run: _Run) -> tuple[float, int]:
+    m = run.m
+    branchers = [u for u in range(1, m.n + 1) if len(m.tree.children[u]) >= 2]
+    if not branchers:
+        raise _Skip("no node with two or more children")
+    return max(0.0, *(verify_markov_property(m, u)[1] for u in branchers)), len(branchers)
 
 
-def _ladder_violation(m: MarkovTreeModel) -> float:
-    """Largest amount, or 0.0, by which a source's Delta exceeds the next,
-    looser one's on the strictly-upper entries, the rows every command
-    prints.  Gamma entries are sqrt(delta) and IEEE sqrt is monotone, so
-    gamma dominance follows entrywise.
-    """
-    upper = np.triu_indices(m.n, k=1)
-    rungs = [_delta(m, source).entries[upper] for source in SOURCES]
-    return max(0.0, *(float((a - b).max(initial=0.0)) for a, b in zip(rungs, rungs[1:])))
+def _suite_j0_reduction(run: _Run) -> tuple[float, int]:
+    if run.m.n == 1:
+        raise _Skip(_NO_PAIRS)
+    return run.pivots[0], run.m.n * (run.m.n - 1) // 2
 
 
-def _suite_bound_dominance(m, trials, rng) -> SuiteResult:
-    if m.n == 1:
-        return _skip("bound-dominance", _NO_PAIRS)
-    return _result("bound-dominance", _ladder_violation(m), m.n * (m.n - 1) // 2)
+def _suite_factorization(run: _Run) -> tuple[float, int]:
+    _, worst, checked = run.pivots
+    if not checked:
+        raise _Skip("no pair (i, j) with a pivot")
+    return worst, checked
+
+
+def _suite_bound_dominance(run: _Run) -> tuple[float, int]:
+    return run.ladder, run.m.n * (run.m.n - 1) // 2
 
 
 def _stacked_trials(
@@ -255,31 +255,35 @@ def _stacked_trials(
             yield tuple(np.stack(parts) for parts in zip(*group))
 
 
-def _suite_tv_contraction(m, trials, rng) -> SuiteResult:
+def _suite_tv_contraction(run: _Run) -> tuple[float, int]:
+    rng = run.rng
+
     def draw():
         rows = int(rng.integers(1, 6))
         cols = int(rng.integers(2, 6))
         return rng.random((rows, cols)), rng.random(cols), rng.random(cols)
 
     worst = 0.0
-    for mat, p, q in _stacked_trials(trials, draw):
+    for mat, p, q in _stacked_trials(run.trials, draw):
         mat += 1e-9
         for stack in (mat, p, q):
             stack /= stack.sum(axis=1, keepdims=True)
         lhs = 0.5 * np.abs(mat @ p[:, :, None] - mat @ q[:, :, None])[:, :, 0].sum(axis=1)
         rhs = column_tv_norms(mat) * 0.5 * np.abs(p - q).sum(axis=1)
         worst = max(worst, float((lhs - rhs).max()))
-    return _result("tv-contraction", worst, trials)
+    return worst, run.trials
 
 
-def _suite_tensor_two_factor(m, trials, rng) -> SuiteResult:
+def _suite_tensor_two_factor(run: _Run) -> tuple[float, int]:
+    rng = run.rng
+
     def draw():
         sp = int(rng.integers(1, 6))
         sq = int(rng.integers(1, 6))
         return rng.random(sp), rng.random(sp), rng.random(sq), rng.random(sq)
 
     worst = 0.0
-    for p, pp, q, qq in _stacked_trials(trials, draw):
+    for p, pp, q, qq in _stacked_trials(run.trials, draw):
         for stack in (p, pp, q, qq):
             stack /= stack.sum(axis=1, keepdims=True)
         outer = p[:, :, None] * q[:, None, :] - pp[:, :, None] * qq[:, None, :]
@@ -288,10 +292,10 @@ def _suite_tensor_two_factor(m, trials, rng) -> SuiteResult:
         dq = 0.5 * np.abs(q - qq).sum(axis=1)
         rhs = np.array([alpha(pair) for pair in zip(dp.tolist(), dq.tolist())])
         worst = max(worst, float((lhs - rhs).max()))
-    return _result("tensor-two-factor", worst, trials)
+    return worst, run.trials
 
 
-def _suite_alpha_rules(m, trials, rng) -> SuiteResult:
+def _suite_alpha_rules(run: _Run) -> tuple[float, int]:
     grid = [k / 10.0 for k in range(11)]
     worst = 0.0
     count = 0
@@ -313,25 +317,22 @@ def _suite_alpha_rules(m, trials, rng) -> SuiteResult:
             count += 1
         worst = max(worst, abs(alpha([1.0] + [0.3] * (k - 1)) - 1.0))
         count += 1
-    return _result("alpha-rules", worst, count)
+    return worst, count
 
 
-def _suite_norm_identity(m, trials, rng) -> SuiteResult:
-    delta = _delta(m, "level-bound")
-    row_formula = delta_inf_norm(delta)
-    generic = linf_operator_norm(delta.entries)
-    return _result("norm-identity", abs(row_formula - generic), 1, tol=0.0)
+def _suite_norm_identity(run: _Run) -> tuple[float, int]:
+    delta = run.delta("level-bound")
+    return abs(delta_inf_norm(delta) - linf_operator_norm(delta.entries)), 1
 
 
-def _suite_provenance_dominance(m, trials, rng) -> SuiteResult:
-    if m.n == 1:
-        return _skip("provenance-dominance", _NO_PAIRS)
-    return _result("provenance-dominance", _ladder_violation(m), len(SOURCES))
+def _suite_provenance_dominance(run: _Run) -> tuple[float, int]:
+    return run.ladder, len(SOURCES)
 
 
-def _suite_sampling_determinism(m, trials, rng) -> SuiteResult:
-    seed = int(rng.integers(0, 2**63))
-    count = min(max(trials, 2), 1000)
+def _suite_sampling_determinism(run: _Run) -> tuple[float, int]:
+    m = run.m
+    seed = int(run.rng.integers(0, 2**63))
+    count = min(max(run.trials, 2), 1000)
     a = sample_paths(m, seed, count)
     b = sample_paths(m, seed, count)
     half = count // 2
@@ -342,14 +343,15 @@ def _suite_sampling_determinism(m, trials, rng) -> SuiteResult:
         ]
     )
     equal = np.array_equal(a, b) and np.array_equal(a, split)
-    return _result("sampling-determinism", 0.0 if equal else 1.0, count)
+    return 0.0 if equal else 1.0, count
 
 
-def _suite_sampling_frequency(m, trials, rng) -> SuiteResult:
+def _suite_sampling_frequency(run: _Run) -> tuple[float, int]:
+    m = run.m
     # The table comes first so that a model over the cap skips the sampling.
     table = m.joint_table()
     exact_root = table.sum(axis=tuple(range(1, m.n))) if m.n > 1 else table
-    seed = int(rng.integers(0, 2**63))
+    seed = int(run.rng.integers(0, 2**63))
     count = 20_000
     batch = sample_paths(m, seed, count)
     worst = 0.0
@@ -358,22 +360,23 @@ def _suite_sampling_frequency(m, trials, rng) -> SuiteResult:
         emp = float((batch[:, 0] == state).mean())
         slack = 6.0 * np.sqrt(max(p * (1 - p), 1e-12) / count) + 1.0 / count
         worst = max(worst, abs(emp - p) - slack)
-    return _result("sampling-frequency", max(worst, 0.0), count, tol=0.0)
+    return max(worst, 0.0), count
 
 
+# (name, check, tolerance), in the order ``verify`` prints them.
 _SUITES = [
-    ("measure-normalization", _suite_measure_normalization),
-    ("markov-property", _suite_markov_property),
-    ("j0-reduction", _suite_j0_reduction),
-    ("factorization", _suite_factorization),
-    ("bound-dominance", _suite_bound_dominance),
-    ("tv-contraction", _suite_tv_contraction),
-    ("tensor-two-factor", _suite_tensor_two_factor),
-    ("alpha-rules", _suite_alpha_rules),
-    ("norm-identity", _suite_norm_identity),
-    ("provenance-dominance", _suite_provenance_dominance),
-    ("sampling-determinism", _suite_sampling_determinism),
-    ("sampling-frequency", _suite_sampling_frequency),
+    ("measure-normalization", _suite_measure_normalization, 1e-10),
+    ("markov-property", _suite_markov_property, 1e-12),
+    ("j0-reduction", _suite_j0_reduction, 1e-12),
+    ("factorization", _suite_factorization, 1e-12),
+    ("bound-dominance", _suite_bound_dominance, 1e-12),
+    ("tv-contraction", _suite_tv_contraction, 1e-12),
+    ("tensor-two-factor", _suite_tensor_two_factor, 1e-12),
+    ("alpha-rules", _suite_alpha_rules, 1e-12),
+    ("norm-identity", _suite_norm_identity, 0.0),
+    ("provenance-dominance", _suite_provenance_dominance, 1e-12),
+    ("sampling-determinism", _suite_sampling_determinism, 1e-12),
+    ("sampling-frequency", _suite_sampling_frequency, 0.0),
 ]
 
 
@@ -383,11 +386,5 @@ def run_verification(
     """Run every suite; a suite that needs the table is skipped above the cap."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    results = []
-    rng = np.random.default_rng(seed)
-    for name, fn in _SUITES:
-        try:
-            results.append(fn(m, trials, rng))
-        except EnumerationLimitError:
-            results.append(_skip(name, "joint table exceeds the enumeration cap"))
-    return results
+    run = _Run(m, trials, np.random.default_rng(seed))
+    return [run.result(*row) for row in _SUITES]

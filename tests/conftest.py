@@ -66,6 +66,16 @@ def sparsified(m, seed, deterministic_root):
     return MarkovTreeModel(m.tree, s, root, kernels)
 
 
+def run_suite(m, name, trials=1, rng=None):
+    """The ``SuiteResult`` of the ``verify`` suite ``name``, run on its own
+    through its ``_SUITES`` row as ``run_verification`` runs it, drawing
+    from ``rng``."""
+    from treemix.verification import _SUITES, _Run
+
+    (row,) = [row for row in _SUITES if row[0] == name]
+    return _Run(m, trials, rng).result(*row)
+
+
 # A 2-state kernel with contraction coefficient exactly 0.7.
 ROWS_07 = [[0.9, 0.1], [0.2, 0.8]]
 # Contraction coefficient exactly 0.5.
@@ -412,6 +422,13 @@ def oracle_parse_model(path: str) -> tuple[MarkovTreeModel, dict[int, int]]:
 # library must return the same result, bit for bit.
 
 
+def _oracle_suite_result(name, worst, trials):
+    """The result of a suite checked to the 1e-12 tolerance."""
+    from treemix.verification import SuiteResult
+
+    return SuiteResult(name, "pass" if worst <= 1e-12 else "fail", worst, trials)
+
+
 def oracle_tv_tables(tail):
     """``verification._tv_tables`` with the masked divide into ``zeros_like``."""
     s = tail.shape[1]
@@ -442,7 +459,7 @@ def oracle_eta_tables(m, i, j):
 def oracle_j0_reduction_suite(m):
     """The j0-reduction suite, tabulating each node's tables on its own."""
     from treemix.treegraph import first_descendant_at_or_after
-    from treemix.verification import _result, _tail_laws
+    from treemix.verification import _tail_laws
 
     worst = 0.0
     for i in range(1, m.n):
@@ -451,7 +468,7 @@ def oracle_j0_reduction_suite(m):
             j0 = first_descendant_at_or_after(m.tree, i, j)
             pivot = 0.0 if j0 is None else tables[j0 - i - 1]
             worst = max(worst, float(np.abs(tv - pivot).max()))
-    return _result("j0-reduction", worst, m.n * (m.n - 1) // 2)
+    return _oracle_suite_result("j0-reduction", worst, m.n * (m.n - 1) // 2)
 
 
 # ------------------------------------------------------ per-trial algebra suites
@@ -464,7 +481,6 @@ def oracle_j0_reduction_suite(m):
 
 def oracle_tv_contraction_suite(m, trials, rng):
     from treemix.tvalgebra import column_tv_norm
-    from treemix.verification import _result
 
     worst = 0.0
     for _ in range(trials):
@@ -480,12 +496,11 @@ def oracle_tv_contraction_suite(m, trials, rng):
         lhs = 0.5 * float(np.abs(mat @ p - mat @ q).sum())
         rhs = norm * 0.5 * float(np.abs(p - q).sum())
         worst = max(worst, lhs - rhs)
-    return _result("tv-contraction", worst, trials)
+    return _oracle_suite_result("tv-contraction", worst, trials)
 
 
 def oracle_tensor_two_factor_suite(m, trials, rng):
     from treemix.tvalgebra import alpha
-    from treemix.verification import _result
 
     worst = 0.0
     for _ in range(trials):
@@ -502,7 +517,7 @@ def oracle_tensor_two_factor_suite(m, trials, rng):
         dq = 0.5 * float(np.abs(q - qq).sum())
         rhs = alpha([dp, dq])
         worst = max(worst, lhs - rhs)
-    return _result("tensor-two-factor", worst, trials)
+    return _oracle_suite_result("tensor-two-factor", worst, trials)
 
 
 # ------------------------------------------------- per-cell table writers

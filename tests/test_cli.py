@@ -19,7 +19,6 @@ from treemix.cli import main
 from treemix.mixing import eta_bar_exact
 from treemix.model import _SAMPLE_BLOCK, MarkovTreeModel, sample_paths
 from treemix.modelfile import parse_model_file, random_model, save_model
-from treemix.verification import SuiteResult
 
 from conftest import oracle_eta_text, oracle_sample_text
 
@@ -94,11 +93,11 @@ class TestExitCodes:
         assert cli._build_parser.cache_info().misses == 1
 
     def test_verification_failure_is_exit_three(self, model_path, monkeypatch, capsys):
-        def broken(m, trials, rng):
-            return SuiteResult("always-broken", "fail", 1.0, trials)
+        def broken(run):
+            return 1.0, run.trials
 
         monkeypatch.setattr(
-            verification, "_SUITES", [("always-broken", broken)]
+            verification, "_SUITES", [("always-broken", broken, 0.0)]
         )
         assert main(["verify", model_path]) == 3
         captured = capsys.readouterr()

@@ -434,6 +434,20 @@ class TestMonteCarloDeviation:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0], peaks
 
+    @pytest.mark.parametrize("t", [math.nan, 0.0, -1.0])
+    def test_rejects_threshold_not_positive(self, t):
+        # Every ``> nan`` is false, so a NaN t would count no exceedance.
+        m = random_model(1, n=6, width=2)
+        f = dict(lipschitz_test_corpus(m.n, 2, np.random.default_rng(0)))["symbol-frequency"]
+        with pytest.raises(ValueError, match="t must be positive"):
+            monte_carlo_deviation(m, f, t, 1000, seed=3)
+
+    def test_infinite_threshold_has_no_exceedance(self):
+        m = random_model(1, n=6, width=2)
+        f = dict(lipschitz_test_corpus(m.n, 2, np.random.default_rng(0)))["symbol-frequency"]
+        est = monte_carlo_deviation(m, f, math.inf, 1000, seed=3)
+        assert (est.exceed_count, est.empirical) == (0, 0.0)
+
     def test_rejects_unnormalized_function(self):
         m = self.fair_bits(3)
         freq = (np.indices((2,) * 3) == 0).sum(axis=0) / 3

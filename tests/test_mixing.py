@@ -317,6 +317,13 @@ class TestLinearGrowthBound:
         assert b.product_bound == 0.0
         assert b.closed_form is None
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_growth_constant_not_finite_and_positive(self, c):
+        # A NaN c would pass a bare ``c <= 0`` and print closed_form=nan.
+        m = random_model(1, n=6, width=2)
+        with pytest.raises(ValueError, match="growth constant must be positive"):
+            eta_bar_bound_linear_growth(m, 1, 6, c)
+
     def test_product_dominates_exact(self):
         for seed in range(6):
             m = random_model(seed, n=6, alphabet_size=2, width=2)

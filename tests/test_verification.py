@@ -16,14 +16,7 @@ from treemix.mixing import eta_bar_bound_levels, eta_factorization, eta_report
 from treemix.modelfile import parse_model_file, random_model, serialize_model
 from treemix.treegraph import build_tree, subtree_runs
 from treemix.tvalgebra import alpha
-from treemix.verification import (
-    _SUITES,
-    SuiteResult,
-    _suite_bound_dominance,
-    _suite_factorization,
-    _suite_j0_reduction,
-    run_verification,
-)
+from treemix.verification import _SUITES, SuiteResult, run_verification
 
 from conftest import (
     make_model,
@@ -32,10 +25,11 @@ from conftest import (
     oracle_tensor_two_factor_suite,
     oracle_tv_contraction_suite,
     oracle_tv_tables,
+    run_suite,
     sparsified,
 )
 
-SUITE_NAMES = [name for name, _ in _SUITES]
+SUITE_NAMES = [name for name, _, _ in _SUITES]
 
 
 class TestRunVerification:
@@ -72,7 +66,8 @@ class TestRunVerification:
     def test_each_product_is_computed_once(self, monkeypatch):
         """One run builds each source's Delta once, reads the exact rows
         from it (each row is swept once, by that build) and each pivot
-        from the frontier sweep."""
+        from the frontier sweep.  A second run on the same model builds
+        them all again: no run reads another's products."""
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -91,11 +86,20 @@ class TestRunVerification:
         results = run_verification(m, trials=20, seed=1)
         assert all(r.status == "pass" for r in results), results
         assert calls == {"exact": 1, "level-bound": 1, "uniform-bound": 1, "exact_row": m.n - 1}
+        assert run_verification(m, trials=20, seed=1) == results
+        assert calls == {"exact": 2, "level-bound": 2, "uniform-bound": 2, "exact_row": 2 * (m.n - 1)}
+
+    def test_leaves_no_state_on_the_model(self):
+        """A run adds to the model only its own cached properties."""
+        m = random_model(4, n=9, width=3)
+        before = set(vars(m))
+        run_verification(m, trials=20, seed=1)
+        assert set(vars(m)) - before == {"_joint_table", "edge_thetas", "node_marginals"}
 
     def test_reused_model_rechecks_the_cap(self, monkeypatch):
         """A model verified once, then again under a lower cap, reports
-        what a freshly built model reports: its cached tables, Deltas and
-        pivot suites are not read past the cap."""
+        what a freshly built model reports: its cached joint table is not
+        read past the cap."""
         m = random_model(4, n=9, width=3)
         assert all(r.status == "pass" for r in run_verification(m, trials=20, seed=1))
         monkeypatch.setenv("TREEMIX_MAX_ENUM", "16")
@@ -141,7 +145,7 @@ def test_bound_dominance_matches_per_pair_reports(seed):
             worst = max(worst, exact - level)
             worst = max(worst, level - uniform)
             pairs += 1
-    result = _suite_bound_dominance(m, 1, np.random.default_rng(0))
+    result = run_suite(m, "bound-dominance")
     assert (result.max_violation, result.trials) == (worst, pairs)
 
 
@@ -216,8 +220,8 @@ def _sweep_trials(m):
 @given(pivot_models())
 @settings(max_examples=60, deadline=None)
 def test_pivot_suites_match_per_pair_oracle(m):
-    assert _bits(_suite_j0_reduction(m, 1, None)) == _bits(oracle_j0_reduction_suite(m))
-    result = _suite_factorization(m, 1, None)
+    assert _bits(run_suite(m, "j0-reduction")) == _bits(oracle_j0_reduction_suite(m))
+    result = run_suite(m, "factorization")
     assert (result.status, result.trials) == ("pass", _sweep_trials(m))
 
 
@@ -246,8 +250,8 @@ def test_eta_factorization_matches_enumeration(m):
 
 def test_one_state_model_checks_no_pair():
     m = make_model(3, [(1, 2), (2, 3)], 1, [1.0], {(1, 2): [[1.0]], (2, 3): [[1.0]]})
-    assert _suite_j0_reduction(m, 1, None) == oracle_j0_reduction_suite(m)
-    assert _suite_factorization(m, 1, None) == SuiteResult(
+    assert run_suite(m, "j0-reduction") == oracle_j0_reduction_suite(m)
+    assert run_suite(m, "factorization") == SuiteResult(
         "factorization", "skip", None, 0, "no pair (i, j) with a pivot"
     )
 
@@ -290,6 +294,50 @@ def test_single_node_model_has_no_pairs():
     assert all(r.status != "fail" for r in by_name.values())
 
 
+_CAP = "joint table exceeds the enumeration cap"
+_NO_BRANCH = "no node with two or more children"
+_NO_PAIRS = "single-node model has no pairs"
+_NO_PIVOT = "no pair (i, j) with a pivot"
+_PAIR_SUITES = ("j0-reduction", "bound-dominance", "provenance-dominance")
+_TABLE_SUITES = ("measure-normalization", "factorization", "sampling-frequency")
+
+# (n, alphabet size, TREEMIX_MAX_ENUM) of random_model(7, n, width=1), a
+# chain: the note of each suite that skips.  Every other suite passes.
+_TINY_SKIPS = {
+    (1, 2, None): {
+        "markov-property": _NO_BRANCH, "factorization": _NO_PIVOT,
+        **dict.fromkeys(_PAIR_SUITES, _NO_PAIRS),
+    },
+    # Over the cap, a single-node model still has no pairs first.
+    (1, 1001, "1000"): {
+        "markov-property": _NO_BRANCH, **dict.fromkeys(_TABLE_SUITES, _CAP),
+        **dict.fromkeys(_PAIR_SUITES, _NO_PAIRS),
+    },
+    (2, 2, None): {"markov-property": _NO_BRANCH},
+    (2, 40, "1000"): {
+        "markov-property": _NO_BRANCH,
+        **dict.fromkeys(_TABLE_SUITES + _PAIR_SUITES, _CAP),
+    },
+    (3, 2, None): {"markov-property": _NO_BRANCH},
+}
+
+
+@pytest.mark.parametrize("n, s, cap", list(_TINY_SKIPS))
+def test_tiny_model_suite_notes(monkeypatch, n, s, cap):
+    """Each suite's status and note on the smallest models, under and
+    over the cap: which skip note wins where two apply."""
+    if cap is None:
+        monkeypatch.delenv("TREEMIX_MAX_ENUM", raising=False)
+    else:
+        monkeypatch.setenv("TREEMIX_MAX_ENUM", cap)
+    m = random_model(7, n, alphabet_size=s, width=1)
+    skips = _TINY_SKIPS[n, s, cap]
+    assert [(r.name, r.status, r.note) for r in run_verification(m, trials=20, seed=1)] == [
+        (name, "skip", skips[name]) if name in skips else (name, "pass", "")
+        for name in SUITE_NAMES
+    ]
+
+
 def _perturbed(sweep):
     def mutant(m, i):
         for js, laws in sweep(m, i):
@@ -311,18 +359,18 @@ def _late(sweep):
 @pytest.mark.parametrize("mutate", [_perturbed, _late])
 @pytest.mark.parametrize("params", _MUTANT_MODELS)
 def test_factorization_suite_catches_mutated_sweep(monkeypatch, mutate, params):
-    assert _suite_factorization(random_model(**params), 1, None).status == "pass"
+    assert run_suite(random_model(**params), "factorization").status == "pass"
     monkeypatch.setattr(mixing, "_frontier_laws", mutate(mixing._frontier_laws))
-    assert _suite_factorization(random_model(**params), 1, None).status == "fail"
+    assert run_suite(random_model(**params), "factorization").status == "fail"
 
 
 def test_factorization_suite_catches_loose_alpha(monkeypatch):
     """On a 2-state chain each level's TV is exactly theta times the last,
     so a contraction 1% short of the alpha rule fails the suite."""
     params = dict(seed=9, n=8, alphabet_size=2, width=1)
-    assert _suite_factorization(random_model(**params), 1, None).status == "pass"
+    assert run_suite(random_model(**params), "factorization").status == "pass"
     monkeypatch.setattr(verification, "alpha", lambda thetas: 0.99 * alpha(thetas))
-    assert _suite_factorization(random_model(**params), 1, None).status == "fail"
+    assert run_suite(random_model(**params), "factorization").status == "fail"
 
 
 def test_verify_builds_no_operator(monkeypatch):
@@ -335,7 +383,7 @@ def test_verify_builds_no_operator(monkeypatch):
     monkeypatch.setattr(tvalgebra.StochasticOperator, "__post_init__", refuse)
     for params in _MUTANT_MODELS:
         m = random_model(**params)
-        assert _suite_factorization(m, 1, None).status == "pass"
+        assert run_suite(m, "factorization").status == "pass"
         assert all(r.status != "fail" for r in run_verification(m, trials=20, seed=1))
 
 
@@ -346,7 +394,7 @@ def test_factorization_suite_memory_on_star():
     m.joint_table()
     tracemalloc.start()
     try:
-        result = _suite_factorization(m, 1, None)
+        result = run_suite(m, "factorization")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -386,8 +434,8 @@ def test_algebra_suites_check_the_library(monkeypatch, name, suite):
 @pytest.mark.parametrize(
     "suite, oracle",
     [
-        (verification._suite_tv_contraction, oracle_tv_contraction_suite),
-        (verification._suite_tensor_two_factor, oracle_tensor_two_factor_suite),
+        ("tv-contraction", oracle_tv_contraction_suite),
+        ("tensor-two-factor", oracle_tensor_two_factor_suite),
     ],
     ids=["tv-contraction", "tensor-two-factor"],
 )
@@ -395,7 +443,7 @@ def test_trial_suites_match_per_trial_oracle(suite, oracle, trials, seed):
     """The stacked suites read the per-trial loop's stream and return its
     result, bit for bit, so every later suite draws the same seed."""
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert _bits(suite(None, trials, rng)) == _bits(oracle(None, trials, oracle_rng))
+    assert _bits(run_suite(None, suite, trials, rng)) == _bits(oracle(None, trials, oracle_rng))
     assert rng.integers(0, 2**63) == oracle_rng.integers(0, 2**63)
 
 
@@ -405,9 +453,8 @@ def test_trial_suites_hold_one_chunk():
     def peak(trials):
         tracemalloc.start()
         try:
-            for suite in (verification._suite_tv_contraction,
-                          verification._suite_tensor_two_factor):
-                suite(None, trials, np.random.default_rng(0))
+            for suite in ("tv-contraction", "tensor-two-factor"):
+                run_suite(None, suite, trials, np.random.default_rng(0))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

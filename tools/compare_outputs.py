@@ -7,8 +7,11 @@ from its ``src/`` and the model population from its ``perfbench/``.  The
 models are every benchmark model at seeds 1 and 777, 20 ``random_model``
 draws (chains, stars, full-width and width-3 trees), the same 20
 rewritten with permuted node labels, shuffled edges and rows drifted off
-a sum of 1 (so that loading relabels and renormalizes them), and two
-``random_model`` draws over 11 and 12 states (labels of two characters).
+a sum of 1 (so that loading relabels and renormalizes them), two
+``random_model`` draws over 11 and 12 states (labels of two characters),
+and five tiny chains of one to three nodes, two of them over the lowered
+cap of the last pass, so that single-node models and the order of
+``verify``'s skip notes are covered.
 Per model it hashes the parsed model (the kernels stacked in child
 order, the root law and the relabel map), the stdout of ``treemix
 inspect -v``, ``entries.tobytes()`` of the Delta and Gamma matrices for
@@ -88,6 +91,10 @@ def _model_files(out_dir: str) -> dict[str, str]:
         m = modelfile.random_model(seed=6000 + k, n=n, alphabet_size=s, **shape)
         paths[f"wide-alphabet/{k}"] = os.path.join(out_dir, f"wide{k}.json")
         modelfile.save_model(m, paths[f"wide-alphabet/{k}"])
+    for k, (n, s) in enumerate([(1, 2), (1, 1001), (2, 2), (2, 40), (3, 2)]):
+        m = modelfile.random_model(seed=7000 + k, n=n, alphabet_size=s, width=1)
+        paths[f"tiny/{k}"] = os.path.join(out_dir, f"tiny{k}.json")
+        modelfile.save_model(m, paths[f"tiny/{k}"])
     return paths
 
 
