@@ -13,7 +13,8 @@ and five tiny chains of one to three nodes, two of them over the lowered
 cap of the last pass, so that single-node models and the order of
 ``verify``'s skip notes are covered.
 Per model it hashes the parsed model (the kernels stacked in child
-order, the root law and the relabel map), the stdout of ``treemix
+order, the root law and the relabel map), the ``serialize_model`` text
+and the ``save_model`` bytes of the parsed model, the stdout of ``treemix
 inspect -v``, ``entries.tobytes()`` of the Delta and Gamma matrices for
 each source (exact only up to 3e6 table cells), the bytes of ``treemix
 coeffs --csv``, and the repr of ``eta_report``, ``eta_bar_bound_levels``
@@ -28,10 +29,15 @@ cells it also hashes the same of ``eta --source exact``, ``eta --pair``,
 trials and at the default of 500.  On models of at most 1e5 cells it
 hashes the Monte Carlo layer: the names and bytes of the
 ``lipschitz_test_corpus`` tables, their ``hamming_lipschitz_constant`` and
-the repr of each table's ``monte_carlo_deviation`` estimate.  The CSV
-path in the ``wrote ...`` line is replaced by ``<csv>``.
+the repr of each table's ``monte_carlo_deviation`` estimate at 1,000 and
+at 5,000 samples (three sampling blocks).  The output path in the
+``wrote ...`` line is replaced by ``<csv>``.  Under the key ``gen`` it
+hashes ``treemix gen`` for a few shapes and seeds, to stdout and with
+``-o`` (the message and the file's bytes).
 A last pass lowers ``TREEMIX_MAX_ENUM`` so that most models exceed it
-and hashes the same for the commands that ask for exact values.  Prints
+and hashes the same for the commands that ask for exact values, and
+the 5,000-sample Monte Carlo estimates again, now with a sampled mean
+on every model over the lowered cap.  Prints
 the differing entries, with the largest entrywise gap of each differing
 Delta/Gamma, and exits 1 if there are any.
 
@@ -120,13 +126,14 @@ def _scrambled(doc: dict, seed: int) -> dict:
     return {**doc, "edges": edges}
 
 
-def _run_cli(argv: list[str], csv_path: str | None = None) -> str:
+def _run_cli(argv: list[str], csv_path: str | None = None, option: str = "--csv") -> str:
     """Hash of one in-process ``treemix`` run: its exit code, stdout (with
-    ``csv_path`` as ``<csv>``), stderr and, given ``csv_path``, the CSV."""
+    ``csv_path`` as ``<csv>``), stderr and, given ``csv_path``, the file
+    the run writes there when passed ``option csv_path``."""
     from treemix import cli
 
     if csv_path:
-        argv = [*argv, "--csv", csv_path]
+        argv = [*argv, option, csv_path]
         with contextlib.suppress(FileNotFoundError):
             os.remove(csv_path)
     out, err = io.StringIO(), io.StringIO()
@@ -187,31 +194,61 @@ def _hash_cli(path: str, csv_path: str, m) -> dict[str, str]:
     return rec
 
 
+def _corpus(m) -> list:
+    from treemix import concentration
+
+    return concentration.lipschitz_test_corpus(m.n, m.alphabet_size, np.random.default_rng(1801))
+
+
+def _mc_estimates(m, corpus: list, samples: int) -> str:
+    """Hash of the Monte Carlo estimates over ``corpus`` at ``samples`` paths."""
+    from treemix import concentration
+
+    return _digest(repr([
+        concentration.monte_carlo_deviation(m, f, 0.3, samples, seed=1801) for _, f in corpus
+    ]).encode())
+
+
 def _hash_monte_carlo(m) -> dict[str, str]:
     """Hashes of the test corpus, its Lipschitz constants and the Monte
     Carlo estimates over it."""
     from treemix import concentration
 
-    corpus = concentration.lipschitz_test_corpus(
-        m.n, m.alphabet_size, np.random.default_rng(1801)
-    )
+    corpus = _corpus(m)
     constants = [concentration.hamming_lipschitz_constant(f, m.n) for _, f in corpus]
-    estimates = [
-        concentration.monte_carlo_deviation(m, f, 0.3, 1000, seed=1801) for _, f in corpus
-    ]
     tables = b"".join(name.encode() + f.dtype.str.encode() + f.tobytes() for name, f in corpus)
     return {
         "mc_corpus": _digest(tables),
         "mc_constants": _digest(repr(constants).encode()),
-        "mc_estimates": _digest(repr(estimates).encode()),
+        "mc_estimates": _mc_estimates(m, corpus, 1000),
+        "mc_estimates_5000": _mc_estimates(m, corpus, 5000),
     }
 
 
-def _hash_lowered_cap(path: str) -> str:
-    """One hash of the exact-asking commands run under ``LOWERED_CAP``."""
+# (nodes, alphabet size, width or None, seed) of the hashed ``gen`` runs.
+_GEN_RUNS = ((1, 2, None, 0), (2, 3, None, 1), (7, 2, None, 3), (40, 3, 4, 5), (145, 3, 16, 0))
+
+
+def _hash_gen(out_path: str) -> dict[str, str]:
+    """Hashes of ``treemix gen`` to stdout and with ``-o out_path``."""
+    rec = {}
+    for nodes, s, width, seed in _GEN_RUNS:
+        argv = ["gen", "--nodes", str(nodes), "--alphabet-size", str(s), "--seed", str(seed)]
+        if width is not None:
+            argv += ["--width", str(width)]
+        key = f"{nodes}_{s}_{width}_{seed}"
+        rec[f"stdout_{key}"] = _run_cli(argv)
+        rec[f"file_{key}"] = _run_cli(argv, out_path, option="-o")
+    return rec
+
+
+def _hash_lowered_cap(path: str) -> dict[str, str]:
+    """Hashes of the exact-asking commands and of the Monte Carlo
+    estimates, run under ``LOWERED_CAP``."""
     from treemix import modelfile
 
-    n = modelfile.parse_model_file(path)[0].n
+    m = modelfile.parse_model_file(path)[0]
+    n = m.n
     runs = [
         _run_cli(argv)
         for argv in (
@@ -229,7 +266,10 @@ def _hash_lowered_cap(path: str) -> str:
         for i, j in [*_pairs(n)[::5], (max(n - 1, 1), n)]
         if i < j
     ]
-    return _digest("".join(runs).encode())
+    rec = {"lowered_cap": _digest("".join(runs).encode())}
+    if m.table_cells() <= MC_MAX_CELLS:
+        rec["lowered_cap_mc"] = _mc_estimates(m, _corpus(m), 5000)
+    return rec
 
 
 def _hash_model(path: str, csv_path: str, matrices: dict) -> dict[str, str]:
@@ -243,7 +283,12 @@ def _hash_model(path: str, csv_path: str, matrices: dict) -> dict[str, str]:
         "parsed_stack": _digest(stack.tobytes()),
         "parsed_root": _digest(m.root_dist.tobytes()),
         "parsed_relabel": _digest(repr(sorted(relabel.items())).encode()),
+        "serialized": _digest(json.dumps(modelfile.serialize_model(m)).encode()),
     }
+    saved = os.path.join(os.path.dirname(csv_path), "saved.json")
+    modelfile.save_model(m, saved)
+    with open(saved, "rb") as fh:
+        rec["saved"] = _digest(fh.read())
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         if cli.main(["inspect", path, "-v"]) != 0:
@@ -287,9 +332,10 @@ def _hash_checkout(checkout: str) -> dict[str, dict]:
         for key, path in sorted(paths.items()):
             matrices = out["matrices"][key] = {}
             out["hashes"][key] = _hash_model(path, csv_path, matrices)
+        out["hashes"]["gen"] = _hash_gen(os.path.join(tmp, "gen.json"))
         os.environ["TREEMIX_MAX_ENUM"] = LOWERED_CAP
         for key, path in sorted(paths.items()):
-            out["hashes"][key]["lowered_cap"] = _hash_lowered_cap(path)
+            out["hashes"][key].update(_hash_lowered_cap(path))
     return out
 
 
