@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -34,8 +33,7 @@ from .model import (
     enumeration_cap,
     sample_paths,
 )
-from .modelfile import ModelFileError, parse_model_file, random_model, serialize_model
-from .treegraph import TreeStructureError
+from .modelfile import model_text, parse_model_file, random_model
 from .verification import run_verification
 
 T_GRID_DEFAULT = (0.05, 0.1, 0.2, 0.3, 0.5)
@@ -291,15 +289,9 @@ def _cmd_verify(args, model, _relabel) -> int:
 
 
 def _cmd_gen(args) -> int:
-    model = random_model(
-        seed=args.seed,
-        n=args.nodes,
-        alphabet_size=args.alphabet_size,
-        width=args.width,
-        depth=args.depth,
-        theta_max=args.theta_max,
-    )
-    text = json.dumps(serialize_model(model), indent=2) + "\n"
+    text = model_text(random_model(
+        args.seed, args.nodes, args.alphabet_size, args.width, args.depth, args.theta_max
+    ))
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -408,13 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        ModelFileError,
-        TreeStructureError,
-        EnumerationLimitError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (EnumerationLimitError, ValueError, OSError) as exc:  # with file and tree errors
         print(f"treemix: error: {exc}", file=sys.stderr)
         return 2
 

@@ -389,7 +389,7 @@ class FactorizationTrace:
 
 
 def _edge_operator(m: MarkovTreeModel, u: int, v: int) -> StochasticOperator:
-    return StochasticOperator((u,), (v,), m.alphabet_size, m.kernel((u, v)).matrix)
+    return StochasticOperator((u,), (v,), m.alphabet_size, m.kernel_stack[v - 2])
 
 
 def eta_factorization(

@@ -7,12 +7,13 @@ kernel per tree edge; the joint law of the node variables is
 
 The kernels are held as one read-only stack, ``kernel_stack``, of shape
 ``(n - 1, s, s)`` in child order: ``kernel_stack[v - 2][x_v, x_u]`` is the
-kernel of the edge into ``v``.  A model given the stack (as the file
-loader gives it) validates it once, as a whole.  Its ``kernels`` and
-``kernel(edge)`` are :class:`Kernel` views into the stack, each made on
-first access, so a model whose readers use only the stack makes none.
-Its copies of the stack and root law are normalized once, so θ, the
-frontier sweep, the joint table and the sampler read one measure.
+kernel of the edge into ``v``; it is the one kernel representation the
+package builds and reads.  A model given the stack (as the file loader and
+``random_model`` give it) validates it once, as a whole.  For callers
+outside the package, ``kernels`` and ``kernel(edge)`` are :class:`Kernel`
+views into the stack, each made on first access.  Its copies of the
+stack and root law are normalized once, so θ, the frontier sweep, the
+joint table and the sampler read one measure.
 The model's derived tables are ``functools.cached_property`` attributes,
 each computed from the stack on first read and then kept on the model:
 the edge contraction coefficients (``edge_thetas``), the node marginals
@@ -104,12 +105,19 @@ def _normalize_columns(mat: np.ndarray) -> None:
             column /= total
 
 
+def _tree_edge(tree: TreeTopology, edge: tuple[int, int]) -> tuple[int, int]:
+    """``edge`` as a pair of ints; a ValueError unless it is an edge of ``tree``."""
+    key = (int(edge[0]), int(edge[1]))
+    if tree.parent.get(key[1]) != key[0]:
+        raise ValueError(f"no kernel for edge {key}; edges are {tree.edges()}")
+    return key
+
+
 def _stack_kernels(
     kernels: dict[tuple[int, int], "Kernel"], edges: Sequence[tuple[int, int]], s: int
 ) -> np.ndarray:
     """Stack a mapping of already validated kernels in child order."""
-    want = set(edges)
-    have = set(kernels)
+    want, have = set(edges), set(kernels)
     if want != have:
         raise ValueError(
             f"kernels must cover exactly the tree edges; missing "
@@ -123,14 +131,12 @@ def _stack_kernels(
                 f"kernel for edge {edge} has alphabet {k.alphabet_size}, "
                 f"expected {s}"
             )
-    if not kernels:
-        return np.empty((0, s, s))
     mats = [kernels[edge].matrix for edge in edges]
     # Keep the kernels' memory layout: numpy's summation order, and so
     # the last bits of what is computed from them, follows it.
-    if all(mat.flags.f_contiguous for mat in mats):
+    if mats and all(mat.flags.f_contiguous for mat in mats):
         return np.array([mat.T for mat in mats]).transpose(0, 2, 1)
-    return np.array(mats)
+    return np.array(mats).reshape(len(edges), s, s)
 
 
 @dataclass(frozen=True)
@@ -204,11 +210,11 @@ class _KernelViews(Mapping):
 class MarkovTreeModel:
     """A tree topology with a root distribution and per-edge kernels.
 
-    ``kernels`` is given either as a mapping edge -> :class:`Kernel`
-    covering the tree's edges, which ``kernel_stack`` then copies, or as
-    the kernel stack itself, an array of shape ``(n - 1, s, s)`` whose
-    entry ``v - 2`` is the kernel of the edge into ``v``.  A stack is
-    copied and validated once, as a whole, by ``stochastic_fault``; an
+    ``kernels`` is the kernel stack, an array of shape ``(n - 1, s, s)``
+    whose entry ``v - 2`` is the kernel of the edge into ``v``, or, from
+    callers outside the package, a mapping edge -> :class:`Kernel`
+    covering the tree's edges, which ``kernel_stack`` then copies.  A stack
+    is copied and validated once, as a whole, by ``stochastic_fault``; an
     invalid stack raises the error of its first invalid edge.  Either way
     the copied stack and root law are normalized, and ``kernels`` becomes
     a read-only mapping of every edge to a :class:`Kernel` view into the
@@ -227,9 +233,7 @@ class MarkovTreeModel:
             raise ValueError(f"alphabet size must be >= 1, got {self.alphabet_size}")
         dist = np.array(self.root_dist, dtype=float).reshape(-1)
         if dist.size != s:
-            raise ValueError(
-                f"root distribution has {dist.size} entries, expected {s}"
-            )
+            raise ValueError(f"root distribution has {dist.size} entries, expected {s}")
         fault = stochastic_fault(dist[:, None])
         if fault is not None:
             raise ValueError(f"root distribution is not a probability vector: {fault}")
@@ -260,11 +264,7 @@ class MarkovTreeModel:
         return self.tree.n
 
     def kernel(self, edge: tuple[int, int]) -> Kernel:
-        key = (int(edge[0]), int(edge[1]))
-        try:
-            return self.kernels[key]
-        except KeyError:
-            raise ValueError(f"no kernel for edge {key}; edges are {self.tree.edges()}") from None
+        return self.kernels[_tree_edge(self.tree, edge)]
 
     def table_cells(self) -> int:
         return self.alphabet_size ** self.n
@@ -345,17 +345,17 @@ def joint_probability(m: MarkovTreeModel, x: Sequence[int]) -> float:
         if not 0 <= xv < s:
             raise ValueError(f"state {xv} at node {v} outside 0..{s - 1}")
     p = float(m.root_dist[x[0]])
-    for (u, v), k in m.kernels.items():
-        p *= float(k.matrix[x[v - 1], x[u - 1]])
+    for u, v in m.tree.edges():
+        p *= float(m.kernel_stack[v - 2, x[v - 1], x[u - 1]])
     return p
 
 
 def contraction_coefficient(m: MarkovTreeModel, edge: tuple[int, int]) -> float:
     """Largest TV distance between two columns of the edge's kernel.
 
-    Read from :attr:`MarkovTreeModel.edge_thetas`.
+    Read from ``m.edge_thetas``; a non-edge raises ``kernel()``'s error.
     """
-    return m.edge_thetas[m.kernel(edge).edge[1]]
+    return m.edge_thetas[_tree_edge(m.tree, edge)[1]]
 
 
 def max_contraction(m: MarkovTreeModel) -> float:

@@ -41,7 +41,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .model import _EPS, Kernel, MarkovTreeModel, _normalize_columns
+from .model import _EPS, MarkovTreeModel, _normalize_columns
 from .treegraph import TreeStructureError, build_tree
 from .tvalgebra import STOCHASTIC_ATOL, column_tv_norm
 
@@ -217,29 +217,28 @@ def parse_model_file(path: str) -> tuple[MarkovTreeModel, dict[int, int]]:
 
 def serialize_model(model: MarkovTreeModel) -> dict:
     """Canonical JSON-ready dict (nodes in canonical numbering)."""
-    edges = []
-    for u, v in model.tree.edges():
-        mat = model.kernels[(u, v)].matrix
-        edges.append(
-            {
-                "parent": u,
-                "child": v,
-                "kernel": [[float(x) for x in row] for row in mat.T],
-            }
-        )
+    # Stack rows are [child, parent] in tree.edges() order; file rows are parent-major.
+    rows = model.kernel_stack.transpose(0, 2, 1).tolist()
     return {
         "format_version": FORMAT_VERSION,
         "alphabet_size": model.alphabet_size,
         "nodes": model.n,
-        "root_dist": [float(x) for x in model.root_dist],
-        "edges": edges,
+        "root_dist": model.root_dist.tolist(),
+        "edges": [
+            {"parent": u, "child": v, "kernel": kernel}
+            for (u, v), kernel in zip(model.tree.edges(), rows)
+        ],
     }
+
+
+def model_text(model: MarkovTreeModel) -> str:
+    """The model file text: :func:`serialize_model` as indented JSON, newline-ended."""
+    return json.dumps(serialize_model(model), indent=2) + "\n"
 
 
 def save_model(model: MarkovTreeModel, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(serialize_model(model), fh, indent=2)
-        fh.write("\n")
+        fh.write(model_text(model))
 
 
 def _random_tree(
@@ -318,8 +317,6 @@ def random_model(
     topo, _ = build_tree(n, _random_tree(rng, n, width, depth))
     root = rng.random(s) + 1e-3
     root /= root.sum()
-    kernels = {
-        (u, v): Kernel((u, v), _random_kernel(rng, s, theta_max))
-        for u, v in topo.edges()
-    }
-    return MarkovTreeModel(topo, s, root, kernels)
+    # One kernel per edge, drawn in child order: the model's stack order.
+    stack = np.array([_random_kernel(rng, s, theta_max) for _ in range(n - 1)])
+    return MarkovTreeModel(topo, s, root, stack.reshape(n - 1, s, s))

@@ -289,6 +289,24 @@ def oracle_random_tree(rng, n, width, depth) -> list[tuple[int, int]]:
     return edges
 
 
+def oracle_random_model(seed, n, alphabet_size=2, width=None, depth=None, theta_max=0.9):
+    """``modelfile.random_model`` as it was: one validated :class:`Kernel`
+    per edge, drawn in edge order and given to the model as a mapping."""
+    from treemix.modelfile import _random_kernel, _random_tree
+
+    s = alphabet_size
+    width = n - 1 if width is None else width
+    depth = n - 1 if depth is None else depth
+    rng = np.random.default_rng(seed)
+    topo, _ = build_tree(n, _random_tree(rng, n, width, depth))
+    root = rng.random(s) + 1e-3
+    root /= root.sum()
+    kernels = {
+        (u, v): Kernel((u, v), _random_kernel(rng, s, theta_max)) for u, v in topo.edges()
+    }
+    return MarkovTreeModel(topo, s, root, kernels)
+
+
 # ------------------------------------------------- per-row model parser
 #
 # The model-file parser as it was before kernels were parsed as one

@@ -233,6 +233,19 @@ class TestEntryPoint:
             assert (child.returncode, child.stdout, child.stderr) == (code, out.out, out.err)
 
 
+@pytest.mark.parametrize("argv", [["coeffs"], ["inspect", "-v"]])
+def test_edge_commands_make_no_kernel_view(model_path, monkeypatch, capsys, argv):
+    models = []
+
+    def parse(path):
+        models.append(parse_model_file(path))
+        return models[-1]
+
+    monkeypatch.setattr(cli, "parse_model_file", parse)
+    assert main([argv[0], model_path, *argv[1:]]) == 0
+    assert [m.kernels._views for m, _ in models] == [{}]
+
+
 class TestCoeffs:
     def test_lists_every_edge(self, model_path, capsys):
         assert main(["coeffs", model_path]) == 0
@@ -397,6 +410,15 @@ class TestGen:
         assert main(["gen", "--nodes", "5", "--seed", "9", "-o", a]) == 0
         assert main(["gen", "--nodes", "5", "--seed", "9", "-o", b]) == 0
         assert Path(a).read_bytes() == Path(b).read_bytes()
+
+    def test_stdout_file_and_save_model_agree(self, tmp_path, capsys):
+        argv = ["gen", "--nodes", "9", "--alphabet-size", "3", "--width", "3", "--seed", "4"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out, saved = tmp_path / "out.json", tmp_path / "saved.json"
+        assert main([*argv, "-o", str(out)]) == 0
+        save_model(random_model(4, 9, alphabet_size=3, width=3), str(saved))
+        assert out.read_bytes() == saved.read_bytes() == stdout.encode()
 
     def test_env_cap_applies(self, model_path, monkeypatch):
         monkeypatch.setenv("TREEMIX_MAX_ENUM", "not-a-number")

@@ -22,7 +22,14 @@ from treemix.model import (
     sample_paths,
     verify_markov_property,
 )
-from treemix.modelfile import _random_kernel, parse_model_file, random_model, save_model
+from treemix.mixing import eta_factorization
+from treemix.modelfile import (
+    _random_kernel,
+    parse_model_file,
+    random_model,
+    save_model,
+    serialize_model,
+)
 from treemix.treegraph import build_tree
 from treemix.tvalgebra import column_tv_norm
 
@@ -277,6 +284,25 @@ class TestContraction:
     def test_unknown_edge(self, chain3_07):
         with pytest.raises(ValueError, match="no kernel"):
             contraction_coefficient(chain3_07, (1, 3))
+
+    @pytest.mark.parametrize("edge", [(1, 3), (2, 1), (0, 1), (np.int64(1), 3.0)])
+    def test_unknown_edge_error_text(self, chain3_07, edge):
+        # contraction_coefficient checks the tree's parent map with kernel()'s text.
+        u, v = int(edge[0]), int(edge[1])
+        want = f"no kernel for edge ({u}, {v}); edges are ((1, 2), (2, 3))"
+        for call in (chain3_07.kernel, lambda e: contraction_coefficient(chain3_07, e)):
+            with pytest.raises(ValueError) as info:
+                call(edge)
+            assert str(info.value) == want
+
+    def test_package_readers_make_no_kernel_view(self):
+        m = random_model(5, n=9, alphabet_size=3, width=3)
+        serialize_model(m)
+        thetas = [contraction_coefficient(m, edge) for edge in m.tree.edges()]
+        joint_probability(m, [1] * m.n)
+        eta_factorization(m, 1, m.n, 0, 1)
+        assert m.kernels._views == {}
+        assert thetas == [m.edge_thetas[v] for _, v in m.tree.edges()]
 
     def test_edge_thetas_are_column_tv_norms_of_the_kernels(self, tmp_path):
         # One parsed model (a C-order stack) and one built from a mapping

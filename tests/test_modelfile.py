@@ -25,7 +25,13 @@ from treemix.modelfile import (
 )
 from treemix.tvalgebra import STOCHASTIC_ATOL, column_tv_norm
 
-from conftest import ROWS_05, ROWS_07, oracle_parse_model, oracle_random_tree
+from conftest import (
+    ROWS_05,
+    ROWS_07,
+    oracle_parse_model,
+    oracle_random_model,
+    oracle_random_tree,
+)
 
 _ULP = 2.0**-52
 
@@ -278,6 +284,21 @@ class TestRandomModel:
         m = random_model(0, n=1)
         assert m.n == 1
         assert m.tree.edges() == ()
+
+    @pytest.mark.parametrize("n, s, width", [(1, 2, None), (2, 2, None), (40, 3, 12)])
+    def test_stack_equals_kernel_mapping_construction(self, n, s, width):
+        # The stack drawn in child order is the model the per-edge Kernel
+        # mapping gave: same tree, bits and memory layout (the strides of an
+        # empty stack address nothing).
+        m = random_model(11, n, alphabet_size=s, width=width)
+        old = oracle_random_model(11, n, alphabet_size=s, width=width)
+        assert m.tree.edges() == old.tree.edges()
+        for a, b in [(m.kernel_stack, old.kernel_stack), (m.root_dist, old.root_dist)]:
+            assert a.tobytes() == b.tobytes()
+            layout = [(x.shape, x.flags.c_contiguous, x.flags.f_contiguous) for x in (a, b)]
+            assert layout[0] == layout[1]
+            assert a.size == 0 or a.strides == b.strides
+        assert m.kernel_stack.shape == (n - 1, s, s)
 
 
 @st.composite
@@ -585,7 +606,8 @@ def test_parser_matches_per_row_oracle(doc):
 
 
 def test_parsing_makes_no_kernel_view(tmp_path, monkeypatch):
-    # The op paths read ``kernel_stack``; views are made only when asked for.
+    # The op paths and the writer read ``kernel_stack``; views are made
+    # only when asked for.
     path = str(tmp_path / "model.json")
     save_model(random_model(seed=4, n=12, alphabet_size=3), path)
     made = []
@@ -598,7 +620,8 @@ def test_parsing_makes_no_kernel_view(tmp_path, monkeypatch):
     m, _ = parse_model_file(path)
     assert made == []
     doc = serialize_model(m)
-    assert made == list(m.tree.edges())
+    assert made == []
+    assert [k.edge for k in m.kernels.values()] == made == list(m.tree.edges())
     assert [k.edge for k in m.kernels.values()] == made  # each view made once
     assert len(made) == m.n - 1
     with open(path, encoding="utf-8") as fh:
