@@ -243,6 +243,17 @@ def _uniform_step(theta: float, L: int) -> float:
     return theta if L == 1 else 1.0 - (1.0 - theta) ** L
 
 
+def _uniform_args(theta: float, width_cap: int, zero_ok: bool) -> tuple[float, int]:
+    """``theta`` in [0, 1) (or (0, 1) unless ``zero_ok``) and ``L >= 1``."""
+    theta = float(theta)
+    if not (0.0 <= theta < 1.0 and (zero_ok or theta > 0.0)):
+        raise ValueError(f"theta must lie in {'[' if zero_ok else '('}0, 1), got {theta}")
+    L = int(width_cap)
+    if L < 1:
+        raise ValueError(f"width cap must be >= 1, got {width_cap}")
+    return theta, L
+
+
 def eta_bar_bound_uniform(theta: float, width_cap: int, i: int, j: int) -> float:
     """Closed-form bound from a uniform contraction coefficient.
 
@@ -250,12 +261,7 @@ def eta_bar_bound_uniform(theta: float, width_cap: int, i: int, j: int) -> float
     cap for the tree (``L >= wid``); requires ``0 <= theta < 1``.
     The ``L == 1`` chain case is computed as ``theta ** (j - i)``.
     """
-    theta = float(theta)
-    if not 0.0 <= theta < 1.0:
-        raise ValueError(f"theta must lie in [0, 1), got {theta}")
-    L = int(width_cap)
-    if L < 1:
-        raise ValueError(f"width cap must be >= 1, got {width_cap}")
+    theta, L = _uniform_args(theta, width_cap, zero_ok=True)
     i, j = int(i), int(j)
     if not i < j:
         raise ValueError(f"need i < j, got i={i}, j={j}")
@@ -268,15 +274,11 @@ def geometric_rate(theta: float, width_cap: int) -> float:
     ``(1 - (1 - theta)**L) ** (1 / (2L - 1))``: for ``j - i >= L`` the
     uniform bound is at most this rate to the power ``j - i`` (via
     ``floor(k / L) >= k / (2L - 1)`` for ``k >= L``).  Requires
-    ``0 < theta < 1``.
+    ``0 < theta < 1``.  The step is the uniform bound's, so on a chain
+    (``L == 1``) the rate is ``theta`` and the two bounds agree bit for bit.
     """
-    theta = float(theta)
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    L = int(width_cap)
-    if L < 1:
-        raise ValueError(f"width cap must be >= 1, got {width_cap}")
-    return (1.0 - (1.0 - theta) ** L) ** (1.0 / (2 * L - 1))
+    theta, L = _uniform_args(theta, width_cap, zero_ok=False)
+    return _uniform_step(theta, L) ** (1.0 / (2 * L - 1))
 
 
 class LevelGrowthError(ValueError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -274,6 +275,34 @@ class TestGeometricRate:
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError, match="theta"):
                 geometric_rate(bad, 2)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 5, 8])
+    def test_never_below_uniform_on_grid(self, L):
+        # theta = 0.01..0.99, k = j - i = L..39.  On a chain the two bounds
+        # are one number; for L >= 2 the geometric bound is larger but at
+        # k = 2L - 1, where floor(k / L) = k / (2L - 1) and the two agree up
+        # to the rounding of the k-th power of the rate.
+        eps = np.finfo(float).eps
+        for t in range(1, 100):
+            rate = geometric_rate(t / 100, L)
+            for k in range(L, 40):
+                uni = eta_bar_bound_uniform(t / 100, L, 1, 1 + k)
+                if L == 1:
+                    assert rate**k == uni
+                elif k == 2 * L - 1:
+                    assert uni <= rate**k * (1 + 2 * L * eps)
+                else:
+                    assert uni <= rate**k
+
+    def test_shares_the_uniform_argument_check(self):
+        for theta, L in [(float("nan"), 2), (-0.5, 2), (1.0, 1), (0.5, 0)]:
+            for call in (lambda: geometric_rate(theta, L),
+                         lambda: eta_bar_bound_uniform(theta, L, 1, 2)):
+                with pytest.raises(ValueError, match="theta|width cap"):
+                    call()
+        assert eta_bar_bound_uniform(0.0, 2, 1, 3) == 0.0
+        with pytest.raises(ValueError, match=re.escape("theta must lie in (0, 1), got 0.0")):
+            geometric_rate(0.0, 2)
 
 
 class TestLinearGrowthBound:
