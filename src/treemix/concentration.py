@@ -257,7 +257,8 @@ def hamming_lipschitz_constant(f: np.ndarray, n: int) -> float:
 
 @dataclass(frozen=True)
 class DeviationEstimate:
-    """Empirical tail frequency with a binomial error radius."""
+    """Empirical tail frequency with a binomial error radius (see
+    :func:`monte_carlo_deviation`)."""
 
     t: float
     samples: int
@@ -281,8 +282,12 @@ def monte_carlo_deviation(
     (within 1e-9); other tables are rejected.  The mean is exact (joint-table
     dot product) when the model admits the table, and otherwise
     estimated from an independent pre-batch drawn from a disjoint slice
-    of the seed's sample streams.  The radius is the
-    3-sigma binomial half-width ``3 sqrt(p (1 - p) / samples)``.
+    of the seed's sample streams.  The radius is the larger distance
+    from ``empirical`` to an end of the Wilson score interval at z = 3
+    (:func:`_wilson_interval`), so ``empirical ± radius`` contains that
+    interval.  Unlike a Wald half-width it does not vanish when no sample,
+    or every sample, exceeds ``t``: at ``empirical = 0`` and 100 samples
+    it is 9/109.
 
     Paths are drawn ``_SAMPLE_BLOCK`` at a time, and their blocks equal
     one draw: the exceedances are counted block by block, and only the
@@ -316,11 +321,20 @@ def monte_carlo_deviation(
         for fx in _sampled_values(m, vals, seed, samples, 0)
     )
     p_hat = exceed / samples
-    radius = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / samples)
+    low, high = _wilson_interval(p_hat, samples)
     return DeviationEstimate(
         t=t, samples=samples, exceed_count=exceed, empirical=p_hat,
-        radius=radius, mean=mean, mean_source=mean_source,
+        radius=max(p_hat - low, high - p_hat), mean=mean, mean_source=mean_source,
     )
+
+
+def _wilson_interval(p_hat: float, samples: int, z: float = 3.0) -> tuple[float, float]:
+    """Wilson's score interval (JASA 22, 1927) of a frequency ``p_hat`` over
+    ``samples`` draws: the p with ``(p_hat - p)**2 <= z**2 p (1 - p) / samples``."""
+    z2 = z * z / samples
+    center = (p_hat + z2 / 2) / (1 + z2)
+    half = z / (1 + z2) * math.sqrt(p_hat * (1 - p_hat) / samples + z2 / (4 * samples))
+    return center - half, center + half
 
 
 def _sampled_values(

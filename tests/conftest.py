@@ -642,8 +642,31 @@ def oracle_monte_carlo_deviation(m, f, t, samples, seed):
     fx = vals[_flat_indices(batch, m.alphabet_size)]
     exceed = int((np.abs(fx - mean) > t).sum())
     p_hat = exceed / samples
-    radius = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / samples)
+    z2 = 9.0 / samples  # Wilson's score interval at z = 3
+    center = (p_hat + z2 / 2) / (1 + z2)
+    half = 3.0 / (1 + z2) * math.sqrt(p_hat * (1 - p_hat) / samples + z2 / (4 * samples))
+    radius = max(p_hat - (center - half), center + half - p_hat)
     return DeviationEstimate(
         t=float(t), samples=samples, exceed_count=exceed, empirical=p_hat,
         radius=radius, mean=mean, mean_source=mean_source,
     )
+
+
+def oracle_wilson_interval(p_hat, samples, z=3.0):
+    """Ends of the Wilson score interval by bisection: the roots of
+    ``(p_hat - p)**2 = z**2 p (1 - p) / samples`` below and above ``p_hat``."""
+
+    def outside(p):
+        return (p_hat - p) ** 2 > z * z * p * (1 - p) / samples
+
+    ends = []
+    for out in (0.0, 1.0):
+        inside = p_hat
+        for _ in range(200):  # halves the bracket down to one ulp
+            mid = (out + inside) / 2
+            if outside(mid):
+                out = mid
+            else:
+                inside = mid
+        ends.append(inside)
+    return tuple(ends)

@@ -28,6 +28,7 @@ from conftest import (
     oracle_hamming_lipschitz_constant,
     oracle_lipschitz_test_corpus,
     oracle_monte_carlo_deviation,
+    oracle_wilson_interval,
 )
 
 
@@ -377,6 +378,40 @@ class TestMonteCarloDeviation:
     def fair_bits(n):
         rows = [[0.5, 0.5], [0.5, 0.5]]
         return chain_model([rows] * (n - 1))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_interval_covers_the_tail_when_no_sample_exceeds(self, seed):
+        # No sample exceeds t, yet the exact tail is positive: a Wald
+        # half-width gave the interval [0, 0].
+        m = random_model(1, n=6, width=2)
+        name, f = lipschitz_test_corpus(m.n, 2, np.random.default_rng(0))[0]
+        assert name == "symbol-frequency"
+        p = m.joint_table().reshape(-1)
+        exact = float(p[np.abs(f - p @ f) > 0.45].sum())
+        assert exact == pytest.approx(0.00704, abs=5e-6)
+        est = monte_carlo_deviation(m, f, 0.45, 100, seed=seed)
+        assert (est.exceed_count, est.empirical) == (0, 0.0)
+        assert est.radius == pytest.approx(9 / 109, rel=1e-15)
+        assert est.empirical - est.radius <= exact <= est.empirical + est.radius
+
+    @pytest.mark.parametrize("samples", [1, 7, 100, 5000])
+    def test_wilson_interval_matches_bisection(self, samples):
+        for exceed in sorted({0, 1, samples // 3, samples // 2, samples - 1, samples}):
+            p_hat = exceed / samples
+            low, high = concentration._wilson_interval(p_hat, samples)
+            want_low, want_high = oracle_wilson_interval(p_hat, samples)
+            assert low == pytest.approx(want_low, abs=1e-15)
+            assert high == pytest.approx(want_high, abs=1e-15)
+            assert 0.0 <= want_low <= p_hat <= want_high <= 1.0
+
+    def test_radius_reaches_the_farther_end(self):
+        m = self.fair_bits(4)
+        freq = ((np.indices((2,) * 4) == 0).sum(axis=0) / 4).reshape(-1)
+        for t, samples in [(0.1, 50), (0.3, 200), (0.6, 100)]:
+            est = monte_carlo_deviation(m, freq, t, samples, seed=5)
+            low, high = oracle_wilson_interval(est.empirical, samples)
+            want = max(est.empirical - low, high - est.empirical)
+            assert est.radius == pytest.approx(want, abs=1e-15)
 
     def test_fair_bits_frozen_probability(self):
         # ten fair bits, f = fraction of zeros, t = 0.2:
