@@ -33,7 +33,7 @@ from .model import (
     enumeration_cap,
     sample_paths,
 )
-from .modelfile import model_text, parse_model_file, random_model
+from .modelfile import model_text, parse_model_file, random_model, save_model
 from .verification import run_verification
 
 T_GRID_DEFAULT = (0.05, 0.1, 0.2, 0.3, 0.5)
@@ -289,15 +289,14 @@ def _cmd_verify(args, model, _relabel) -> int:
 
 
 def _cmd_gen(args) -> int:
-    text = model_text(random_model(
+    model = random_model(
         args.seed, args.nodes, args.alphabet_size, args.width, args.depth, args.theta_max
-    ))
+    )
     if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save_model(model, args.output)
         print(f"wrote {args.output}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(model_text(model))
     return 0
 
 

@@ -257,8 +257,7 @@ def hamming_lipschitz_constant(f: np.ndarray, n: int) -> float:
 
 @dataclass(frozen=True)
 class DeviationEstimate:
-    """Empirical tail frequency with a binomial error radius (see
-    :func:`monte_carlo_deviation`)."""
+    """Empirical tail frequency with a binomial error radius."""
 
     t: float
     samples: int

@@ -7,13 +7,12 @@ kernel per tree edge; the joint law of the node variables is
 
 The kernels are held as one read-only stack, ``kernel_stack``, of shape
 ``(n - 1, s, s)`` in child order: ``kernel_stack[v - 2][x_v, x_u]`` is the
-kernel of the edge into ``v``; it is the one kernel representation the
-package builds and reads.  A model given the stack (as the file loader and
-``random_model`` give it) validates it once, as a whole.  For callers
-outside the package, ``kernels`` and ``kernel(edge)`` are :class:`Kernel`
-views into the stack, each made on first access.  Its copies of the
-stack and root law are normalized once, so θ, the frontier sweep, the
-joint table and the sampler read one measure.
+kernel of the edge into ``v``; the package builds and reads no other.  A
+model given the stack (as the file loader and ``random_model`` give it)
+validates it once, as a whole.  ``kernels`` and ``kernel(edge)`` give
+callers outside the package :class:`Kernel` views into it, each made on
+first access.  Its copies of the stack and root law are normalized once,
+so θ, the frontier sweep, the joint table and the sampler read one measure.
 The model's derived tables are ``functools.cached_property`` attributes,
 each computed from the stack on first read and then kept on the model:
 the edge contraction coefficients (``edge_thetas``), the node marginals
@@ -233,7 +232,9 @@ class MarkovTreeModel:
             raise ValueError(f"alphabet size must be >= 1, got {self.alphabet_size}")
         dist = np.array(self.root_dist, dtype=float).reshape(-1)
         if dist.size != s:
-            raise ValueError(f"root distribution has {dist.size} entries, expected {s}")
+            raise ValueError(
+                f"root distribution has {dist.size} entries, expected {s}"
+            )
         fault = stochastic_fault(dist[:, None])
         if fault is not None:
             raise ValueError(f"root distribution is not a probability vector: {fault}")
