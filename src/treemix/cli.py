@@ -26,12 +26,11 @@ from .concentration import (
 )
 from .mixing import eta_report
 from .model import (
-    _SAMPLE_BLOCK,
     EnumerationLimitError,
     _cells_text,
     contraction_coefficient,
     enumeration_cap,
-    sample_paths,
+    sample_blocks,
 )
 from .modelfile import model_text, parse_model_file, random_model, save_model
 from .verification import run_verification
@@ -237,16 +236,13 @@ def _cmd_bound(args, model, _relabel) -> int:
 
 
 def _cmd_sample(args, model, _relabel) -> int:
-    # Drawn and written _SAMPLE_BLOCK paths at a time: path p of block
-    # ``start`` is stream ``start + p``, so the blocks equal one call.
+    # Drawn and written a block at a time; the blocks equal one call.
     tokens = [f",{x}" for x in range(model.alphabet_size)]
     header = ",".join(["path"] + [f"x{v}" for v in range(1, model.n + 1)])
 
     def write(fh) -> None:
         fh.write(header + "\n")
-        for start in range(0, args.count, _SAMPLE_BLOCK):
-            size = min(_SAMPLE_BLOCK, args.count - start)
-            batch = sample_paths(model, args.seed, size, stream_offset=start)
+        for start, batch in sample_blocks(model, args.seed, args.count):
             rows = _joined_rows(tokens, batch)
             fh.write("".join([f"{p}{row}\n" for p, row in enumerate(rows, start)]))
 

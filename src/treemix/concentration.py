@@ -32,18 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .mixing import SOURCES
-from .model import (
-    _SAMPLE_BLOCK,
-    EnumerationLimitError,
-    MarkovTreeModel,
-    _cells_text,
-    sample_paths,
-)
+from .model import EnumerationLimitError, MarkovTreeModel, _cells_text, sample_blocks
 
 HAMMING = "hamming"
 EUCLIDEAN = "euclidean"
@@ -288,9 +281,10 @@ def monte_carlo_deviation(
     or every sample, exceeds ``t``: at ``empirical = 0`` and 100 samples
     it is 9/109.
 
-    Paths are drawn ``_SAMPLE_BLOCK`` at a time, and their blocks equal
-    one draw: the exceedances are counted block by block, and only the
-    pre-batch's f values, one float per path, are held at once.
+    Paths are drawn a block at a time (:func:`~treemix.model.sample_blocks`),
+    and their blocks equal one draw: the exceedances are counted block by
+    block, and only the pre-batch's f values, one float per path, are held
+    at once.
     """
     t = float(t)
     if not t > 0.0:
@@ -308,16 +302,17 @@ def monte_carlo_deviation(
             f"function is {constant:.6g}-Lipschitz in the normalized Hamming "
             f"metric; normalize it to constant <= 1"
         )
+    s = m.alphabet_size
     try:
         mean = float(m.joint_table().reshape(-1) @ vals)
         mean_source = "exact"
     except EnumerationLimitError:
-        pre = _sampled_values(m, vals, seed, samples, samples)
-        mean = float(np.concatenate(list(pre)).mean())
+        pre = [vals[_flat_indices(b, s)] for _, b in sample_blocks(m, seed, samples, samples)]
+        mean = float(np.concatenate(pre).mean())
         mean_source = "sampled"
     exceed = sum(
-        int((np.abs(fx - mean) > t).sum())
-        for fx in _sampled_values(m, vals, seed, samples, 0)
+        int((np.abs(vals[_flat_indices(b, s)] - mean) > t).sum())
+        for _, b in sample_blocks(m, seed, samples)
     )
     p_hat = exceed / samples
     low, high = _wilson_interval(p_hat, samples)
@@ -334,17 +329,6 @@ def _wilson_interval(p_hat: float, samples: int, z: float = 3.0) -> tuple[float,
     center = (p_hat + z2 / 2) / (1 + z2)
     half = z / (1 + z2) * math.sqrt(p_hat * (1 - p_hat) / samples + z2 / (4 * samples))
     return center - half, center + half
-
-
-def _sampled_values(
-    m: MarkovTreeModel, vals: np.ndarray, seed: int, samples: int, offset: int
-) -> Iterator[np.ndarray]:
-    """``vals`` at the paths of streams ``offset .. offset + samples - 1``,
-    one block of at most ``_SAMPLE_BLOCK`` paths at a time."""
-    for start in range(0, samples, _SAMPLE_BLOCK):
-        size = min(_SAMPLE_BLOCK, samples - start)
-        batch = sample_paths(m, seed, size, stream_offset=offset + start)
-        yield vals[_flat_indices(batch, m.alphabet_size)]
 
 
 def _flat_indices(configs: np.ndarray, alphabet_size: int) -> np.ndarray:

@@ -40,7 +40,6 @@ The streams are computed together, as uint64 array arithmetic.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,13 +49,10 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .treegraph import TreeTopology, subtree
-from .tvalgebra import IndexedTensor, column_tv_norms, stochastic_fault
+from .tvalgebra import IndexedTensor, _normalize_columns, column_tv_norms, stochastic_fault
 
 DEFAULT_ENUM_CAP = 10_000_000
 ENUM_CAP_ENV = "TREEMIX_MAX_ENUM"
-
-_EPS = float(np.finfo(float).eps)
-_NORM_BAND = 4 * _EPS  # columns whose exact sum is this close to 1 stay as given
 
 
 class EnumerationLimitError(RuntimeError):
@@ -83,25 +79,6 @@ def _cells_text(m: "MarkovTreeModel") -> str:
         return str(m.table_cells())
     except ValueError:
         return f"{m.alphabet_size}**{m.n}"
-
-
-def _normalize_columns(mat: np.ndarray) -> None:
-    """Divide in place each column of ``mat`` (axis -2, probability vectors
-    within ``STOCHASTIC_ATOL``) whose exact sum misses 1 by more than
-    ``_NORM_BAND`` by that sum.  The band is safe: a divided column sums to
-    within 1 eps, so a second pass or a save/parse round trip changes no
-    bit; ``random_model`` laws sum to within 1 eps and stay as drawn; and
-    D levels of drift within it move eta_bar by about D bands, far below
-    1e-12 at the exact engine's depth (at most 22).  A float sum of ``s``
-    such entries errs by at most (s - 1) eps / 2: only a column whose float
-    sum is not clearly inside the band is summed exactly (``math.fsum``)."""
-    screen = _NORM_BAND - (mat.shape[-2] - 1) * _EPS / 2
-    off = np.abs(mat.sum(axis=-2) - 1.0) > screen
-    for *lead, col in zip(*np.nonzero(off)):
-        column = mat[(*lead, slice(None), col)]
-        total = math.fsum(column.tolist())
-        if abs(total - 1.0) > _NORM_BAND:
-            column /= total
 
 
 def _tree_edge(tree: TreeTopology, edge: tuple[int, int]) -> tuple[int, int]:
@@ -212,19 +189,19 @@ class MarkovTreeModel:
     ``kernels`` is the kernel stack, an array of shape ``(n - 1, s, s)``
     whose entry ``v - 2`` is the kernel of the edge into ``v``, or, from
     callers outside the package, a mapping edge -> :class:`Kernel`
-    covering the tree's edges, which ``kernel_stack`` then copies.  A stack
-    is copied and validated once, as a whole, by ``stochastic_fault``; an
-    invalid stack raises the error of its first invalid edge.  Either way
-    the copied stack and root law are normalized, and ``kernels`` becomes
-    a read-only mapping of every edge to a :class:`Kernel` view into the
-    read-only ``kernel_stack``, made when first looked up.
+    covering the tree's edges, which ``kernel_stack`` then copies.  Either
+    way the copied stack and root law are checked and normalized once, as
+    wholes (an invalid stack raises the error of its first invalid edge),
+    and ``kernels`` becomes a read-only mapping of every edge to a
+    :class:`Kernel` view into ``kernel_stack``, made when first looked up;
+    the repr shows the stack and makes no view.
     """
 
     tree: TreeTopology
     alphabet_size: int
     root_dist: np.ndarray
-    kernels: Mapping[tuple[int, int], Kernel] | np.ndarray
-    kernel_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    kernels: Mapping[tuple[int, int], Kernel] | np.ndarray = field(repr=False)
+    kernel_stack: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         s = int(self.alphabet_size)
@@ -235,10 +212,10 @@ class MarkovTreeModel:
             raise ValueError(
                 f"root distribution has {dist.size} entries, expected {s}"
             )
-        fault = stochastic_fault(dist[:, None])
-        if fault is not None:
-            raise ValueError(f"root distribution is not a probability vector: {fault}")
-        _normalize_columns(dist[:, None])
+        try:
+            _normalize_columns(dist[:, None])
+        except ValueError as exc:
+            raise ValueError(f"root distribution is not a probability vector: {exc}") from None
         dist.flags.writeable = False
         edges = self.tree.edges()
         if isinstance(self.kernels, np.ndarray):
@@ -248,12 +225,14 @@ class MarkovTreeModel:
                     f"kernel stack has shape {stack.shape}, expected "
                     f"{(len(edges), s, s)}"
                 )
-            if stochastic_fault(stack) is not None:
-                for u, v in edges:  # raises the first failing edge's error
-                    Kernel((u, v), stack[v - 2])
         else:
             stack = _stack_kernels(dict(self.kernels), edges, s)
-        _normalize_columns(stack)
+        try:
+            _normalize_columns(stack)
+        except ValueError:
+            for u, v in edges:  # raises the first failing edge's error
+                Kernel((u, v), stack[v - 2])
+            raise
         stack.flags.writeable = False  # before the views, which inherit it
         object.__setattr__(self, "alphabet_size", s)
         object.__setattr__(self, "root_dist", dist)
@@ -499,6 +478,17 @@ def sample_paths(
                 x[v - 1] += c[x_parent] <= u[v - 1]
         out[start : start + size] = x.T
     return out
+
+
+def sample_blocks(
+    m: MarkovTreeModel, seed: int, count: int, stream_offset: int = 0
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``sample_paths(m, seed, count, stream_offset)`` as ``(start, paths)``
+    blocks of at most ``_SAMPLE_BLOCK`` paths, each one ``sample_paths``
+    call; path ``p`` is stream ``stream_offset + p`` in both."""
+    for start in range(0, count, _SAMPLE_BLOCK):
+        size = min(_SAMPLE_BLOCK, count - start)
+        yield start, sample_paths(m, seed, size, stream_offset=stream_offset + start)
 
 
 def _independence_violation(

@@ -15,22 +15,22 @@ Schema (format_version 1)::
 
 Kernel rows are parent-major: ``kernel[x_parent][x_child]`` is the
 transition probability, i.e. each row is the child distribution for one
-parent state.  Rows (and ``root_dist``) must sum to 1 within 1e-9 and
-are normalized at load by the model's one rule, which leaves a normalized
-row as it is, so save/parse round trips are bit-exact.  Node labels may
-be any permutation of ``1..n``; the loaded model is always relabeled to
-the canonical breadth-first numbering, and the relabeling map is
-returned alongside it.
+parent state.  Rows (and ``root_dist``) must sum to 1 within 1e-9 by
+the rule every model obeys (:func:`~treemix.tvalgebra.column_sums`: the
+exact sum wherever the verdict could turn on rounding).  The model
+normalizes them once, and leaves a normalized row as it is, so save/parse
+round trips are bit-exact.  Node labels may be any permutation of
+``1..n``; the loaded model is always relabeled to the canonical
+breadth-first numbering, and the relabeling map is returned alongside it.
 
 Loading checks each edge record (an object with integer ``parent`` and
 ``child`` and ``s`` rows of ``s`` entries), then converts every kernel
-entry in one ``float()`` pass and range-checks all rows at once.  Only a
-row whose float sum is not clearly within 1e-9 of 1 is summed exactly
-(``math.fsum``).  The kernels reach the model as one ``(n - 1, s, s)``
-stack in canonical child order (:class:`~treemix.model.MarkovTreeModel`),
-validated once.  A bad file raises :class:`ModelFileError` for its first
-fault in file order; a kernel fault names the edge, in the file's labels,
-and the row.
+entry in one ``float()`` pass and range-checks and sums all rows at once.
+The kernels reach the model, unnormalized, as one ``(n - 1, s, s)`` stack
+in canonical child order (:class:`~treemix.model.MarkovTreeModel`), which
+checks and normalizes it once.  A bad file raises :class:`ModelFileError`
+for its first fault in file order; a kernel fault names the edge, in the
+file's labels, and the row.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .model import _EPS, MarkovTreeModel, _normalize_columns
+from .model import MarkovTreeModel
 from .treegraph import TreeStructureError, build_tree
-from .tvalgebra import STOCHASTIC_ATOL, column_tv_norm
+from .tvalgebra import STOCHASTIC_ATOL, column_sums, column_tv_norm
 
 FORMAT_VERSION = 1
 
@@ -60,16 +60,14 @@ def _as_float(x: Any) -> float:
 
 
 def _probability_rows(raw_rows: list, s: int, name: Callable[[int], str]) -> np.ndarray:
-    """Check and normalize rows of ``s`` probabilities, as one
-    ``(len(raw_rows), s)`` array.
+    """Check rows of ``s`` probabilities, as one ``(len(raw_rows), s)`` array.
 
     A fault raises :class:`ModelFileError` for the first faulty row
     ``k``, named ``name(k)``; within a row the checks run in the order
     shape, non-numeric entry, range, sum.  All rows are converted in one
-    ``float()`` pass and range-checked together; only a row whose float
-    sum is not clearly within ``STOCHASTIC_ATOL`` of 1 is summed exactly
-    (``math.fsum``).  The rows are then normalized, so that the model's
-    float-sum check cannot refuse a row the exact check accepted.
+    ``float()`` pass and range-checked together, and the rows before the
+    first one out of range are summed by the model's rule
+    (:func:`~treemix.tvalgebra.column_sums`).  The model normalizes them.
     """
     shaped = next(
         (k for k, row in enumerate(raw_rows) if not isinstance(row, list) or len(row) != s),
@@ -89,23 +87,20 @@ def _probability_rows(raw_rows: list, s: int, name: Callable[[int], str]) -> np.
             numeric = shaped
     rows = np.array(flat).reshape(numeric, s)
     # NaN fails both comparisons.
-    outside = ~((rows >= 0.0) & (rows <= 1.0 + STOCHASTIC_ATOL)).all(axis=1)
-    # The float sum of s entries in [0, 1] is within (s - 1) / 2 ulp of
-    # their exact sum, so inside this band the exact sum is within tolerance.
-    near = np.abs(rows.sum(axis=1) - 1.0) <= STOCHASTIC_ATOL - s * _EPS
-    for k in np.flatnonzero(outside | ~near).tolist():
-        if outside[k]:
-            raise ModelFileError(f"{name(k)} has entries outside [0, 1]")
-        total = math.fsum(rows[k].tolist())
-        if abs(total - 1.0) > STOCHASTIC_ATOL:
-            raise ModelFileError(
-                f"{name(k)} sums to {total!r}, expected 1 within {STOCHASTIC_ATOL}"
-            )
+    inside = ((rows >= 0.0) & (rows <= 1.0 + STOCHASTIC_ATOL)).all(axis=1)
+    ranged = numeric if inside.all() else int(inside.argmin())
+    sums = column_sums(rows[:ranged].T)
+    off = np.flatnonzero(np.abs(sums - 1.0) > STOCHASTIC_ATOL).tolist()
+    if off:
+        raise ModelFileError(
+            f"{name(off[0])} sums to {float(sums[off[0]])!r}, expected 1 within {STOCHASTIC_ATOL}"
+        )
+    if ranged < numeric:
+        raise ModelFileError(f"{name(ranged)} has entries outside [0, 1]")
     if numeric < shaped:
         raise ModelFileError(f"{name(numeric)} contains non-numeric entries")
     if shaped < len(raw_rows):
         raise ModelFileError(f"{name(shaped)} must be a list of {s} probabilities")
-    _normalize_columns(rows.T)
     return rows
 
 
@@ -139,7 +134,7 @@ def _edge_record(rec: Any, pos: int, s: int, path: str) -> tuple[int, int, list]
 
 
 def parse_model_file(path: str) -> tuple[MarkovTreeModel, dict[int, int]]:
-    """Load, validate, normalize, and canonicalize a model file.
+    """Load, validate and canonicalize a model file; the model normalizes it.
 
     Returns ``(model, relabel)`` where ``relabel`` maps the file's node
     labels to the canonical breadth-first numbers used by the model.

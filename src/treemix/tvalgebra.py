@@ -27,6 +27,7 @@ the plain sum of its arguments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -37,25 +38,68 @@ STOCHASTIC_ATOL = 1e-9
 # Tolerance for range checks on alpha arguments (absorbs float dust from
 # upstream TV computations).
 _RANGE_ATOL = 1e-12
+_EPS = float(np.finfo(float).eps)
+_NORM_BAND = 4 * _EPS  # columns whose exact sum is this close to 1 stay as given
+
+
+def column_sums(mat: np.ndarray) -> np.ndarray:
+    """Sums of the columns of ``mat`` along axis -2, exact (``math.fsum``)
+    wherever a verdict could turn on rounding: a float sum of ``s`` entries
+    of a probability vector errs by at most (s - 1) eps / 2, so only a
+    column whose float sum is clearly within ``_NORM_BAND`` of 1, or is not
+    finite, keeps it.  Entries must be finite and at least -1e-12, as
+    :func:`stochastic_fault` checks first, so that no exact sum overflows."""
+    sums = np.einsum("...ij->...j", mat)  # the bound holds in any order
+    screen = _NORM_BAND - (mat.shape[-2] - 1) * _EPS / 2
+    off = (np.abs(sums - 1.0) > screen) & np.isfinite(sums)
+    for *lead, col in zip(*np.nonzero(off)):
+        sums[(*lead, col)] = math.fsum(mat[(*lead, slice(None), col)].tolist())
+    return sums
+
+
+def _stochastic_sums(mat: np.ndarray, min_entry: float = 0.0) -> np.ndarray:
+    """The :func:`column_sums` of ``mat`` once its columns along axis -2
+    pass as probability vectors (entries finite and at least ``min_entry``,
+    sums within ``STOCHASTIC_ATOL`` of 1); otherwise a ValueError says why."""
+    if not np.isfinite(mat).all():
+        raise ValueError("non-finite entries")
+    low = mat.min(initial=np.inf)
+    if low < min_entry:
+        raise ValueError(f"negative entry {low}")
+    sums = column_sums(mat)
+    worst = float(np.abs(sums - 1.0).max(initial=0.0))
+    if worst > STOCHASTIC_ATOL:
+        raise ValueError(
+            f"columns must sum to 1 within {STOCHASTIC_ATOL}, worst "
+            f"deviation {worst:.3e}"
+        )
+    return sums
 
 
 def stochastic_fault(mat: np.ndarray, min_entry: float = 0.0) -> str | None:
     """Why the columns of ``mat`` along axis -2 are not probability
-    vectors (entries finite and at least ``min_entry``, sums within
+    vectors (entries finite and at least ``min_entry``, exact sums within
     ``STOCHASTIC_ATOL`` of 1), or None.  Axis -2 lets one call check a
     ``(k, rows, cols)`` stack; an empty stack passes."""
-    if not np.isfinite(mat).all():
-        return "non-finite entries"
-    low = mat.min(initial=np.inf)
-    if low < min_entry:
-        return f"negative entry {low}"
-    worst = float(np.abs(mat.sum(axis=-2) - 1.0).max(initial=0.0))
-    if worst > STOCHASTIC_ATOL:
-        return (
-            f"columns must sum to 1 within {STOCHASTIC_ATOL}, worst "
-            f"deviation {worst:.3e}"
-        )
+    try:
+        _stochastic_sums(mat, min_entry)
+    except ValueError as exc:
+        return str(exc)
     return None
+
+
+def _normalize_columns(mat: np.ndarray) -> None:
+    """Check ``mat`` by :func:`stochastic_fault`'s rule (a ValueError with
+    its message if it fails), then divide in place each column (axis -2)
+    whose exact sum misses 1 by more than ``_NORM_BAND`` by that sum; one
+    :func:`column_sums` pass serves both.  The band is safe: a divided
+    column sums to within 1 eps, so a second pass or a save/parse round
+    trip changes no bit; ``random_model`` laws sum to within 1 eps and stay
+    as drawn; and D levels of drift within it move eta_bar by about D
+    bands, far below 1e-12 at the exact engine's depth (at most 22)."""
+    sums = _stochastic_sums(mat)
+    for *lead, col in zip(*np.nonzero(np.abs(sums - 1.0) > _NORM_BAND)):
+        mat[(*lead, slice(None), col)] /= sums[(*lead, col)]
 
 
 def _check_index(index_set: Sequence[int], what: str) -> tuple[int, ...]:
@@ -101,16 +145,6 @@ class IndexedTensor:
     @property
     def tv_norm(self) -> float:
         return 0.5 * float(np.abs(self.values).sum())
-
-    def total(self) -> float:
-        return float(self.values.sum())
-
-    def is_balanced(self, atol: float = 1e-12) -> bool:
-        """True when the entries sum to zero (a difference of distributions)."""
-        return abs(self.total()) <= atol
-
-    def is_distribution(self, atol: float = STOCHASTIC_ATOL) -> bool:
-        return bool(self.values.min() >= -atol) and abs(self.total() - 1.0) <= atol
 
     def as_nd(self) -> np.ndarray:
         """View shaped with one axis per node, in index_set order."""

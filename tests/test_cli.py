@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treemix import cli, concentration, verification
+from treemix import cli, concentration, model, verification
 from treemix.cli import main
 from treemix.mixing import eta_bar_exact
 from treemix.model import _SAMPLE_BLOCK, MarkovTreeModel, sample_paths
@@ -535,7 +535,7 @@ def test_sample_writer_matches_per_cell_oracle(model_of_shape, tmp_path_factory,
     path = model_of_shape(n, s)
     csv = tmp_path_factory.getbasetemp() / "sample.csv"
     argv = ["sample", path, "--count", str(count)]
-    with mock.patch.object(cli, "sample_paths", return_value=batch):
+    with mock.patch.object(model, "sample_paths", return_value=batch):
         printed, _ = _run(argv, csv)
         with_csv, written = _run([*argv, "--csv", str(csv)], csv)
     want = oracle_sample_text(batch, s)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treemix.cli import main as cli_main
-from treemix.model import _NORM_BAND, Kernel, MarkovTreeModel, max_contraction
+from treemix.model import Kernel, MarkovTreeModel, max_contraction
 from treemix.modelfile import (
     ModelFileError,
     _random_tree,
@@ -23,7 +23,8 @@ from treemix.modelfile import (
     save_model,
     serialize_model,
 )
-from treemix.tvalgebra import STOCHASTIC_ATOL, column_tv_norm
+from treemix.treegraph import build_tree
+from treemix.tvalgebra import _NORM_BAND, STOCHASTIC_ATOL, column_tv_norm
 
 from conftest import (
     ROWS_05,
@@ -498,6 +499,64 @@ def test_integer_beyond_float_range_is_rejected(tmp_path):
     with pytest.raises(ModelFileError, match=re.escape(message)):
         parse_model_file(str(path))
     assert _cli_inspect(str(path))[0] == 2
+
+
+# Kernel columns whose exact sums lie just inside and just outside the
+# 1e-9 tolerance; the float sum of each reads the other side of it.
+_EDGE_COLUMNS = {
+    "inside": [0.6701907127073263, 0.018773500524901548, 0.3110357877677721],
+    "outside": [0.14964544505896865, 0.37645448938868187, 0.47390006655234945],
+}
+
+
+def _edge_model(tmp_path, how, column):
+    """The 2-node, 3-state model with ``column`` as the kernel column of
+    parent state 0, built from a stack, a ``Kernel`` mapping or a file."""
+    mat = np.array([column, [0.2, 0.3, 0.5], [0.0, 0.0, 1.0]]).T
+    topo, _ = build_tree(2, [(1, 2)])
+    root = [0.5, 0.25, 0.25]
+    if how == "stack":
+        return MarkovTreeModel(topo, 3, root, mat[None])
+    if how == "kernel":
+        return MarkovTreeModel(topo, 3, root, {(1, 2): Kernel((1, 2), mat)})
+    doc = {
+        "format_version": 1, "alphabet_size": 3, "nodes": 2, "root_dist": root,
+        "edges": [{"parent": 1, "child": 2, "kernel": mat.T.tolist()}],
+    }
+    return parse_model_file(write_doc(tmp_path, doc))[0]
+
+
+@pytest.mark.parametrize("how", ["stack", "kernel", "file"])
+def test_files_and_models_share_the_exact_sum_rule(tmp_path, how):
+    inside, outside = _EDGE_COLUMNS["inside"], _EDGE_COLUMNS["outside"]
+    assert math.fsum(inside) == 1.0000000009999999 and sum(inside) == 1.000000001
+    assert math.fsum(outside) == 1.000000001 and sum(outside) == 1.0000000009999999
+    m = _edge_model(tmp_path, how, inside)
+    assert m.kernel_stack[0, :, 0].tolist() == [x / math.fsum(inside) for x in inside]
+    error = ModelFileError if how == "file" else ValueError
+    with pytest.raises(error, match="sums to 1.000000001,|sum to 1 within 1e-09"):
+        _edge_model(tmp_path, how, outside)
+
+
+@pytest.mark.parametrize(
+    "row", [["nan", 0.5], ["inf", "-inf"], ["-inf", 1.0], [-0.5, 1.5],
+            [1.0 + 2e-9, 0.0], [1e308, 1e308]],
+)
+def test_rows_out_of_range_are_never_summed(tmp_path, monkeypatch, row):
+    # fsum([inf, -inf]) raises ValueError and fsum([1e308, 1e308]) overflows:
+    # a row out of range is reported as such and never summed exactly.
+    doc = chain3_doc()
+    doc["edges"][0]["kernel"] = [[0.75, 0.25 + 1e-12], [0.25, 0.75]]
+    doc["edges"][1]["kernel"] = [row, [0.1, 0.9]]
+    summed = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: summed.append(list(xs)) or fsum(xs))
+    path = write_doc(tmp_path, doc)
+    with pytest.raises(ModelFileError, match=re.escape(
+        f"{path}: kernel for edge (2, 3), row 0 has entries outside [0, 1]"
+    )):
+        parse_model_file(path)
+    assert all(np.isfinite(xs).all() and 0.0 <= min(xs) <= max(xs) <= 1.0 for xs in summed)
 
 
 # ------------------------------------------- parser against its oracle
