@@ -495,7 +495,8 @@ class EtaReport:
     with its value, or with None where the source refuses the model
     (exact above the cell cap).  ``geometric_bound`` is present only when
     the largest contraction coefficient is in (0, 1) and ``j - i`` is at
-    least the width.
+    least the width; it is the uniform step raised to ``(j - i) / (2L - 1)``
+    in one rounding, so it never reads below the uniform bound.
     """
 
     i: int
@@ -520,7 +521,7 @@ def eta_report(m: MarkovTreeModel, i: int, j: int) -> EtaReport:
     theta, wid = max_contraction(m), m.tree.width
     geometric: float | None = None
     if 0.0 < theta < 1.0 and j - i >= wid:
-        geometric = geometric_rate(theta, wid) ** (j - i)
+        geometric = _uniform_step(theta, wid) ** ((j - i) / (2 * wid - 1))
     return EtaReport(
         i=i, j=j, j0=first_descendant_at_or_after(m.tree, i, j), values=values,
         geometric_bound=geometric,

@@ -22,7 +22,7 @@ from treemix.mixing import (
 from treemix.concentration import build_mixing_matrices
 from treemix.model import EnumerationLimitError, Kernel, MarkovTreeModel, max_contraction
 from treemix.modelfile import random_model
-from treemix.treegraph import first_descendant_at_or_after
+from treemix.treegraph import build_tree, first_descendant_at_or_after
 
 from conftest import (
     ROWS_05,
@@ -278,21 +278,24 @@ class TestGeometricRate:
 
     @pytest.mark.parametrize("L", [1, 2, 3, 5, 8])
     def test_never_below_uniform_on_grid(self, L):
-        # theta = 0.01..0.99, k = j - i = L..39.  On a chain the two bounds
-        # are one number; for L >= 2 the geometric bound is larger but at
-        # k = 2L - 1, where floor(k / L) = k / (2L - 1) and the two agree up
-        # to the rounding of the k-th power of the rate.
-        eps = np.finfo(float).eps
+        # theta near 0.01..0.99, k = j - i = L..39, on a 40-node tree of
+        # width L, levels of L nodes below the root.  On a chain the two
+        # bounds are one number; for L >= 2 the geometric bound is larger
+        # but at k = 2L - 1, where floor(k / L) = k / (2L - 1) and the two
+        # are equal.
+        edges = [(1, v) for v in range(2, L + 2)] + [(v - L, v) for v in range(L + 2, 41)]
+        topo, _ = build_tree(40, edges)
+        assert topo.width == L
         for t in range(1, 100):
-            rate = geometric_rate(t / 100, L)
+            kernel = np.array([[1.0, 1.0 - t / 100], [0.0, t / 100]])
+            m = MarkovTreeModel(topo, 2, [0.5, 0.5], np.broadcast_to(kernel, (39, 2, 2)))
             for k in range(L, 40):
-                uni = eta_bar_bound_uniform(t / 100, L, 1, 1 + k)
-                if L == 1:
-                    assert rate**k == uni
-                elif k == 2 * L - 1:
-                    assert uni <= rate**k * (1 + 2 * L * eps)
+                report = eta_report(m, 1, 1 + k)
+                uni = dict(report.values)["uniform-bound"]
+                if L == 1 or k == 2 * L - 1:
+                    assert report.geometric_bound == uni
                 else:
-                    assert uni <= rate**k
+                    assert report.geometric_bound >= uni
 
     def test_shares_the_uniform_argument_check(self):
         for theta, L in [(float("nan"), 2), (-0.5, 2), (1.0, 1), (0.5, 0)]:
