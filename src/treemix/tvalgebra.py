@@ -51,9 +51,10 @@ def column_sums(mat: np.ndarray) -> np.ndarray:
     :func:`stochastic_fault` checks first, so that no exact sum overflows."""
     sums = np.einsum("...ij->...j", mat)  # the bound holds in any order
     screen = _NORM_BAND - (mat.shape[-2] - 1) * _EPS / 2
-    off = (np.abs(sums - 1.0) > screen) & np.isfinite(sums)
-    for *lead, col in zip(*np.nonzero(off)):
-        sums[(*lead, col)] = math.fsum(mat[(*lead, slice(None), col)].tolist())
+    off = np.abs(sums - 1.0) > screen
+    if off.any():  # the common case skips the index work
+        for *lead, col in zip(*np.nonzero(off & np.isfinite(sums))):
+            sums[(*lead, col)] = math.fsum(mat[(*lead, slice(None), col)].tolist())
     return sums
 
 
@@ -70,8 +71,7 @@ def _stochastic_sums(mat: np.ndarray, min_entry: float = 0.0) -> np.ndarray:
     worst = float(np.abs(sums - 1.0).max(initial=0.0))
     if worst > STOCHASTIC_ATOL:
         raise ValueError(
-            f"columns must sum to 1 within {STOCHASTIC_ATOL}, worst "
-            f"deviation {worst:.3e}"
+            f"columns must sum to 1 within {STOCHASTIC_ATOL}, worst deviation {worst:.3e}"
         )
     return sums
 

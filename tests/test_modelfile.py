@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treemix import modelfile, tvalgebra
 from treemix.cli import main as cli_main
 from treemix.model import Kernel, MarkovTreeModel, max_contraction
 from treemix.modelfile import (
@@ -24,7 +25,7 @@ from treemix.modelfile import (
     serialize_model,
 )
 from treemix.treegraph import build_tree
-from treemix.tvalgebra import _NORM_BAND, STOCHASTIC_ATOL, column_tv_norm
+from treemix.tvalgebra import _NORM_BAND, STOCHASTIC_ATOL, column_sums, column_tv_norm
 
 from conftest import (
     ROWS_05,
@@ -557,6 +558,18 @@ def test_rows_out_of_range_are_never_summed(tmp_path, monkeypatch, row):
     )):
         parse_model_file(path)
     assert all(np.isfinite(xs).all() and 0.0 <= min(xs) <= max(xs) <= 1.0 for xs in summed)
+
+
+def test_parse_sums_each_array_once_in_the_parser_and_once_in_the_model(tmp_path, monkeypatch):
+    path = str(tmp_path / "model.json")
+    save_model(random_model(seed=4, n=12, alphabet_size=3), path)
+    shapes = []
+    monkeypatch.setattr(
+        tvalgebra, "column_sums", lambda mat: shapes.append(mat.shape) or column_sums(mat)
+    )
+    monkeypatch.setattr(modelfile, "column_sums", tvalgebra.column_sums)
+    parse_model_file(path)
+    assert shapes == [(3, 1), (3, 33), (3, 1), (11, 3, 3)]
 
 
 # ------------------------------------------- parser against its oracle
