@@ -51,10 +51,9 @@ def column_sums(mat: np.ndarray) -> np.ndarray:
     :func:`stochastic_fault` checks first, so that no exact sum overflows."""
     sums = np.einsum("...ij->...j", mat)  # the bound holds in any order
     screen = _NORM_BAND - (mat.shape[-2] - 1) * _EPS / 2
-    off = np.abs(sums - 1.0) > screen
-    if off.any():  # the common case skips the index work
-        for *lead, col in zip(*np.nonzero(off & np.isfinite(sums))):
-            sums[(*lead, col)] = math.fsum(mat[(*lead, slice(None), col)].tolist())
+    off = (np.abs(sums - 1.0) > screen) & np.isfinite(sums)
+    if off.any():
+        sums[off] = [math.fsum(col.tolist()) for col in np.moveaxis(mat, -2, -1)[off]]
     return sums
 
 
