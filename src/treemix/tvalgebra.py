@@ -47,8 +47,8 @@ def column_sums(mat: np.ndarray) -> np.ndarray:
     wherever a verdict could turn on rounding: a float sum of ``s`` entries
     of a probability vector errs by at most (s - 1) eps / 2, so only a
     column whose float sum is clearly within ``_NORM_BAND`` of 1, or is not
-    finite, keeps it.  Entries must be finite and at least -1e-12, as
-    :func:`stochastic_fault` checks first, so that no exact sum overflows."""
+    finite, keeps it.  Entries must be finite and at least -1e-12, as the
+    callers check first, so that no exact sum overflows."""
     sums = np.einsum("...ij->...j", mat)  # the bound holds in any order
     screen = _NORM_BAND - (mat.shape[-2] - 1) * _EPS / 2
     off = (np.abs(sums - 1.0) > screen) & np.isfinite(sums)
