@@ -45,7 +45,7 @@ POWER_ITERATION_TOL = 1e-10
 POWER_ITERATION_CAP = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingMatrix:
     """Upper-triangular mixing matrix with unit diagonal.
 

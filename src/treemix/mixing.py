@@ -25,7 +25,7 @@ one process.  Three computations are provided, cheapest last:
   positive-probability prefix admits; no joint table is built.  The
   per-pair ``eta_bar_exact`` reads its entry of the row, as
   ``eta_bar_bound_levels`` reads ``level_bound_row``.
-  ``eta_exact`` (one given prefix) still enumerates the table;
+  ``eta_exact`` (one given prefix) reads the joint table;
 * the level product bound (``eta_bar_bound_levels``): only the subtree
   of ``i`` matters, only down to the depth of the first subtree node
   ``j0`` numbered at or after ``j``, and each level contributes the
@@ -61,12 +61,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .model import (
-    EnumerationLimitError,
-    MarkovTreeModel,
-    conditional_future_law,
-    max_contraction,
-)
+from .model import EnumerationLimitError, MarkovTreeModel, max_contraction
 from .treegraph import cut_sets, first_descendant_at_or_after, subtree_runs
 from .treegraph import subtree  # unused here; perfbench/test_perfbench.py patches this binding
 from .tvalgebra import (
@@ -77,7 +72,6 @@ from .tvalgebra import (
     expand_operator_inputs,
     operator_tv_norm,
     stochastic_tensor_product,
-    tv_distance,
 )
 
 
@@ -107,10 +101,20 @@ def eta_exact(
         raise ValueError(
             f"prefix must fix nodes 1..{i - 1} ({i - 1} states), got {len(prefix)}"
         )
-    targets = tuple(range(j, m.n + 1))
-    law_w = conditional_future_law(m, (*prefix, w), targets)
-    law_wp = conditional_future_law(m, (*prefix, w_prime), targets)
-    return tv_distance(law_w, law_wp)
+    s = m.alphabet_size
+    between = tuple(range(j - i - 1))
+    laws = []
+    for state in (w, w_prime):
+        px = [int(x) for x in (*prefix, state)]
+        if any(not 0 <= x < s for x in px):
+            raise ValueError(f"prefix states must lie in 0..{s - 1}, got {px}")
+        block = m.joint_table()[tuple(px)]
+        total = float(block.sum())
+        if total <= 0.0:
+            raise ValueError(f"conditioning event x[1..{i}] = {px} has zero probability")
+        law = block.sum(axis=between) if between else block
+        laws.append(law.reshape(-1) / total)
+    return min(1.0, 0.5 * float(np.abs(laws[0] - laws[1]).sum()))
 
 
 def _feasible_pairs(m: MarkovTreeModel, i: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,19 +7,20 @@ kernel per tree edge; the joint law of the node variables is
 
 The kernels are held as one read-only stack, ``kernel_stack``, of shape
 ``(n - 1, s, s)`` in child order: ``kernel_stack[v - 2][x_v, x_u]`` is the
-kernel of the edge into ``v``; the package builds and reads no other.  A
-model given the stack (as the file loader and ``random_model`` give it)
-validates it once, as a whole.  ``kernels`` and ``kernel(edge)`` give
-callers outside the package :class:`Kernel` views into it, each made on
-first access.  Its copies of the stack and root law are normalized once,
-so θ, the frontier sweep, the joint table and the sampler read one measure.
+kernel of the edge into ``v``; the model stores, and the package builds
+and reads, no other.  A model given the stack (as the file loader and
+``random_model`` give it) validates it once, as a whole.  ``kernels`` and
+``kernel(edge)`` give callers outside the package :class:`Kernel` views
+into it, all made on the first read of ``kernels``.  Its copies of the
+stack and root law are normalized once, so θ, the frontier sweep, the
+joint table and the sampler read one measure.
 The model's derived tables are ``functools.cached_property`` attributes,
 each computed from the stack on first read and then kept on the model:
 the edge contraction coefficients (``edge_thetas``), the node marginals
 of one forward pass (``node_marginals``) and the joint table behind
 ``joint_table()``.
 
-Conditional laws given a prefix and the verification oracles enumerate
+``eta_exact`` (one given prefix) and the verification oracles enumerate
 the joint table.  Exact mixing coefficients do not build it: they sweep
 small frontier laws down the tree (:mod:`treemix.mixing`), reading the
 node marginals.  Every exact computation is still admitted by one
@@ -27,8 +28,9 @@ rule, ``check_table_cap``: ``alphabet_size ** n`` must not exceed
 ``enumeration_cap()``, which is 1e7 unless the ``TREEMIX_MAX_ENUM``
 environment variable sets it.  Each exact entry point asks it before any
 work, and every read of the joint table asks it again, cached or not, so
-a lowered cap refuses a model admitted before.  A refusal raises :class:`EnumerationLimitError`; callers that can go
-without an exact value catch it instead of comparing cells to the cap.
+a lowered cap refuses a model admitted before.  A refusal raises
+:class:`EnumerationLimitError`; callers that can go without an exact
+value catch it instead of comparing cells to the cap.
 So admission does not depend on which computation asks first, on
 whether the answer needs any work, or on what was computed before.
 
@@ -41,15 +43,15 @@ The streams are computed together, as uint64 array arithmetic.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .treegraph import TreeTopology, subtree
-from .tvalgebra import IndexedTensor, _normalize_columns, column_tv_norms, stochastic_fault
+from .treegraph import TreeTopology
+from .tvalgebra import _normalize_columns, column_tv_norms, stochastic_fault
 
 DEFAULT_ENUM_CAP = 10_000_000
 ENUM_CAP_ENV = "TREEMIX_MAX_ENUM"
@@ -115,12 +117,13 @@ def _stack_kernels(
     return np.array(mats).reshape(len(edges), s, s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
     """Transition kernel attached to one edge (parent, child).
 
     ``matrix[x_child, x_parent]`` is the transition probability; columns
-    are probability vectors (one per parent state).
+    are probability vectors (one per parent state).  Kernels compare by
+    identity.
     """
 
     edge: tuple[int, int]
@@ -151,57 +154,25 @@ class Kernel:
         return k
 
 
-class _KernelViews(Mapping):
-    """Read-only mapping edge -> :class:`Kernel` over a validated kernel
-    stack, in child order; each view is made on its first access."""
-
-    def __init__(self, stack: np.ndarray, edges: tuple[tuple[int, int], ...]):
-        self._stack = stack
-        self._edges = edges
-        self._slots = dict(zip(edges, range(len(edges))))
-        self._views: dict[tuple[int, int], Kernel] = {}
-
-    def __getitem__(self, edge) -> Kernel:
-        view = self._views.get(edge)
-        if view is None:
-            slot = self._slots[edge]
-            view = Kernel._view(self._edges[slot], self._stack[slot])
-            self._views[view.edge] = view
-        return view
-
-    def __contains__(self, edge) -> bool:
-        return edge in self._slots
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._slots)
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovTreeModel:
     """A tree topology with a root distribution and per-edge kernels.
 
-    ``kernels`` is the kernel stack, an array of shape ``(n - 1, s, s)``
-    whose entry ``v - 2`` is the kernel of the edge into ``v``, or, from
-    callers outside the package, a mapping edge -> :class:`Kernel`
-    covering the tree's edges, which ``kernel_stack`` then copies.  Either
-    way the copied stack and root law are checked and normalized once, as
-    wholes (an invalid stack raises the error of its first invalid edge),
-    and ``kernels`` becomes a read-only mapping of every edge to a
-    :class:`Kernel` view into ``kernel_stack``, made when first looked up;
-    the repr shows the stack and makes no view.
+    ``kernel_stack`` is given as an array of shape ``(n - 1, s, s)`` whose
+    entry ``v - 2`` is the kernel of the edge into ``v``, or, from callers
+    outside the package, as a mapping edge -> :class:`Kernel` covering the
+    tree's edges, which is then stacked.  Either way the copied stack and
+    root law are checked and normalized once, as wholes (an invalid stack
+    raises the error of its first invalid edge), and ``kernel_stack``
+    holds the read-only stack.  ``kernels`` is a read-only mapping of
+    every edge to a :class:`Kernel` view into it, made on first read; the
+    repr shows the stack and makes no view.  Models compare by identity.
     """
 
     tree: TreeTopology
     alphabet_size: int
     root_dist: np.ndarray
-    kernels: Mapping[tuple[int, int], Kernel] | np.ndarray = field(repr=False)
-    kernel_stack: np.ndarray = field(init=False, compare=False)
+    kernel_stack: np.ndarray | Mapping[tuple[int, int], Kernel]
 
     def __post_init__(self):
         s = int(self.alphabet_size)
@@ -218,15 +189,15 @@ class MarkovTreeModel:
             raise ValueError(f"root distribution is not a probability vector: {exc}") from None
         dist.flags.writeable = False
         edges = self.tree.edges()
-        if isinstance(self.kernels, np.ndarray):
-            stack = np.array(self.kernels, dtype=float)
+        if isinstance(self.kernel_stack, np.ndarray):
+            stack = np.array(self.kernel_stack, dtype=float)
             if stack.shape != (len(edges), s, s):
                 raise ValueError(
                     f"kernel stack has shape {stack.shape}, expected "
                     f"{(len(edges), s, s)}"
                 )
         else:
-            stack = _stack_kernels(dict(self.kernels), edges, s)
+            stack = _stack_kernels(dict(self.kernel_stack), edges, s)
         try:
             _normalize_columns(stack)
         except ValueError:
@@ -236,8 +207,15 @@ class MarkovTreeModel:
         stack.flags.writeable = False  # before the views, which inherit it
         object.__setattr__(self, "alphabet_size", s)
         object.__setattr__(self, "root_dist", dist)
-        object.__setattr__(self, "kernels", _KernelViews(stack, edges))
         object.__setattr__(self, "kernel_stack", stack)
+
+    @cached_property
+    def kernels(self) -> Mapping[tuple[int, int], Kernel]:
+        """Every edge -> its :class:`Kernel` view into ``kernel_stack``, in
+        child order; built on first read and cached."""
+        return MappingProxyType(
+            {(u, v): Kernel._view((u, v), self.kernel_stack[v - 2]) for u, v in self.tree.edges()}
+        )
 
     @property
     def n(self) -> int:
@@ -341,45 +319,6 @@ def contraction_coefficient(m: MarkovTreeModel, edge: tuple[int, int]) -> float:
 def max_contraction(m: MarkovTreeModel) -> float:
     """Largest contraction coefficient over all edges (0 for n = 1)."""
     return max(m.edge_thetas.values(), default=0.0)
-
-
-def conditional_future_law(
-    m: MarkovTreeModel,
-    prefix: Sequence[int],
-    targets: Sequence[int],
-) -> IndexedTensor:
-    """Law of the target nodes given ``x_1..x_i = prefix``, by enumeration.
-
-    ``prefix`` fixes the first ``len(prefix)`` nodes in canonical order;
-    ``targets`` must be a nonempty subset of the remaining nodes.
-    Conditioning on a zero-probability prefix is an error.
-    """
-    s, n = m.alphabet_size, m.n
-    i = len(prefix)
-    if not 1 <= i < n:
-        raise ValueError(f"prefix length must be in 1..{n - 1}, got {i}")
-    px = [int(x) for x in prefix]
-    if any(not 0 <= x < s for x in px):
-        raise ValueError(f"prefix states must lie in 0..{s - 1}, got {px}")
-    tg = sorted(int(v) for v in targets)
-    if not tg:
-        raise ValueError("target node set is empty")
-    if len(set(tg)) != len(tg) or tg[0] <= i or tg[-1] > n:
-        raise ValueError(
-            f"targets must be distinct nodes in {i + 1}..{n}, got {tg}"
-        )
-    table = m.joint_table()
-    block = table[tuple(px)]
-    total = float(block.sum())
-    if total <= 0.0:
-        raise ValueError(
-            f"conditioning event x[1..{i}] = {px} has zero probability"
-        )
-    drop = tuple(
-        k for k, v in enumerate(range(i + 1, n + 1)) if v not in set(tg)
-    )
-    marg = block.sum(axis=drop) if drop else block
-    return IndexedTensor(tuple(tg), s, marg.reshape(-1) / total)
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
@@ -489,55 +428,3 @@ def sample_blocks(
     for start in range(0, count, _SAMPLE_BLOCK):
         size = min(_SAMPLE_BLOCK, count - start)
         yield start, sample_paths(m, seed, size, stream_offset=stream_offset + start)
-
-
-def _independence_violation(
-    table: np.ndarray, tree: TreeTopology, u: int
-) -> float:
-    """Worst deviation from conditional independence of child subtrees.
-
-    For every pair of distinct children of ``u`` and every positive-
-    probability state ``y`` of ``u``, compares the conditional joint law
-    of the two child subtrees with the product of their conditional
-    marginals, in sup norm.  Operates on a raw joint table so that
-    degenerate (non-tree-factored) tables can be checked too.
-    """
-    n = tree.n
-    kids = tree.children[u]
-    worst = 0.0
-    u_marginal = table.sum(axis=tuple(k for k in range(n) if k != u - 1))
-    for a_pos, v1 in enumerate(kids):
-        for v2 in kids[a_pos + 1 :]:
-            t1 = sorted(subtree(tree, v1))
-            t2 = sorted(subtree(tree, v2))
-            keep = sorted([u] + t1 + t2)
-            drop = tuple(k for k in range(n) if k + 1 not in set(keep))
-            marg = table.sum(axis=drop) if drop else table
-            # Reorder axes to (u, subtree of v1, subtree of v2).
-            order = [keep.index(u)] + [keep.index(v) for v in t1]
-            order += [keep.index(v) for v in t2]
-            marg = np.transpose(marg, order)
-            s = table.shape[0]
-            marg = marg.reshape(s, s ** len(t1), s ** len(t2))
-            for y in range(s):
-                py = float(u_marginal[y])
-                if py <= 0.0:
-                    continue
-                joint = marg[y] / py
-                prod = np.outer(joint.sum(axis=1), joint.sum(axis=0))
-                worst = max(worst, float(np.abs(joint - prod).max()))
-    return worst
-
-
-def verify_markov_property(m: MarkovTreeModel, u: int) -> tuple[bool, float]:
-    """Check that child subtrees of ``u`` are independent given ``x_u``.
-
-    Returns ``(ok, max_violation)``, with ``ok`` meaning a violation of
-    at most 1e-12.  ``u`` must have at least two children; the check
-    enumerates the joint table.
-    """
-    u = m.tree.check_node(u)
-    if len(m.tree.children[u]) < 2:
-        raise ValueError(f"node {u} has fewer than two children")
-    violation = _independence_violation(m.joint_table(), m.tree, u)
-    return violation <= 1e-12, violation

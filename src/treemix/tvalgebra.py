@@ -112,7 +112,7 @@ def _check_index(index_set: Sequence[int], what: str) -> tuple[int, ...]:
     return nodes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexedTensor:
     """A real tensor over the configurations of a fixed node set.
 
@@ -195,7 +195,7 @@ def tensor_product(factors: Sequence[IndexedTensor]) -> IndexedTensor:
     return IndexedTensor(nodes, s, out.reshape(-1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticOperator:
     """A column-stochastic linear map between node-set tensor spaces.
 

@@ -41,12 +41,8 @@ from .concentration import (
     delta_inf_norm,
     linf_operator_norm,
 )
-from .model import (
-    EnumerationLimitError,
-    MarkovTreeModel,
-    sample_paths,
-    verify_markov_property,
-)
+from .model import EnumerationLimitError, MarkovTreeModel, sample_paths
+from .treegraph import TreeTopology, subtree
 from .tvalgebra import alpha, column_tv_norms
 
 # Trials per array pass of the random-trial suites: one chunk's draws are
@@ -210,12 +206,47 @@ def _suite_measure_normalization(run: _Run) -> tuple[float, int]:
     return abs(total - 1.0), 1
 
 
+def _independence_violation(table: np.ndarray, tree: TreeTopology, u: int) -> float:
+    """Worst deviation from conditional independence of child subtrees.
+
+    For every pair of distinct children of ``u`` and every positive-
+    probability state ``y`` of ``u``, compares the conditional joint law
+    of the two child subtrees with the product of their conditional
+    marginals, in sup norm.  Operates on a raw joint table so that
+    degenerate (non-tree-factored) tables can be checked too.
+    """
+    n, s = tree.n, table.shape[0]
+    kids = tree.children[u]
+    worst = 0.0
+    u_marginal = table.sum(axis=tuple(k for k in range(n) if k != u - 1))
+    for a_pos, v1 in enumerate(kids):
+        for v2 in kids[a_pos + 1 :]:
+            t1 = sorted(subtree(tree, v1))
+            t2 = sorted(subtree(tree, v2))
+            keep = sorted([u] + t1 + t2)
+            drop = tuple(k for k in range(n) if k + 1 not in set(keep))
+            marg = table.sum(axis=drop) if drop else table
+            # Reorder axes to (u, subtree of v1, subtree of v2).
+            marg = np.transpose(marg, [keep.index(v) for v in [u, *t1, *t2]])
+            marg = marg.reshape(s, s ** len(t1), s ** len(t2))
+            for y in range(s):
+                py = float(u_marginal[y])
+                if py <= 0.0:
+                    continue
+                joint = marg[y] / py
+                prod = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+                worst = max(worst, float(np.abs(joint - prod).max()))
+    return worst
+
+
 def _suite_markov_property(run: _Run) -> tuple[float, int]:
     m = run.m
     branchers = [u for u in range(1, m.n + 1) if len(m.tree.children[u]) >= 2]
     if not branchers:
         raise _Skip("no node with two or more children")
-    return max(0.0, *(verify_markov_property(m, u)[1] for u in branchers)), len(branchers)
+    table = m.joint_table()
+    worst = (_independence_violation(table, m.tree, u) for u in branchers)
+    return max(0.0, *worst), len(branchers)
 
 
 def _suite_j0_reduction(run: _Run) -> tuple[float, int]:

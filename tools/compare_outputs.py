@@ -26,7 +26,9 @@ span three sampling blocks), and of ``eta`` fed the model's level-bound
 Delta with ``-0.0`` written into two cells.  On models of at most 1e6
 cells it also hashes the same of ``eta --source exact``, ``eta --pair``,
 ``norms``, ``bound`` for both metrics and ``verify`` with ``--csv``, at 40
-trials and at the default of 500.  On models of at most 1e5 cells it
+trials and at the default of 500, and the repr of ``eta_exact`` (or its
+error text) on the spread of pairs, at a prefix of zeros and the state
+pairs (0, 1) and (0, s - 1).  On models of at most 1e5 cells it
 hashes the Monte Carlo layer: the names and bytes of the
 ``lipschitz_test_corpus`` tables, their ``hamming_lipschitz_constant`` and
 the repr of each table's ``monte_carlo_deviation`` estimate at 1,000 and
@@ -194,6 +196,21 @@ def _hash_cli(path: str, csv_path: str, m) -> dict[str, str]:
     return rec
 
 
+def _hash_eta_exact(m) -> str:
+    """Hash of ``eta_exact`` on the pair spread at a prefix of zeros, for
+    the state pairs (0, 1) and (0, s - 1); a raising call gives its text."""
+    from treemix import mixing
+
+    texts = []
+    for i, j in _pairs(m.n):
+        for w_prime in (1, m.alphabet_size - 1):
+            try:
+                texts.append(repr(mixing.eta_exact(m, i, j, (0,) * (i - 1), 0, w_prime)))
+            except ValueError as exc:
+                texts.append(f"ValueError: {exc}")
+    return _digest("\n".join(texts).encode())
+
+
 def _corpus(m) -> list:
     from treemix import concentration
 
@@ -317,6 +334,7 @@ def _hash_model(path: str, csv_path: str, matrices: dict) -> dict[str, str]:
     rec.update(_hash_writers(path, csv_path, m))
     if m.table_cells() <= CLI_MAX_CELLS:
         rec.update(_hash_cli(path, csv_path, m))
+        rec["eta_exact"] = _hash_eta_exact(m)
     if m.table_cells() <= MC_MAX_CELLS:
         rec.update(_hash_monte_carlo(m))
     return rec
