@@ -96,14 +96,12 @@ def build_mixing_matrices(
     """
     if source not in SOURCES:
         raise ValueError(f"source must be one of {tuple(SOURCES)}, got {source!r}")
-    rows = SOURCES[source](m)
+    upper = SOURCES[source].upper(m)
     n = m.n
     delta = np.eye(n)
-    for i in range(1, n):
-        delta[i - 1, i:] = rows(i)
-    gamma = np.eye(n)
-    iu = np.triu_indices(n, k=1)
-    gamma[iu] = np.sqrt(delta[iu])
+    delta[~np.tri(n, dtype=bool)] = upper
+    # The diagonal's 1.0 and the zeros below it are their own square roots.
+    gamma = np.sqrt(delta)
     return (
         MixingMatrix("delta", source, delta),
         MixingMatrix("gamma", source, gamma),

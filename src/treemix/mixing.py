@@ -30,16 +30,21 @@ one process.  Three computations are provided, cheapest last:
   of ``i`` matters, only down to the depth of the first subtree node
   ``j0`` numbered at or after ``j``, and each level contributes the
   ``alpha``-combination of its edge contraction coefficients.  One
-  level sweep per node ``i`` (``level_bound_row``) serves every ``j``;
+  level sweep per node ``i`` (``level_bound_row``) serves every ``j``
+  of a pair; a matrix takes every row from one vectorized sweep
+  (``level_bound_rows``), equal to those rows bit for bit;
 * closed forms from a uniform contraction bound theta and a width cap L
   (``eta_bar_bound_uniform``, ``geometric_rate``) or from linear level
   growth (``eta_bar_bound_linear_growth``).
 
 ``SOURCES`` is the bound ladder as one table, tightest first: each
-source (``"exact"``, ``"level-bound"``, ``"uniform-bound"``) maps a model
-to its rows, admitting the model or refusing it once.  The mixing
-matrices of :mod:`treemix.concentration`, ``eta_report`` and the command
-line read every source through it, so a new rung is one entry.
+source (``"exact"``, ``"level-bound"``, ``"uniform-bound"``) is a
+:class:`Source`, which gives one row of a model from the subtree runs of
+its node (``row``) or every row at once (``upper``), admitting the model
+or refusing it first.  The mixing matrices of
+:mod:`treemix.concentration` ask ``upper``; ``eta_report`` walks the
+subtree once and asks each ``row``.  The command line reads every
+source through it, so a new rung is one entry.
 
 ``eta_factorization`` rebuilds eta(i, j; y, w, w') for one state pair
 as ``tv(B A^(d_k) ... A^(d_2) h)``: the column-difference tensor ``h``
@@ -53,21 +58,21 @@ path; the ``verify`` factorization suite checks the frontier sweep of
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .model import EnumerationLimitError, MarkovTreeModel, max_contraction
-from .treegraph import cut_sets, first_descendant_at_or_after, subtree_runs
+from .treegraph import cut_sets, pivot, subtree_runs
 from .treegraph import subtree  # unused here; perfbench/test_perfbench.py patches this binding
 from .tvalgebra import (
     IndexedTensor,
     StochasticOperator,
     alpha,
+    _RANGE_ATOL,
     apply_operator,
     expand_operator_inputs,
     operator_tv_norm,
@@ -203,31 +208,128 @@ def eta_bar_exact(m: MarkovTreeModel, i: int, j: int) -> float:
 
 
 def _subtree_levels(
-    m: MarkovTreeModel, i: int
-) -> tuple[tuple[range, ...], list[list[float]]]:
-    """Subtree runs of ``i``; ``levels[k]`` holds the contraction
-    coefficients of its edges ending at depth ``depth(i) + 1 + k``, in
-    node order.
-    """
-    runs, theta = subtree_runs(m.tree, i), m.edge_thetas
-    return runs, [[theta[v] for v in run] for run in runs[1:]]
+    m: MarkovTreeModel, runs: tuple[range, ...]
+) -> list[list[float]]:
+    """``levels[k]`` holds the contraction coefficients of the edges of
+    the subtree with runs ``runs`` ending at its depth ``k + 1``, in node
+    order."""
+    theta = m.edge_thetas
+    return [[theta[v] for v in run] for run in runs[1:]]
 
 
-def level_bound_row(m: MarkovTreeModel, i: int) -> np.ndarray:
-    """Level bounds on eta_bar(i, j) for ``j = i+1..n`` from one sweep.
+def _level_row(m: MarkovTreeModel, runs: tuple[range, ...]) -> np.ndarray:
+    """Level bounds on eta_bar(i, j) for ``j = i+1..n`` from one sweep of
+    the subtree runs ``runs`` of ``i``.
 
     The running product over depths starts from 1.0, so it multiplies in
     a per-pair product's order; each ``j`` reads it at the depth of its
     pivot ``j0``.
     """
-    runs, levels = _subtree_levels(m, i)
     products = [1.0]
-    for thetas in levels:
+    for thetas in _subtree_levels(m, runs):
         products.append(products[-1] * alpha(thetas))
     # j in (runs[k-1][-1], runs[k][-1]] pivots at depth(i) + k; past the
     # last run the subtree has ended and the bound is 0.
     ends = [run[-1] for run in runs] + [m.n]
     return np.repeat(products[1:] + [0.0], np.diff(ends))
+
+
+def level_bound_row(m: MarkovTreeModel, i: int) -> np.ndarray:
+    """Level bounds on eta_bar(i, j) for ``j = i+1..n``: one walk of the
+    subtree of ``i`` and one ``alpha`` per depth."""
+    return _level_row(m, subtree_runs(m.tree, i))
+
+
+def _alphas(theta: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``alpha`` of ``theta[lo[r]:hi[r]]`` for every run ``r``, in one pass.
+
+    Each run is gathered right-aligned into a row padded on the left with
+    0.0, sorted, range-checked and clamped as ``alpha`` does, and folded
+    column by column with ``acc = x + (1 - x) * acc``: the float operations
+    of ``alpha`` in its order, since a zero (or a clamped negative zero)
+    leaves ``acc`` as it is.
+    """
+    width = int((hi - lo).max())
+    nodes = hi[:, None] - np.arange(width, 0, -1)
+    x = np.where(nodes >= lo[:, None], theta[np.maximum(nodes, 0)], 0.0)
+    x.sort(axis=1)
+    bad = (x < -_RANGE_ATOL) | (x > 1.0 + _RANGE_ATOL)
+    if bad.any():
+        raise ValueError(f"alpha argument {float(x[bad][0])} outside [0, 1]")
+    np.clip(x, 0.0, 1.0, out=x)
+    acc = np.zeros(len(lo))
+    for col in x.T:
+        acc = col + (1.0 - col) * acc
+    return acc
+
+
+# Padded cells (8 MB of float64) below which every run of the level sweep
+# is padded to the longest in one block.
+_PADDED_CELLS = 1 << 20
+
+
+def level_bound_rows(m: MarkovTreeModel) -> np.ndarray:
+    """Every row of :func:`level_bound_row`, ``i = 1..n-1`` in turn, from
+    one vectorized sweep: the strict upper triangle of the level Delta,
+    row by row, bit for bit equal to the rows one at a time.
+
+    (1) The subtree runs of every node, one depth at a time: parents are
+    non-decreasing along the numbering, so the children of a run
+    ``[lo, hi)`` are the nodes ``[lo', hi')`` whose parent lies in it,
+    found by one ``searchsorted``.  (2) The ``alpha`` of every run, by
+    :func:`_alphas`.  Where padding every run to the longest would more
+    than double the cells, and pass ``_PADDED_CELLS``, runs go in length
+    classes (lengths within a factor 2) instead.  (3) The running product
+    over depths, one multiply per depth from 1.0, and each row's segments
+    laid out with one ``np.repeat``, 0.0 past the subtree.
+    """
+    n, tree = m.n, m.tree
+    if n == 1:
+        return np.zeros(0)
+    parent = np.array([0, 0] + [tree.parent[v] for v in range(2, n + 1)])
+    theta = np.zeros(n + 1)
+    theta[2:] = [m.edge_thetas[v] for v in range(2, n + 1)]
+    starts = np.arange(1, n)
+    bounds, row = np.stack([starts, starts + 1]), starts - 1
+    runs, rows, keeps = [], [], []
+    while True:
+        bounds = np.searchsorted(parent, bounds)
+        keep = bounds[0] < bounds[1]
+        bounds, row = bounds[:, keep], row[keep]
+        if not len(row):
+            break
+        runs.append(bounds), rows.append(row), keeps.append(keep)
+    lo, hi = np.concatenate(runs, axis=1)
+    lengths = hi - lo
+    if len(lo) * lengths.max() <= max(2 * lengths.sum(), _PADDED_CELLS):
+        alphas = _alphas(theta, lo, hi)
+    else:
+        alphas = np.empty(len(lo))
+        length_class = np.frexp(lengths)[1]
+        for c in np.unique(length_class):
+            runs_c = np.flatnonzero(length_class == c)
+            alphas[runs_c] = _alphas(theta, lo[runs_c], hi[runs_c])
+    products, product, at = [], np.ones(n - 1), 0
+    for keep in keeps:
+        product = product[keep]
+        product = product * alphas[at : at + len(product)]
+        at += len(product)
+        products.append(product)
+    # Row r has one segment per depth of its subtree, then the trailing
+    # 0.0; ``ends`` holds the last node each segment covers.
+    row_all = np.concatenate(rows)
+    depths = np.bincount(row_all, minlength=n - 1)
+    first = np.cumsum(depths + 1) - (depths + 1)
+    at = first[row_all] + np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    values = np.zeros(first[-1] + depths[-1] + 1)
+    values[at] = np.concatenate(products)
+    ends = np.empty(len(values), dtype=np.int64)
+    ends[at] = hi - 1
+    ends[first + depths] = n
+    before = np.empty_like(ends)
+    before[1:] = ends[:-1]
+    before[first] = starts
+    return np.repeat(values, ends - before)
 
 
 def eta_bar_bound_levels(m: MarkovTreeModel, i: int, j: int) -> float:
@@ -333,7 +435,8 @@ def eta_bar_bound_linear_growth(
             raise LevelGrowthError(
                 f"level {d} has {len(tree.levels[d])} nodes, exceeding c*d = {c * d}"
             )
-    j0 = first_descendant_at_or_after(tree, i, j)
+    runs = subtree_runs(tree, i)
+    j0 = pivot(runs, j)
     if j0 is None:
         return LinearGrowthBound(
             i=i, j=j, j0=None, c=c, product_bound=0.0, beta=None,
@@ -341,7 +444,7 @@ def eta_bar_bound_linear_growth(
             vacuous=False,
         )
     d_i = tree.depth_of[i]
-    _, levels = _subtree_levels(m, i)
+    levels = _subtree_levels(m, runs)
     product = 1.0
     beta = 0.0
     for k, thetas in enumerate(levels[: tree.depth_of[j0] - d_i], start=1):
@@ -420,7 +523,8 @@ def eta_factorization(
         raise ValueError(
             f"subtree of {i} ends before {j}; the coefficient is identically zero"
         )
-    runs, levels = _subtree_levels(m, i)
+    runs = subtree_runs(tree, i)
+    levels = _subtree_levels(m, runs)
     k0 = tree.depth_of[cs.j0] - tree.depth_of[i]
     operators: list[StochasticOperator] = []
     for k in range(1, k0 + 1):
@@ -452,43 +556,61 @@ def eta_factorization(
     )
 
 
-def _exact_rows(m: MarkovTreeModel) -> Callable[[int], np.ndarray]:
-    """Rows of :func:`exact_row`, once the model is admitted.  The check
-    runs here, before any row is asked, so it also refuses a single-node
-    model over the cap, which has no row."""
+def _exact_upper(m: MarkovTreeModel) -> np.ndarray:
+    """Every row of :func:`exact_row`, once the model is admitted.  The
+    check runs here, before any row is asked, so it also refuses a
+    single-node model over the cap, which has no row."""
     m.check_table_cap()
-    return functools.partial(exact_row, m)
+    return np.concatenate([np.zeros(0)] + [exact_row(m, i) for i in range(1, m.n)])
 
 
-def _uniform_rows(m: MarkovTreeModel) -> Callable[[int], np.ndarray]:
-    """Rows of :func:`eta_bar_bound_uniform` with the model's largest
-    contraction coefficient theta and its width ``L``.
+def _uniform_by_offset(m: MarkovTreeModel) -> np.ndarray:
+    """The uniform bound at every offset ``j - i = 1..n-1``, with the
+    model's largest contraction coefficient theta and its width ``L``.
 
     The bound is ``step ** ((j - i) // L)``: the step is computed once per
     model and raised to each exponent once, ``(n - 1) // L + 1`` powers
-    in all, not one per cell.  Row ``i`` is the first ``n - i`` offsets
-    ``j - i``.  Once theta reaches 1 the closed form does not apply, and
-    the trivial bound 1.0 fills every row.
+    in all, not one per cell.  Once theta reaches 1 the closed form does
+    not apply, and the trivial bound 1.0 fills every offset.
     """
     theta, wid, n = max_contraction(m), m.tree.width, m.n
     if theta < 1.0:
         step = _uniform_step(theta, wid)
-        by_offset = np.repeat([step ** e for e in range((n - 1) // wid + 1)], wid)[1:n]
-    else:
-        by_offset = np.ones(n - 1)
-    return lambda i: by_offset[: n - i]
+        return np.repeat([step ** e for e in range((n - 1) // wid + 1)], wid)[1:n]
+    return np.ones(n - 1)
 
 
-# The eta_bar sources, tightest first: each bounds the one before it.  Each
-# maps a model to its rows, ``rows(i)`` being eta_bar(i, j) for j = i+1..n,
-# or raises EnumerationLimitError if it refuses the model.
-SOURCES: Mapping[str, Callable[[MarkovTreeModel], Callable[[int], np.ndarray]]] = (
-    MappingProxyType({
-        "exact": _exact_rows,
-        "level-bound": lambda m: functools.partial(level_bound_row, m),
-        "uniform-bound": _uniform_rows,
-    })
-)
+def _uniform_upper(m: MarkovTreeModel) -> np.ndarray:
+    """Every row of the uniform bound: row ``i`` is the first ``n - i``
+    offsets."""
+    by_offset, n = _uniform_by_offset(m), m.n
+    return np.concatenate([np.zeros(0)] + [by_offset[: n - i] for i in range(1, n)])
+
+
+class Source(NamedTuple):
+    """One rung of the eta_bar ladder.
+
+    ``row(m, runs)`` is eta_bar(i, j) for ``j = i+1..n``, where ``runs``
+    is ``subtree_runs(m.tree, i)``: the caller walks the subtree once and
+    a rung that needs the subtree reads that walk.  ``upper(m)`` is every row ``i = 1..n-1``
+    in turn, the strict upper triangle of Delta row by row.  Both admit
+    the model first, or raise EnumerationLimitError if the rung refuses
+    it.
+    """
+
+    row: Callable[[MarkovTreeModel, tuple[range, ...]], np.ndarray]
+    upper: Callable[[MarkovTreeModel], np.ndarray]
+
+
+# The eta_bar sources, tightest first: each bounds the one before it.  A
+# single pair asks one row; a matrix asks every row at once.
+SOURCES: Mapping[str, Source] = MappingProxyType({
+    "exact": Source(lambda m, runs: exact_row(m, runs[0].start), _exact_upper),
+    "level-bound": Source(_level_row, level_bound_rows),
+    "uniform-bound": Source(
+        lambda m, runs: _uniform_by_offset(m)[: m.n - runs[0].start], _uniform_upper
+    ),
+})
 
 
 @dataclass(frozen=True)
@@ -510,23 +632,24 @@ class EtaReport:
     geometric_bound: float | None
 
 
-def _entry(factory, m: MarkovTreeModel, i: int, j: int) -> float | None:
+def _entry(row, m: MarkovTreeModel, runs: tuple[range, ...], j: int) -> float | None:
     try:
-        return float(factory(m)(i)[j - i - 1])
+        return float(row(m, runs)[j - runs[0].start - 1])
     except EnumerationLimitError:
         return None
 
 
 def eta_report(m: MarkovTreeModel, i: int, j: int) -> EtaReport:
     """Every source's eta_bar(i, j), read off its row ``i``, and the
-    geometric bound."""
+    geometric bound.  The subtree of ``i`` is walked once: every row and
+    the pivot ``j0`` read the same runs."""
     i, j = _check_pair(m, i, j)
-    values = tuple((source, _entry(factory, m, i, j)) for source, factory in SOURCES.items())
+    runs = subtree_runs(m.tree, i)
+    values = tuple((source, _entry(rows.row, m, runs, j)) for source, rows in SOURCES.items())
     theta, wid = max_contraction(m), m.tree.width
     geometric: float | None = None
     if 0.0 < theta < 1.0 and j - i >= wid:
         geometric = _uniform_step(theta, wid) ** ((j - i) / (2 * wid - 1))
     return EtaReport(
-        i=i, j=j, j0=first_descendant_at_or_after(m.tree, i, j), values=values,
-        geometric_bound=geometric,
+        i=i, j=j, j0=pivot(runs, j), values=values, geometric_bound=geometric,
     )

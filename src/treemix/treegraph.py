@@ -205,7 +205,13 @@ def first_descendant_at_or_after(t: TreeTopology, i: int, j: int) -> int | None:
     j = t.check_node(j)
     if not i < j:
         raise ValueError(f"need i < j, got i={i}, j={j}")
-    for run in subtree_runs(t, i):
+    return pivot(subtree_runs(t, i), j)
+
+
+def pivot(runs: tuple[range, ...], j: int) -> int | None:
+    """Smallest node ``>= j`` of the subtree with runs ``runs`` (as
+    :func:`subtree_runs` lists them), or None."""
+    for run in runs:
         if run[-1] >= j:
             return max(run.start, j)
     return None

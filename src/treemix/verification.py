@@ -42,7 +42,7 @@ from .concentration import (
     linf_operator_norm,
 )
 from .model import EnumerationLimitError, MarkovTreeModel, sample_paths
-from .treegraph import TreeTopology, subtree
+from .treegraph import TreeTopology, subtree, subtree_runs
 from .tvalgebra import alpha, column_tv_norms
 
 # Trials per array pass of the random-trial suites: one chunk's draws are
@@ -158,7 +158,8 @@ class _Run:
         checked = 0
         for i in range(1, m.n):
             tables = [_tv_tables(tail) for tail in _tail_laws(m, i)]
-            runs, levels = mixing._subtree_levels(m, i)
+            runs = subtree_runs(m.tree, i)
+            levels = mixing._subtree_levels(m, runs)
             level_alpha = {run[-1]: alpha(thetas) for run, thetas in zip(runs, levels)}
             sup = [tv.max() for tv, _ in tables]
             exact = self.delta("exact").entries[i - 1, i:]

@@ -1,11 +1,14 @@
 import math
 import re
+from types import MappingProxyType
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treemix import mixing
 from treemix.mixing import (
     SOURCES,
     LevelGrowthError,
@@ -18,6 +21,8 @@ from treemix.mixing import (
     eta_report,
     exact_row,
     geometric_rate,
+    level_bound_row,
+    level_bound_rows,
 )
 from treemix.concentration import build_mixing_matrices
 from treemix.model import EnumerationLimitError, Kernel, MarkovTreeModel, max_contraction
@@ -169,6 +174,88 @@ def test_level_sweep_matches_oracle(seed, n, s, shape):
             assert abs(entry - oracle_level_bound(m, i, j)) <= 1e-12
             assert entry == eta_bar_bound_levels(m, i, j)
 
+
+
+def _one_row_at_a_time(m):
+    return np.concatenate([np.zeros(0)] + [level_bound_row(m, i) for i in range(1, m.n)])
+
+
+def _degenerate_edges(m, seed):
+    """``m`` with about a third of its kernels made rank one (theta = 0) and
+    a third made permutations (theta = 1)."""
+    rng = np.random.default_rng(seed)
+    s = m.alphabet_size
+    stack = m.kernel_stack.copy()
+    for k, kind in enumerate(rng.integers(3, size=m.n - 1)):
+        if kind == 1:
+            stack[k] = np.repeat(stack[k][:, :1], s, axis=1)
+        elif kind == 2:
+            stack[k] = np.eye(s)[:, rng.permutation(s)]
+    return MarkovTreeModel(m.tree, s, m.root_dist, stack)
+
+
+def _broom(seed, handle, bristles):
+    """A chain of ``handle`` nodes whose last node has ``bristles`` leaves."""
+    n = handle + bristles
+    edges = [(v - 1, v) for v in range(2, handle + 1)]
+    edges += [(handle, v) for v in range(handle + 1, n + 1)]
+    tree, _ = build_tree(n, edges)
+    m = random_model(seed, n=n, alphabet_size=3)
+    return MarkovTreeModel(tree, 3, m.root_dist, m.kernel_stack)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    shape=st.sampled_from(
+        ["chain", "star", "width 16", "sparse", "degenerate", "broom", "n = 1 or 2"]
+    ),
+    size=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=80, deadline=None)
+def test_all_rows_sweep_equals_one_row_sweeps(seed, shape, size):
+    """The matrix path (one vectorized sweep) and the pair path (one row
+    at a time) agree bit for bit, on shapes far past the oracle's n <= 14:
+    the deepest and widest trees, runs of very different lengths, and
+    edges with theta = 0 and theta = 1."""
+    if shape == "chain":
+        m = random_model(seed, n=60 + size % 141, alphabet_size=3, width=1)
+    elif shape == "star":
+        m = random_model(seed, n=21 + size % 131, alphabet_size=3, depth=1)
+    elif shape == "width 16":
+        m = random_model(seed, n=17 + size % 184, alphabet_size=3, width=16)
+    elif shape == "sparse":
+        m = random_model(seed, n=2 + size % 60, alphabet_size=3, width=4)
+        m = sparsified(m, seed, deterministic_root=size % 2 == 1)
+    elif shape == "degenerate":
+        m = _degenerate_edges(random_model(seed, n=2 + size % 80, alphabet_size=3), seed)
+    elif shape == "broom":
+        m = _broom(seed, 2 + size % 40, 1 + size // 40 % 60)
+    else:
+        m = random_model(seed, n=1 + size % 2, alphabet_size=3)
+    rows = level_bound_rows(m)
+    assert rows.shape == (m.n * (m.n - 1) // 2,)
+    assert np.array_equal(rows, _one_row_at_a_time(m))
+    with mock.patch.object(mixing, "_PADDED_CELLS", 0):  # runs in length classes
+        assert np.array_equal(level_bound_rows(m), rows)
+    delta, _ = build_mixing_matrices(m, "level-bound")
+    assert np.array_equal(delta.entries[np.triu_indices(m.n, k=1)], rows)
+
+
+@pytest.mark.parametrize("theta", [-1e-9, 1.0 + 1e-9, -5e-13, 1.0 + 5e-13])
+def test_planted_theta_meets_alpha_range_check_on_both_paths(theta):
+    """A theta planted in the cached ``edge_thetas`` more than 1e-12 outside
+    [0, 1] raises ``alpha``'s ValueError on both paths; one within that
+    tolerance is clamped by both alike."""
+    m = random_model(3, n=40, alphabet_size=3, width=4)
+    thetas = dict(m.edge_thetas)
+    thetas[23] = theta
+    m.__dict__["edge_thetas"] = MappingProxyType(thetas)
+    if abs(theta - 0.5) > 0.5 + 1e-12:
+        for path in (level_bound_rows, _one_row_at_a_time):
+            with pytest.raises(ValueError, match=r"alpha argument .* outside \[0, 1\]"):
+                path(m)
+    else:
+        assert np.array_equal(level_bound_rows(m), _one_row_at_a_time(m))
 
 @given(
     seed=st.integers(min_value=0, max_value=10**6),

@@ -9,9 +9,10 @@ draws (chains, stars, full-width and width-3 trees), the same 20
 rewritten with permuted node labels, shuffled edges and rows drifted off
 a sum of 1 (so that loading relabels and renormalizes them), two
 ``random_model`` draws over 11 and 12 states (labels of two characters),
-and five tiny chains of one to three nodes, two of them over the lowered
+five tiny chains of one to three nodes, two of them over the lowered
 cap of the last pass, so that single-node models and the order of
-``verify``'s skip notes are covered.
+``verify``'s skip notes are covered, and, far over the cap, a 200-node
+chain and a 150-leaf star, the deepest and the widest level sweep.
 Per model it hashes the parsed model (the kernels stacked in child
 order, the root law and the relabel map), the ``serialize_model`` text
 and the ``save_model`` bytes of the parsed model, the stdout of ``treemix
@@ -103,6 +104,10 @@ def _model_files(out_dir: str) -> dict[str, str]:
         m = modelfile.random_model(seed=7000 + k, n=n, alphabet_size=s, width=1)
         paths[f"tiny/{k}"] = os.path.join(out_dir, f"tiny{k}.json")
         modelfile.save_model(m, paths[f"tiny/{k}"])
+    for name, shape in [("chain", {"n": 200, "width": 1}), ("star", {"n": 151, "depth": 1})]:
+        m = modelfile.random_model(seed=8000, alphabet_size=3, **shape)
+        paths[f"over-cap/{name}"] = os.path.join(out_dir, f"{name}.json")
+        modelfile.save_model(m, paths[f"over-cap/{name}"])
     return paths
 
 
