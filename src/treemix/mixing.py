@@ -298,7 +298,9 @@ def level_bound_rows(m: MarkovTreeModel) -> np.ndarray:
         bounds, row = bounds[:, keep], row[keep]
         if not len(row):
             break
-        runs.append(bounds), rows.append(row), keeps.append(keep)
+        runs.append(bounds)
+        rows.append(row)
+        keeps.append(keep)
     lo, hi = np.concatenate(runs, axis=1)
     lengths = hi - lo
     if len(lo) * lengths.max() <= max(2 * lengths.sum(), _PADDED_CELLS):
@@ -592,10 +594,10 @@ class Source(NamedTuple):
 
     ``row(m, runs)`` is eta_bar(i, j) for ``j = i+1..n``, where ``runs``
     is ``subtree_runs(m.tree, i)``: the caller walks the subtree once and
-    a rung that needs the subtree reads that walk.  ``upper(m)`` is every row ``i = 1..n-1``
-    in turn, the strict upper triangle of Delta row by row.  Both admit
-    the model first, or raise EnumerationLimitError if the rung refuses
-    it.
+    a rung that needs the subtree reads that walk.  ``upper(m)`` is every
+    row ``i = 1..n-1`` in turn, the strict upper triangle of Delta row by
+    row.  Both admit the model first, or raise EnumerationLimitError if
+    the rung refuses it.
     """
 
     row: Callable[[MarkovTreeModel, tuple[range, ...]], np.ndarray]
@@ -645,7 +647,7 @@ def eta_report(m: MarkovTreeModel, i: int, j: int) -> EtaReport:
     the pivot ``j0`` read the same runs."""
     i, j = _check_pair(m, i, j)
     runs = subtree_runs(m.tree, i)
-    values = tuple((source, _entry(rows.row, m, runs, j)) for source, rows in SOURCES.items())
+    values = tuple((name, _entry(source.row, m, runs, j)) for name, source in SOURCES.items())
     theta, wid = max_contraction(m), m.tree.width
     geometric: float | None = None
     if 0.0 < theta < 1.0 and j - i >= wid:

@@ -17,9 +17,8 @@ joint table and the sampler read one measure.
 The model's derived tables are ``functools.cached_property`` attributes,
 each computed from the stack on first read and then kept on the model:
 the edge contraction coefficients (``edge_thetas``) and their largest
-(``max_contraction``), the node marginals
-of one forward pass (``node_marginals``) and the joint table behind
-``joint_table()``.
+(``max_contraction``), the node marginals of one forward pass
+(``node_marginals``) and the joint table behind ``joint_table()``.
 
 ``eta_exact`` (one given prefix) and the verification oracles enumerate
 the joint table.  Exact mixing coefficients do not build it: they sweep

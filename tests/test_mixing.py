@@ -175,7 +175,6 @@ def test_level_sweep_matches_oracle(seed, n, s, shape):
             assert entry == eta_bar_bound_levels(m, i, j)
 
 
-
 def _one_row_at_a_time(m):
     return np.concatenate([np.zeros(0)] + [level_bound_row(m, i) for i in range(1, m.n)])
 
@@ -256,6 +255,7 @@ def test_planted_theta_meets_alpha_range_check_on_both_paths(theta):
                 path(m)
     else:
         assert np.array_equal(level_bound_rows(m), _one_row_at_a_time(m))
+
 
 @given(
     seed=st.integers(min_value=0, max_value=10**6),
