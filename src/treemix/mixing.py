@@ -39,9 +39,9 @@ one process.  Three computations are provided, cheapest last:
 
 ``SOURCES`` is the bound ladder as one table, tightest first: each
 source (``"exact"``, ``"level-bound"``, ``"uniform-bound"``) is a
-:class:`Source`, which gives one row of a model from the subtree runs of
-its node (``row``) or every row at once (``upper``), admitting the model
-or refusing it first.  The mixing matrices of
+:class:`Source`, which gives one row of a model, given its node and the
+node's subtree runs (``row``), or every row at once (``upper``),
+admitting the model or refusing it first.  The mixing matrices of
 :mod:`treemix.concentration` ask ``upper``; ``eta_report`` walks the
 subtree once and asks each ``row``.  The command line reads every
 source through it, so a new rung is one entry.
@@ -58,6 +58,7 @@ path; the ``verify`` factorization suite checks the frontier sweep of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -66,7 +67,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .model import EnumerationLimitError, MarkovTreeModel, max_contraction
-from .treegraph import cut_sets, pivot, subtree_runs
+from .treegraph import cut_sets, first_descendant_at_or_after, subtree_runs
 from .treegraph import subtree  # unused here; perfbench/test_perfbench.py patches this binding
 from .tvalgebra import (
     IndexedTensor,
@@ -241,56 +242,36 @@ def level_bound_row(m: MarkovTreeModel, i: int) -> np.ndarray:
 
 
 def _alphas(theta: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``alpha`` of ``theta[lo[r]:hi[r]]`` for every run ``r``, in one pass.
+    """``alpha`` of ``theta[lo[r]:hi[r]]`` for every run ``r``, where
+    ``theta`` is already range-checked and clamped as ``alpha`` does.
 
-    Each run is gathered right-aligned into a row padded on the left with
-    0.0, sorted, range-checked and clamped as ``alpha`` does, and folded
-    column by column with ``acc = x + (1 - x) * acc``: the float operations
-    of ``alpha`` in its order, since a zero (or a clamped negative zero)
-    leaves ``acc`` as it is.
+    Runs go in length classes (lengths within a factor 2).  In each class
+    every run is gathered right-aligned into a row padded on the left with
+    0.0, sorted, and folded column by column with ``acc = x + (1 - x) *
+    acc``: the float operations of ``alpha`` in its order, since the clamp
+    keeps the order and a zero leaves ``acc`` as it is.
     """
-    width = int((hi - lo).max())
-    nodes = hi[:, None] - np.arange(width, 0, -1)
-    x = np.where(nodes >= lo[:, None], theta[np.maximum(nodes, 0)], 0.0)
-    x.sort(axis=1)
-    bad = (x < -_RANGE_ATOL) | (x > 1.0 + _RANGE_ATOL)
-    if bad.any():
-        raise ValueError(f"alpha argument {float(x[bad][0])} outside [0, 1]")
-    np.clip(x, 0.0, 1.0, out=x)
-    acc = np.zeros(len(lo))
-    for col in x.T:
-        acc = col + (1.0 - col) * acc
-    return acc
+    alphas = np.empty(len(lo))
+    length_class = np.frexp(hi - lo)[1]
+    for c in np.unique(length_class):
+        runs = np.flatnonzero(length_class == c)
+        lo_c, hi_c = lo[runs], hi[runs]
+        nodes = hi_c[:, None] - np.arange(int((hi_c - lo_c).max()), 0, -1)
+        x = np.where(nodes >= lo_c[:, None], theta[np.maximum(nodes, 0)], 0.0)
+        x.sort(axis=1)
+        acc = np.zeros(len(runs))
+        for col in x.T:
+            acc = col + (1.0 - col) * acc
+        alphas[runs] = acc
+    return alphas
 
 
-# Padded cells (8 MB of float64) below which every run of the level sweep
-# is padded to the longest in one block.
-_PADDED_CELLS = 1 << 20
-
-
-def level_bound_rows(m: MarkovTreeModel) -> np.ndarray:
-    """Every row of :func:`level_bound_row`, ``i = 1..n-1`` in turn, from
-    one vectorized sweep: the strict upper triangle of the level Delta,
-    row by row, bit for bit equal to the rows one at a time.
-
-    (1) The subtree runs of every node, one depth at a time: parents are
-    non-decreasing along the numbering, so the children of a run
-    ``[lo, hi)`` are the nodes ``[lo', hi')`` whose parent lies in it,
-    found by one ``searchsorted``.  (2) The ``alpha`` of every run, by
-    :func:`_alphas`.  Where padding every run to the longest would more
-    than double the cells, and pass ``_PADDED_CELLS``, runs go in length
-    classes (lengths within a factor 2) instead.  (3) The running product
-    over depths, one multiply per depth from 1.0, and each row's segments
-    laid out with one ``np.repeat``, 0.0 past the subtree.
-    """
-    n, tree = m.n, m.tree
-    if n == 1:
-        return np.zeros(0)
-    parent = np.array([0, 0] + [tree.parent[v] for v in range(2, n + 1)])
-    theta = np.zeros(n + 1)
-    theta[2:] = [m.edge_thetas[v] for v in range(2, n + 1)]
-    starts = np.arange(1, n)
-    bounds, row = np.stack([starts, starts + 1]), starts - 1
+def _level_block(
+    parent: np.ndarray, theta: np.ndarray, starts: np.ndarray, n: int
+) -> np.ndarray:
+    """The rows of :func:`level_bound_rows` for the nodes ``starts`` (a
+    range of the numbering), in turn."""
+    bounds, row = np.stack([starts, starts + 1]), starts - starts[0]
     runs, rows, keeps = [], [], []
     while True:
         bounds = np.searchsorted(parent, bounds)
@@ -301,17 +282,11 @@ def level_bound_rows(m: MarkovTreeModel) -> np.ndarray:
         runs.append(bounds)
         rows.append(row)
         keeps.append(keep)
+    if not runs:  # only leaves: every row is 0.0
+        return np.zeros(int((n - starts).sum()))
     lo, hi = np.concatenate(runs, axis=1)
-    lengths = hi - lo
-    if len(lo) * lengths.max() <= max(2 * lengths.sum(), _PADDED_CELLS):
-        alphas = _alphas(theta, lo, hi)
-    else:
-        alphas = np.empty(len(lo))
-        length_class = np.frexp(lengths)[1]
-        for c in np.unique(length_class):
-            runs_c = np.flatnonzero(length_class == c)
-            alphas[runs_c] = _alphas(theta, lo[runs_c], hi[runs_c])
-    products, product, at = [], np.ones(n - 1), 0
+    alphas = _alphas(theta, lo, hi)
+    products, product, at = [], np.ones(len(starts)), 0
     for keep in keeps:
         product = product[keep]
         product = product * alphas[at : at + len(product)]
@@ -320,7 +295,7 @@ def level_bound_rows(m: MarkovTreeModel) -> np.ndarray:
     # Row r has one segment per depth of its subtree, then the trailing
     # 0.0; ``ends`` holds the last node each segment covers.
     row_all = np.concatenate(rows)
-    depths = np.bincount(row_all, minlength=n - 1)
+    depths = np.bincount(row_all, minlength=len(starts))
     first = np.cumsum(depths + 1) - (depths + 1)
     at = first[row_all] + np.repeat(np.arange(len(rows)), [len(r) for r in rows])
     values = np.zeros(first[-1] + depths[-1] + 1)
@@ -332,6 +307,48 @@ def level_bound_rows(m: MarkovTreeModel) -> np.ndarray:
     before[1:] = ends[:-1]
     before[first] = starts
     return np.repeat(values, ends - before)
+
+
+# Subtree runs the level sweep lists at once, about 100 bytes each: a
+# block of starting nodes holds at most this many, some 25 MiB.
+_RUNS_PER_BLOCK = 1 << 18
+
+
+def level_bound_rows(m: MarkovTreeModel) -> np.ndarray:
+    """Every row of :func:`level_bound_row`, ``i = 1..n-1`` in turn, from
+    one vectorized sweep: the strict upper triangle of the level Delta,
+    row by row, bit for bit equal to the rows one at a time.
+
+    (1) The subtree runs of every node, one depth at a time: parents are
+    non-decreasing along the numbering, so the children of a run
+    ``[lo, hi)`` are the nodes ``[lo', hi')`` whose parent lies in it,
+    found by one ``searchsorted``.  (2) The ``alpha`` of every run, by
+    :func:`_alphas`.  (3) The running product over depths, one multiply
+    per depth from 1.0, and each row's segments laid out with one
+    ``np.repeat``, 0.0 past the subtree.  A node at depth ``d`` has at
+    most ``depth - d`` runs, and depths never fall along the numbering,
+    so the starting nodes go in consecutive blocks of at most
+    ``_RUNS_PER_BLOCK`` runs: a chain lists ``n (n - 1) / 2`` in all.
+    """
+    n, tree = m.n, m.tree
+    parent = np.array([0, 0] + [tree.parent[v] for v in range(2, n + 1)])
+    theta = np.zeros(n + 1)
+    theta[2:] = [m.edge_thetas[v] for v in range(2, n + 1)]
+    # Every edge lies in the subtree of node 1, so row 1 alone would meet
+    # any theta that alpha refuses.
+    bad = (theta < -_RANGE_ATOL) | (theta > 1.0 + _RANGE_ATOL)
+    if bad.any():
+        raise ValueError(f"alpha argument {float(theta[bad][0])} outside [0, 1]")
+    np.clip(theta, 0.0, 1.0, out=theta)
+    upper = np.empty(n * (n - 1) // 2)
+    a, at = 1, 0
+    while a < n:
+        per_node = max(1, tree.depth - tree.depth_of[a])
+        b = min(n, a + max(1, _RUNS_PER_BLOCK // per_node))
+        block = _level_block(parent, theta, np.arange(a, b), n)
+        upper[at : at + len(block)] = block
+        a, at = b, at + len(block)
+    return upper
 
 
 def eta_bar_bound_levels(m: MarkovTreeModel, i: int, j: int) -> float:
@@ -438,7 +455,7 @@ def eta_bar_bound_linear_growth(
                 f"level {d} has {len(tree.levels[d])} nodes, exceeding c*d = {c * d}"
             )
     runs = subtree_runs(tree, i)
-    j0 = pivot(runs, j)
+    j0 = first_descendant_at_or_after(tree, i, j, runs)
     if j0 is None:
         return LinearGrowthBound(
             i=i, j=j, j0=None, c=c, product_bound=0.0, beta=None,
@@ -558,12 +575,19 @@ def eta_factorization(
     )
 
 
+def _row_by_row(m: MarkovTreeModel, row: Callable[[int], np.ndarray]) -> np.ndarray:
+    """``row(i)`` for ``i = 1..n-1`` in turn, as one array: the strict
+    upper triangle of Delta, row by row, for a source without a sweep of
+    its own."""
+    return np.concatenate([np.zeros(0)] + [row(i) for i in range(1, m.n)])
+
+
 def _exact_upper(m: MarkovTreeModel) -> np.ndarray:
     """Every row of :func:`exact_row`, once the model is admitted.  The
     check runs here, before any row is asked, so it also refuses a
     single-node model over the cap, which has no row."""
     m.check_table_cap()
-    return np.concatenate([np.zeros(0)] + [exact_row(m, i) for i in range(1, m.n)])
+    return _row_by_row(m, functools.partial(exact_row, m))
 
 
 def _uniform_by_offset(m: MarkovTreeModel) -> np.ndarray:
@@ -572,8 +596,9 @@ def _uniform_by_offset(m: MarkovTreeModel) -> np.ndarray:
 
     The bound is ``step ** ((j - i) // L)``: the step is computed once per
     model and raised to each exponent once, ``(n - 1) // L + 1`` powers
-    in all, not one per cell.  Once theta reaches 1 the closed form does
-    not apply, and the trivial bound 1.0 fills every offset.
+    in all, not one per cell.  Row ``i`` is the first ``n - i`` offsets.
+    Once theta reaches 1 the closed form does not apply, and the trivial
+    bound 1.0 fills every offset.
     """
     theta, wid, n = max_contraction(m), m.tree.width, m.n
     if theta < 1.0:
@@ -583,34 +608,32 @@ def _uniform_by_offset(m: MarkovTreeModel) -> np.ndarray:
 
 
 def _uniform_upper(m: MarkovTreeModel) -> np.ndarray:
-    """Every row of the uniform bound: row ``i`` is the first ``n - i``
-    offsets."""
-    by_offset, n = _uniform_by_offset(m), m.n
-    return np.concatenate([np.zeros(0)] + [by_offset[: n - i] for i in range(1, n)])
+    by_offset = _uniform_by_offset(m)
+    return _row_by_row(m, lambda i: by_offset[: m.n - i])
 
 
 class Source(NamedTuple):
     """One rung of the eta_bar ladder.
 
-    ``row(m, runs)`` is eta_bar(i, j) for ``j = i+1..n``, where ``runs``
-    is ``subtree_runs(m.tree, i)``: the caller walks the subtree once and
-    a rung that needs the subtree reads that walk.  ``upper(m)`` is every
-    row ``i = 1..n-1`` in turn, the strict upper triangle of Delta row by
-    row.  Both admit the model first, or raise EnumerationLimitError if
-    the rung refuses it.
+    ``row(m, i, runs)`` is eta_bar(i, j) for ``j = i+1..n``, where
+    ``runs`` is ``subtree_runs(m.tree, i)``: the caller walks the subtree
+    once and a rung that needs the subtree reads that walk.  ``upper(m)``
+    is every row ``i = 1..n-1`` in turn, the strict upper triangle of
+    Delta row by row.  Both admit the model first, or raise
+    EnumerationLimitError if the rung refuses it.
     """
 
-    row: Callable[[MarkovTreeModel, tuple[range, ...]], np.ndarray]
+    row: Callable[[MarkovTreeModel, int, tuple[range, ...]], np.ndarray]
     upper: Callable[[MarkovTreeModel], np.ndarray]
 
 
 # The eta_bar sources, tightest first: each bounds the one before it.  A
 # single pair asks one row; a matrix asks every row at once.
 SOURCES: Mapping[str, Source] = MappingProxyType({
-    "exact": Source(lambda m, runs: exact_row(m, runs[0].start), _exact_upper),
-    "level-bound": Source(_level_row, level_bound_rows),
+    "exact": Source(lambda m, i, runs: exact_row(m, i), _exact_upper),
+    "level-bound": Source(lambda m, i, runs: _level_row(m, runs), level_bound_rows),
     "uniform-bound": Source(
-        lambda m, runs: _uniform_by_offset(m)[: m.n - runs[0].start], _uniform_upper
+        lambda m, i, runs: _uniform_by_offset(m)[: m.n - i], _uniform_upper
     ),
 })
 
@@ -634,9 +657,9 @@ class EtaReport:
     geometric_bound: float | None
 
 
-def _entry(row, m: MarkovTreeModel, runs: tuple[range, ...], j: int) -> float | None:
+def _entry(row, m: MarkovTreeModel, i: int, runs: tuple[range, ...], j: int) -> float | None:
     try:
-        return float(row(m, runs)[j - runs[0].start - 1])
+        return float(row(m, i, runs)[j - i - 1])
     except EnumerationLimitError:
         return None
 
@@ -647,11 +670,14 @@ def eta_report(m: MarkovTreeModel, i: int, j: int) -> EtaReport:
     the pivot ``j0`` read the same runs."""
     i, j = _check_pair(m, i, j)
     runs = subtree_runs(m.tree, i)
-    values = tuple((name, _entry(source.row, m, runs, j)) for name, source in SOURCES.items())
+    values = tuple(
+        (name, _entry(source.row, m, i, runs, j)) for name, source in SOURCES.items()
+    )
     theta, wid = max_contraction(m), m.tree.width
     geometric: float | None = None
     if 0.0 < theta < 1.0 and j - i >= wid:
         geometric = _uniform_step(theta, wid) ** ((j - i) / (2 * wid - 1))
     return EtaReport(
-        i=i, j=j, j0=pivot(runs, j), values=values, geometric_bound=geometric,
+        i=i, j=j, j0=first_descendant_at_or_after(m.tree, i, j, runs), values=values,
+        geometric_bound=geometric,
     )

@@ -16,9 +16,9 @@ stack and root law are normalized once, so θ, the frontier sweep, the
 joint table and the sampler read one measure.
 The model's derived tables are ``functools.cached_property`` attributes,
 each computed from the stack on first read and then kept on the model:
-the edge contraction coefficients (``edge_thetas``) and their largest
-(``max_contraction``), the node marginals of one forward pass
-(``node_marginals``) and the joint table behind ``joint_table()``.
+the edge contraction coefficients (``edge_thetas``), the node marginals
+of one forward pass (``node_marginals``) and the joint table behind
+``joint_table()``.
 
 ``eta_exact`` (one given prefix) and the verification oracles enumerate
 the joint table.  Exact mixing coefficients do not build it: they sweep
@@ -279,11 +279,6 @@ class MarkovTreeModel:
         return MappingProxyType(dict(zip(range(2, self.n + 1), thetas)))
 
     @cached_property
-    def _max_theta(self) -> float:
-        """``max_contraction``: computed once per model and cached."""
-        return max(self.edge_thetas.values(), default=0.0)
-
-    @cached_property
     def node_marginals(self) -> np.ndarray:
         """Law of every node, shape ``(n + 1, s)``; row ``v`` is node ``v``.
 
@@ -323,7 +318,7 @@ def contraction_coefficient(m: MarkovTreeModel, edge: tuple[int, int]) -> float:
 
 def max_contraction(m: MarkovTreeModel) -> float:
     """Largest contraction coefficient over all edges (0 for n = 1)."""
-    return m._max_theta
+    return max(m.edge_thetas.values(), default=0.0)
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as

@@ -194,24 +194,22 @@ def subtree(t: TreeTopology, u: int) -> frozenset[int]:
     return frozenset(v for run in subtree_runs(t, u) for v in run)
 
 
-def first_descendant_at_or_after(t: TreeTopology, i: int, j: int) -> int | None:
+def first_descendant_at_or_after(
+    t: TreeTopology, i: int, j: int, runs: tuple[range, ...] | None = None
+) -> int | None:
     """Smallest node of the subtree of ``i`` numbered ``>= j``, or None.
 
     Requires ``1 <= i < j <= n``.  A None return means the subtree of
     ``i`` lies entirely before ``j``, so nodes ``j..n`` are conditionally
-    independent of anything observed at ``i`` (given the past).
+    independent of anything observed at ``i`` (given the past).  A caller
+    that has walked the subtree passes its ``subtree_runs(t, i)`` as
+    ``runs``, and the subtree is not walked again.
     """
     i = t.check_node(i)
     j = t.check_node(j)
     if not i < j:
         raise ValueError(f"need i < j, got i={i}, j={j}")
-    return pivot(subtree_runs(t, i), j)
-
-
-def pivot(runs: tuple[range, ...], j: int) -> int | None:
-    """Smallest node ``>= j`` of the subtree with runs ``runs`` (as
-    :func:`subtree_runs` lists them), or None."""
-    for run in runs:
+    for run in subtree_runs(t, i) if runs is None else runs:
         if run[-1] >= j:
             return max(run.start, j)
     return None

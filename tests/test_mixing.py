@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from types import MappingProxyType
@@ -176,7 +177,7 @@ def test_level_sweep_matches_oracle(seed, n, s, shape):
 
 
 def _one_row_at_a_time(m):
-    return np.concatenate([np.zeros(0)] + [level_bound_row(m, i) for i in range(1, m.n)])
+    return mixing._row_by_row(m, functools.partial(level_bound_row, m))
 
 
 def _degenerate_edges(m, seed):
@@ -234,10 +235,28 @@ def test_all_rows_sweep_equals_one_row_sweeps(seed, shape, size):
     rows = level_bound_rows(m)
     assert rows.shape == (m.n * (m.n - 1) // 2,)
     assert np.array_equal(rows, _one_row_at_a_time(m))
-    with mock.patch.object(mixing, "_PADDED_CELLS", 0):  # runs in length classes
+    with mock.patch.object(mixing, "_RUNS_PER_BLOCK", 1 + size % 7):  # many blocks
         assert np.array_equal(level_bound_rows(m), rows)
     delta, _ = build_mixing_matrices(m, "level-bound")
     assert np.array_equal(delta.entries[np.triu_indices(m.n, k=1)], rows)
+
+
+def test_sweep_lists_at_most_a_block_of_runs(monkeypatch):
+    """A chain has n (n - 1) / 2 subtree runs; the sweep lists them in
+    blocks of starting nodes, none holding more than ``_RUNS_PER_BLOCK``."""
+    m = random_model(5, n=120, alphabet_size=3, width=1)
+    listed, alphas = [], mixing._alphas
+
+    def spy(theta, lo, hi):
+        listed.append(len(lo))
+        return alphas(theta, lo, hi)
+
+    monkeypatch.setattr(mixing, "_RUNS_PER_BLOCK", 500)
+    monkeypatch.setattr(mixing, "_alphas", spy)
+    rows = level_bound_rows(m)
+    assert max(listed) <= 500
+    assert sum(listed) == m.n * (m.n - 1) // 2
+    assert np.array_equal(rows, _one_row_at_a_time(m))
 
 
 @pytest.mark.parametrize("theta", [-1e-9, 1.0 + 1e-9, -5e-13, 1.0 + 5e-13])

@@ -94,7 +94,7 @@ class TestRunVerification:
         m = random_model(4, n=9, width=3)
         before = set(vars(m))
         run_verification(m, trials=20, seed=1)
-        assert set(vars(m)) - before == {"_joint_table", "edge_thetas", "_max_theta", "node_marginals"}
+        assert set(vars(m)) - before == {"_joint_table", "edge_thetas", "node_marginals"}
 
     def test_reused_model_rechecks_the_cap(self, monkeypatch):
         """A model verified once, then again under a lower cap, reports
