@@ -162,7 +162,7 @@ def _cmd_eta(args, model, _relabel) -> int:
             print(f"  {short + ':':<12s}{text}")
         return 0
     source = _SOURCE_NAMES[args.source]
-    delta, _ = build_mixing_matrices(model, source)
+    delta = build_mixing_matrices(model, source)
     n = model.n
     # Each distinct value is formatted once; rows are assembled by index.
     values, index = _distinct_entries(delta.entries)
@@ -191,14 +191,14 @@ def _cmd_norms(args, model, _relabel) -> int:
     print("source         delta_inf      gamma_l2")
     for source in SOURCES if every else [_SOURCE_NAMES[args.source]]:
         try:
-            delta, gamma = build_mixing_matrices(model, source)
+            delta = build_mixing_matrices(model, source)
         except EnumerationLimitError:
             if not every:
                 raise
             print(f"{source:<14s} (skipped: table exceeds enumeration cap)")
             continue
         dn = delta_inf_norm(delta)
-        gn = gamma_l2_norm(gamma)
+        gn = gamma_l2_norm(delta)
         print(f"{source:<14s} {dn:<14.8g} {gn:<14.8g}")
         lines.append(f"{source},{_fmt(dn)},{_fmt(gn)}")
     _write_csv(args.csv, "source,delta_inf,gamma_l2", lines)
@@ -207,11 +207,8 @@ def _cmd_norms(args, model, _relabel) -> int:
 
 def _cmd_bound(args, model, _relabel) -> int:
     source = _SOURCE_NAMES[args.source]
-    delta, gamma = build_mixing_matrices(model, source)
-    if args.metric == HAMMING:
-        norm = delta_inf_norm(delta)
-    else:
-        norm = gamma_l2_norm(gamma)
+    delta = build_mixing_matrices(model, source)
+    norm = (delta_inf_norm if args.metric == HAMMING else gamma_l2_norm)(delta)
     t_grid = args.t if args.t else list(T_GRID_DEFAULT)
     # Every threshold is checked before the first line is printed.
     reports = [tail_bound(model.n, norm, t, args.metric) for t in t_grid]

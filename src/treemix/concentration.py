@@ -1,12 +1,11 @@
 """Concentration of Lipschitz functions of a Markov tree process.
 
 The mixing coefficients bound how a function of all node variables can
-deviate from its mean.  Two matrices are built from any eta_bar source
-of ``SOURCES`` (re-exported from :mod:`treemix.mixing`: exact, level
-bound, or uniform closed form), each filled from its entry's rows:
-
-* ``delta``: unit diagonal, ``eta_bar(i, j)`` above it;
-* ``gamma``: unit diagonal, ``sqrt(eta_bar(i, j))`` above it.
+deviate from its mean.  One matrix is built from any eta_bar source of
+``SOURCES`` (re-exported from :mod:`treemix.mixing`: exact, level bound,
+or uniform closed form), filled from its entry's rows: ``delta``, with
+unit diagonal and ``eta_bar(i, j)`` above it.  The Euclidean bound reads
+its entrywise square root ``gamma``, which :func:`gamma_l2_norm` forms.
 
 For f with Lipschitz constant 1 in the normalized Hamming metric
 (changing one coordinate moves f by at most 1/n),
@@ -47,20 +46,15 @@ POWER_ITERATION_CAP = 100_000
 
 @dataclass(frozen=True, eq=False)
 class MixingMatrix:
-    """Upper-triangular mixing matrix with unit diagonal.
-
-    ``kind`` is "delta" (raw eta_bar entries) or "gamma" (their square
-    roots); ``provenance`` records which eta_bar source filled the
-    strictly-upper entries.
+    """Upper-triangular delta matrix with unit diagonal: ``eta_bar(i, j)``
+    above it; ``provenance`` records which eta_bar source filled those
+    entries.
     """
 
-    kind: str
     provenance: str
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("delta", "gamma"):
-            raise ValueError(f"kind must be 'delta' or 'gamma', got {self.kind!r}")
         if self.provenance not in SOURCES:
             raise ValueError(
                 f"provenance must be one of {tuple(SOURCES)}, got {self.provenance!r}"
@@ -68,10 +62,10 @@ class MixingMatrix:
         mat = np.array(self.entries, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError(f"entries must be square, got shape {mat.shape}")
-        n = mat.shape[0]
         if not np.all(np.diag(mat) == 1.0):
             raise ValueError("diagonal entries must equal 1")
-        if np.any(mat[np.tril_indices(n, k=-1)] != 0.0):
+        # NaN != 0.0 is refused; -0.0 == 0.0 passes.
+        if np.tril(mat != 0.0, -1).any():
             raise ValueError("entries below the diagonal must be zero")
         if not np.isfinite(mat).all() or mat.min() < 0.0 or mat.max() > 1.0:
             raise ValueError("entries must be finite and lie in [0, 1]")
@@ -83,10 +77,8 @@ class MixingMatrix:
         return self.entries.shape[0]
 
 
-def build_mixing_matrices(
-    m: MarkovTreeModel, source: str
-) -> tuple[MixingMatrix, MixingMatrix]:
-    """Fill (delta, gamma) from the chosen eta_bar source.
+def build_mixing_matrices(m: MarkovTreeModel, source: str) -> MixingMatrix:
+    """Fill delta from the chosen eta_bar source.
 
     ``source`` is a key of ``SOURCES``; its entry admits the model, or
     raises :class:`~treemix.model.EnumerationLimitError` (the exact
@@ -100,23 +92,16 @@ def build_mixing_matrices(
     n = m.n
     delta = np.eye(n)
     delta[~np.tri(n, dtype=bool)] = upper
-    # The diagonal's 1.0 and the zeros below it are their own square roots.
-    gamma = np.sqrt(delta)
-    return (
-        MixingMatrix("delta", source, delta),
-        MixingMatrix("gamma", source, gamma),
-    )
+    return MixingMatrix(source, delta)
 
 
 def delta_inf_norm(d: MixingMatrix) -> float:
-    """Max row sum of a delta matrix via the triangular row formula.
+    """Max row sum of delta via the triangular row formula.
 
     ``max_i (1 + sum_{j > i} delta_ij)``; rows are summed with
     ``math.fsum`` so the result agrees bit-for-bit with the generic
     :func:`linf_operator_norm` on the same matrix.  Equals 1 for n = 1.
     """
-    if d.kind != "delta":
-        raise ValueError(f"expected a delta matrix, got kind {d.kind!r}")
     mat = d.entries
     return max(
         math.fsum([1.0] + mat[i, i + 1 :].tolist()) for i in range(d.n)
@@ -131,20 +116,20 @@ def linf_operator_norm(matrix: np.ndarray) -> float:
     return max(math.fsum(np.abs(mat[i]).tolist()) for i in range(mat.shape[0]))
 
 
-def gamma_l2_norm(g: MixingMatrix) -> float:
-    """Spectral norm of a gamma matrix by power iteration on G^T G.
+def gamma_l2_norm(d: MixingMatrix) -> float:
+    """Spectral norm of gamma = sqrt(delta), entrywise, by power iteration
+    on G^T G.
 
     Starts from the normalized all-ones vector (never orthogonal to the
     top eigenvector: G^T G is entrywise nonnegative) and stops when the
     Rayleigh quotient is stable to ``POWER_ITERATION_TOL`` (relative);
     raises after ``POWER_ITERATION_CAP`` iterations without convergence.
     """
-    if g.kind != "gamma":
-        raise ValueError(f"expected a gamma matrix, got kind {g.kind!r}")
-    mat = g.entries
-    n = g.n
+    n = d.n
     if n == 1:
         return 1.0
+    # The diagonal's 1.0 and the zeros below it are their own square roots.
+    mat = np.sqrt(d.entries)
     gram = mat.T @ mat
     v = np.full(n, 1.0 / math.sqrt(n))
     lam_prev = 0.0

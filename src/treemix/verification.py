@@ -118,8 +118,7 @@ class _Run:
 
     def __init__(self, m: MarkovTreeModel, trials: int, rng: np.random.Generator) -> None:
         self.m, self.trials, self.rng = m, trials, rng
-        # The Delta that ``build_mixing_matrices(m, source)`` returns.
-        self.delta = functools.cache(lambda source: build_mixing_matrices(m, source)[0])
+        self.delta = functools.cache(lambda source: build_mixing_matrices(m, source))
 
     def result(
         self, name: str, check: Callable[[_Run], tuple[float, int]], tol: float
@@ -190,15 +189,15 @@ class _Run:
     @functools.cached_property
     def ladder(self) -> float:
         """Largest amount, or 0.0, by which a source's Delta exceeds the
-        next, looser one's on the strictly-upper entries, the rows every
-        command prints.  Gamma entries are sqrt(delta) and IEEE sqrt is
-        monotone, so gamma dominance follows entrywise.  A single-node
-        model has no such entry and skips.
+        next, looser one's.  Every Delta has the same unit diagonal and
+        zeros below it, so only the strictly-upper entries, the rows every
+        command prints, can differ.  Gamma entries are sqrt(delta) and
+        IEEE sqrt is monotone, so gamma dominance follows entrywise.  A
+        single-node model has no pair and skips.
         """
         if self.m.n == 1:
             raise _Skip(_NO_PAIRS)
-        upper = np.triu_indices(self.m.n, k=1)
-        rungs = [self.delta(source).entries[upper] for source in SOURCES]
+        rungs = [self.delta(source).entries for source in SOURCES]
         return max(0.0, *(float((a - b).max(initial=0.0)) for a, b in zip(rungs, rungs[1:])))
 
 

@@ -253,7 +253,7 @@ def test_criterion_5_closed_form_values():
 
     # top singular value of [[1, 1], [0, 1]] against the root of the
     # characteristic polynomial x^2 - 3x + 1 of the Gram matrix
-    g = MixingMatrix("gamma", "exact", np.array([[1.0, 1.0], [0.0, 1.0]]))
+    g = MixingMatrix("exact", np.array([[1.0, 1.0], [0.0, 1.0]]) ** 2)
     oracle = math.sqrt((3.0 + math.sqrt(5.0)) / 2.0)
     golden = (1.0 + math.sqrt(5.0)) / 2.0
     power = gamma_l2_norm(g)
@@ -279,7 +279,7 @@ def test_criterion_6_tail_bound_validity():
     for seed in range(50):
         n = 4 + seed % 5
         m = random_model(seed, n=n, alphabet_size=2)
-        delta, _ = build_mixing_matrices(m, "exact")
+        delta = build_mixing_matrices(m, "exact")
         norm = delta_inf_norm(delta)
         batch = sample_paths(m, 777, samples)
         weights = 2 ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -313,7 +313,7 @@ def test_criterion_7_norm_identity():
         mat = np.eye(n)
         iu = np.triu_indices(n, k=1)
         mat[iu] = rng.random(iu[0].size)
-        d = MixingMatrix("delta", "level-bound", mat)
+        d = MixingMatrix("level-bound", mat)
         exact = exact and delta_inf_norm(d) == linf_operator_norm(d.entries)
     report(7, exact, "triangular row-sum norm identity", "1000 matrices, exact equality")
 

@@ -434,7 +434,7 @@ class TestExactWithoutJointTable:
 
         monkeypatch.setattr(MarkovTreeModel, "joint_table", no_table)
         m, _ = parse_model_file(model_path)
-        delta, _ = concentration.build_mixing_matrices(m, "exact")
+        delta = concentration.build_mixing_matrices(m, "exact")
         assert delta.entries[0, 1:].max() > 0.0
         assert eta_bar_exact(m, 1, m.n) == delta.entries[0, m.n - 1]
         for argv in (
@@ -508,7 +508,7 @@ def test_eta_writer_matches_per_cell_oracle(model_of_shape, tmp_path_factory, en
     csv = tmp_path_factory.getbasetemp() / "eta.csv"
     short = source.removesuffix("-bound")
     delta = SimpleNamespace(entries=entries)
-    with mock.patch.object(cli, "build_mixing_matrices", return_value=(delta, None)):
+    with mock.patch.object(cli, "build_mixing_matrices", return_value=delta):
         screen, _ = _run(["eta", path, "--source", short], csv)
         with_csv, written = _run(["eta", path, "--source", short, "--csv", str(csv)], csv)
     want_screen, want_csv = oracle_eta_text(entries, source)
@@ -550,7 +550,7 @@ def test_writers_match_oracle_on_library_output(model_of_shape, tmp_path, n, s):
     m, _ = parse_model_file(path)
     csv = tmp_path / "out.csv"
     for source in ("level-bound", "uniform-bound"):
-        delta, _ = concentration.build_mixing_matrices(m, source)
+        delta = concentration.build_mixing_matrices(m, source)
         want_screen, want_csv = oracle_eta_text(delta.entries, source)
         short = source.removesuffix("-bound")
         screen, written = _run(["eta", path, "--source", short, "--csv", str(csv)], csv)

@@ -33,23 +33,25 @@ from conftest import (
 
 
 def upper_unit(entries: np.ndarray) -> MixingMatrix:
-    return MixingMatrix("delta", "level-bound", entries)
+    return MixingMatrix("level-bound", entries)
 
 
 class TestMixingMatrix:
     def test_validation(self):
-        with pytest.raises(ValueError, match="kind"):
-            MixingMatrix("beta", "exact", np.eye(2))
         with pytest.raises(ValueError, match="provenance"):
-            MixingMatrix("delta", "guesswork", np.eye(2))
+            MixingMatrix("guesswork", np.eye(2))
         with pytest.raises(ValueError, match="diagonal"):
-            MixingMatrix("delta", "exact", np.array([[1.0, 0.5], [0.0, 0.9]]))
+            MixingMatrix("exact", np.array([[1.0, 0.5], [0.0, 0.9]]))
         with pytest.raises(ValueError, match="below"):
-            MixingMatrix("delta", "exact", np.array([[1.0, 0.5], [0.1, 1.0]]))
+            MixingMatrix("exact", np.array([[1.0, 0.5], [0.1, 1.0]]))
+        with pytest.raises(ValueError, match="below"):
+            MixingMatrix("exact", np.array([[1.0, 0.5], [np.nan, 1.0]]))
         with pytest.raises(ValueError, match="0, 1"):
-            MixingMatrix("delta", "exact", np.array([[1.0, 1.5], [0.0, 1.0]]))
+            MixingMatrix("exact", np.array([[1.0, 1.5], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="finite"):
-            MixingMatrix("delta", "exact", np.array([[1.0, np.nan], [0.0, 1.0]]))
+            MixingMatrix("exact", np.array([[1.0, np.nan], [0.0, 1.0]]))
+        signed = np.array([[1.0, 0.5, 0.0], [-0.0, 1.0, 0.25], [0.0, -0.0, 1.0]])
+        np.testing.assert_array_equal(MixingMatrix("exact", signed).entries, signed)
 
     def test_entries_read_only(self):
         d = upper_unit(np.eye(3))
@@ -61,31 +63,29 @@ class TestBuildMixingMatrices:
     def test_independent_model_is_identity(self):
         # rank-one kernels: every eta_bar vanishes
         m = chain_model([[[0.3, 0.7], [0.3, 0.7]]] * 3)
-        delta, gamma = build_mixing_matrices(m, "exact")
+        delta = build_mixing_matrices(m, "exact")
         np.testing.assert_allclose(delta.entries, np.eye(4), atol=1e-14)
-        np.testing.assert_allclose(gamma.entries, np.eye(4), atol=1e-7)
+        assert gamma_l2_norm(delta) == pytest.approx(1.0, abs=1e-6)
 
     def test_gamma_is_sqrt_of_delta(self):
         m = random_model(4, n=6, alphabet_size=2)
         for source in ("exact", "level-bound", "uniform-bound"):
-            delta, gamma = build_mixing_matrices(m, source)
-            iu = np.triu_indices(6, k=1)
-            np.testing.assert_array_equal(
-                gamma.entries[iu], np.sqrt(delta.entries[iu])
-            )
+            delta = build_mixing_matrices(m, source)
+            want = float(np.linalg.svd(np.sqrt(delta.entries), compute_uv=False)[0])
+            assert gamma_l2_norm(delta) == pytest.approx(want, abs=1e-8)
 
     def test_provenance_dominance(self):
         for seed in range(6):
             m = random_model(seed, n=6, alphabet_size=2)
-            exact, _ = build_mixing_matrices(m, "exact")
-            level, _ = build_mixing_matrices(m, "level-bound")
-            uniform, _ = build_mixing_matrices(m, "uniform-bound")
+            exact = build_mixing_matrices(m, "exact")
+            level = build_mixing_matrices(m, "level-bound")
+            uniform = build_mixing_matrices(m, "uniform-bound")
             assert (exact.entries <= level.entries + 1e-12).all()
             assert (level.entries <= uniform.entries + 1e-12).all()
 
     def test_degenerate_kernel_fills_ones(self):
         m = chain_model([[[1.0, 0.0], [0.0, 1.0]], ROWS_05])
-        delta, _ = build_mixing_matrices(m, "uniform-bound")
+        delta = build_mixing_matrices(m, "uniform-bound")
         iu = np.triu_indices(3, k=1)
         assert (delta.entries[iu] == 1.0).all()
 
@@ -93,6 +93,20 @@ class TestBuildMixingMatrices:
         m = chain_model([ROWS_05])
         with pytest.raises(ValueError, match="source"):
             build_mixing_matrices(m, "approximate")
+
+    def test_level_build_peak_memory(self):
+        # One n x n float matrix is 8 n^2 bytes.  The build holds the level
+        # rows, Delta and the validated copy of it, and no Gamma beside them
+        # or index arrays of a triangle (with those the peak read about 6x).
+        n = 1500
+        m = random_model(0, n, 3, width=8)
+        tracemalloc.start()
+        try:
+            build_mixing_matrices(m, "level-bound")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * n * n, peak / (8 * n * n)
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_uniform_step_once_per_matrix(self, monkeypatch, width):
@@ -103,7 +117,7 @@ class TestBuildMixingMatrices:
         step = mixing._uniform_step
         monkeypatch.setattr(mixing, "_uniform_step", lambda *a: calls.append(a) or step(*a))
         m = random_model(6, n=9, alphabet_size=2, width=width)
-        delta, _ = build_mixing_matrices(m, "uniform-bound")
+        delta = build_mixing_matrices(m, "uniform-bound")
         assert m.tree.width == width
         assert len(calls) == 1
         theta = max_contraction(m)
@@ -117,16 +131,11 @@ class TestDeltaInfNorm:
         # theta = 0.5 chain: the top row sums the geometric series
         # 1 + 1/2 + ... + 1/32
         m = chain_model([ROWS_05] * 5)
-        delta, _ = build_mixing_matrices(m, "level-bound")
+        delta = build_mixing_matrices(m, "level-bound")
         assert delta_inf_norm(delta) == pytest.approx(1.96875, abs=1e-15)
 
     def test_single_node(self):
         assert delta_inf_norm(upper_unit(np.eye(1))) == 1.0
-
-    def test_kind_checked(self):
-        _, gamma = build_mixing_matrices(chain_model([ROWS_05]), "level-bound")
-        with pytest.raises(ValueError, match="delta"):
-            delta_inf_norm(gamma)
 
     def test_matches_generic_norm_exactly(self):
         rng = np.random.default_rng(17)
@@ -142,7 +151,7 @@ class TestDeltaInfNorm:
         # uniform-theta chain: ||Delta||_inf < 1 / (1 - theta)
         for theta, rows in ((0.5, ROWS_05),):
             m = chain_model([rows] * 7)
-            delta, _ = build_mixing_matrices(m, "level-bound")
+            delta = build_mixing_matrices(m, "level-bound")
             assert delta_inf_norm(delta) < 1.0 / (1.0 - theta)
 
 
@@ -150,23 +159,23 @@ class TestGammaL2Norm:
     def test_golden_ratio(self):
         # char poly of G^T G for [[1,1],[0,1]] is x^2 - 3x + 1, so the
         # top singular value is the golden ratio
-        g = MixingMatrix("gamma", "exact", np.array([[1.0, 1.0], [0.0, 1.0]]))
+        g = MixingMatrix("exact", np.array([[1.0, 1.0], [0.0, 1.0]]) ** 2)
         want = (1.0 + math.sqrt(5.0)) / 2.0
         assert gamma_l2_norm(g) == pytest.approx(want, abs=1e-8)
 
     def test_identity(self):
-        g = MixingMatrix("gamma", "exact", np.eye(5))
+        g = MixingMatrix("exact", np.eye(5))
         assert gamma_l2_norm(g) == pytest.approx(1.0, abs=1e-10)
 
     def test_single_node(self):
-        g = MixingMatrix("gamma", "exact", np.eye(1))
+        g = MixingMatrix("exact", np.eye(1))
         assert gamma_l2_norm(g) == 1.0
 
     def test_block_diagonal_invariance(self):
         # padding with identity block leaves the norm unchanged
         block = np.eye(4)
         block[0, 1] = 1.0
-        g = MixingMatrix("gamma", "exact", block)
+        g = MixingMatrix("exact", block**2)
         want = (1.0 + math.sqrt(5.0)) / 2.0
         assert gamma_l2_norm(g) == pytest.approx(want, abs=1e-8)
 
@@ -177,7 +186,7 @@ class TestGammaL2Norm:
                 mat = np.eye(n)
                 iu = np.triu_indices(n, k=1)
                 mat[iu] = rng.random(iu[0].size)
-                g = MixingMatrix("gamma", "exact", mat)
+                g = MixingMatrix("exact", mat**2)
                 want = float(np.linalg.svd(mat, compute_uv=False)[0])
                 assert gamma_l2_norm(g) == pytest.approx(want, abs=1e-8)
 
@@ -188,7 +197,7 @@ class TestGammaL2Norm:
             mat = np.eye(n)
             iu = np.triu_indices(n, k=1)
             mat[iu] = rng.random(iu[0].size)
-            g = MixingMatrix("gamma", "exact", mat)
+            g = MixingMatrix("exact", mat**2)
             one = float(np.abs(mat).sum(axis=0).max())
             inf = linf_operator_norm(mat)
             assert gamma_l2_norm(g) <= math.sqrt(one * inf) + 1e-8
@@ -197,18 +206,14 @@ class TestGammaL2Norm:
         # sqrt(theta)-geometric rows: ||Gamma||_2 < 1 / (1 - sqrt(theta))
         theta = 0.5
         m = chain_model([ROWS_05] * 7)
-        _, gamma = build_mixing_matrices(m, "level-bound")
-        assert gamma_l2_norm(gamma) < 1.0 / (1.0 - math.sqrt(theta))
-
-    def test_kind_checked(self):
-        with pytest.raises(ValueError, match="gamma"):
-            gamma_l2_norm(upper_unit(np.eye(2)))
+        delta = build_mixing_matrices(m, "level-bound")
+        assert gamma_l2_norm(delta) < 1.0 / (1.0 - math.sqrt(theta))
 
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(concentration, "POWER_ITERATION_CAP", 3)
         mat = np.eye(3)
         mat[0, 1] = mat[1, 2] = mat[0, 2] = 0.5
-        g = MixingMatrix("gamma", "exact", mat)
+        g = MixingMatrix("exact", mat**2)
         with pytest.raises(RuntimeError, match="converge"):
             gamma_l2_norm(g)
 
@@ -514,7 +519,7 @@ class TestMonteCarloDeviation:
         # the certified bound must dominate the simulation
         for seed in (0, 1):
             m = random_model(seed, n=5, alphabet_size=2)
-            delta, _ = build_mixing_matrices(m, "exact")
+            delta = build_mixing_matrices(m, "exact")
             norm = delta_inf_norm(delta)
             freq = (np.indices((2,) * 5) == 0).sum(axis=0) / 5
             for t in (0.2, 0.4):

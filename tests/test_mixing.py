@@ -101,7 +101,7 @@ class TestEtaBarExact:
         m = chain_model([rows, rows])
         assert eta_bar_exact(m, 1, 2) == 1.0
         assert eta_exact(m, 1, 2, (), 0, 1) == 1.0
-        delta, _ = build_mixing_matrices(m, "exact")
+        delta = build_mixing_matrices(m, "exact")
         assert delta.entries.max() == 1.0
 
     def test_infeasible_pairs_ignored(self):
@@ -168,7 +168,7 @@ class TestLevelBound:
 def test_level_sweep_matches_oracle(seed, n, s, shape):
     caps = {"chain": {"width": 1}, "star": {"depth": 1}, "full": {}}[shape]
     m = random_model(seed, n=n, alphabet_size=s, **caps)
-    delta, _ = build_mixing_matrices(m, "level-bound")
+    delta = build_mixing_matrices(m, "level-bound")
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             entry = delta.entries[i - 1, j - 1]
@@ -237,7 +237,7 @@ def test_all_rows_sweep_equals_one_row_sweeps(seed, shape, size):
     assert np.array_equal(rows, _one_row_at_a_time(m))
     with mock.patch.object(mixing, "_RUNS_PER_BLOCK", 1 + size % 7):  # many blocks
         assert np.array_equal(level_bound_rows(m), rows)
-    delta, _ = build_mixing_matrices(m, "level-bound")
+    delta = build_mixing_matrices(m, "level-bound")
     assert np.array_equal(delta.entries[np.triu_indices(m.n, k=1)], rows)
 
 
@@ -301,7 +301,7 @@ def test_exact_sweep_matches_oracle(seed, n, s, shape, support):
         m = MarkovTreeModel(m.tree, s, m.root_dist, kernels)
     elif support != "full":
         m = sparsified(m, seed, support.endswith("root"))
-    delta, _ = build_mixing_matrices(m, "exact")
+    delta = build_mixing_matrices(m, "exact")
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             assert abs(delta.entries[i - 1, j - 1] - oracle_eta_bar(m, i, j)) <= 1e-12
@@ -315,7 +315,7 @@ def test_exact_rows_vanish_on_one_state_alphabet():
     # s = 1: node i has no two states to tell apart, so every row is 0
     edges = [(1, 2), (1, 3), (2, 4), (3, 5)]
     m = make_model(5, edges, 1, [1.0], {e: [[1.0]] for e in edges})
-    delta, _ = build_mixing_matrices(m, "exact")
+    delta = build_mixing_matrices(m, "exact")
     np.testing.assert_array_equal(delta.entries, np.eye(5))
     for i in range(1, 5):
         assert not exact_row(m, i).any()

@@ -523,7 +523,7 @@ class TestMarkovProperty:
         lambda: Kernel((1, 2), np.array(ROWS_07).T),
         lambda: IndexedTensor((1,), 2, np.array([0.3, 0.7])),
         lambda: StochasticOperator((1,), (2,), 2, np.array(ROWS_05)),
-        lambda: MixingMatrix("delta", "exact", np.eye(2)),
+        lambda: MixingMatrix("exact", np.eye(2)),
     ],
     ids=["MarkovTreeModel", "Kernel", "IndexedTensor", "StochasticOperator", "MixingMatrix"],
 )

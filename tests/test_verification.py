@@ -202,7 +202,7 @@ def drifted_models(draw):
 def test_drifted_models_keep_the_ladder(m):
     upper = np.triu_indices(m.n, k=1)
     exact, level, uniform = (
-        build_mixing_matrices(m, source)[0].entries[upper] for source in SOURCES
+        build_mixing_matrices(m, source).entries[upper] for source in SOURCES
     )
     assert (exact <= level + 1e-12).all() and (level <= uniform + 1e-12).all()
     results = run_verification(m, trials=20, seed=1)

@@ -16,10 +16,11 @@ chain and a 150-leaf star, the deepest and the widest level sweep.
 Per model it hashes the parsed model (the kernels stacked in child
 order, the root law and the relabel map), the ``serialize_model`` text
 and the ``save_model`` bytes of the parsed model, the stdout of ``treemix
-inspect -v``, ``entries.tobytes()`` of the Delta and Gamma matrices for
-each source (exact only up to 3e6 table cells), the bytes of ``treemix
-coeffs --csv``, and the repr of ``eta_report``, ``eta_bar_bound_levels``
-and ``eta_bar_bound_linear_growth`` on a spread of pairs.  On every model
+inspect -v``, ``entries.tobytes()`` of the Delta matrix and of Gamma, its
+entrywise square root, for each source (exact only up to 3e6 table
+cells), the bytes of ``treemix coeffs --csv``, and the repr of
+``eta_report``, ``eta_bar_bound_levels`` and
+``eta_bar_bound_linear_growth`` on a spread of pairs.  On every model
 it hashes the CLI run (exit code, stdout, stderr and the bytes of the
 ``--csv`` file, with and without ``--csv``) of ``eta --source
 level|uniform``, of ``sample`` at three seeds and counts (5,000 paths
@@ -42,7 +43,12 @@ and hashes the same for the commands that ask for exact values, and
 the 5,000-sample Monte Carlo estimates again, now with a sampled mean
 on every model over the lowered cap.  Prints
 the differing entries, with the largest entrywise gap of each differing
-Delta/Gamma, and exits 1 if there are any.
+Delta/Gamma, and exits 1 if there are any.  If hashing either checkout
+fails, it prints that side's stderr and exits 3.
+
+``build_mixing_matrices`` returns Delta alone, or a (Delta, Gamma) pair
+in checkouts from before Gamma was formed only by ``gamma_l2_norm``; both
+shapes are read, so such a checkout can be compared with a newer one.
 
     python3 tools/compare_outputs.py . .
 
@@ -164,6 +170,12 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     ]
 
 
+def _delta(built):
+    """Delta from what ``build_mixing_matrices`` returned: Delta itself, or
+    a (Delta, Gamma) pair in older checkouts."""
+    return built[0] if isinstance(built, tuple) else built
+
+
 def _hash_writers(path: str, csv_path: str, m) -> dict[str, str]:
     """Hashes of the ``eta`` matrix and ``sample`` tables, with and without ``--csv``."""
     from treemix import cli, concentration
@@ -177,10 +189,12 @@ def _hash_writers(path: str, csv_path: str, m) -> dict[str, str]:
         argv = ["sample", path, "--seed", str(seed), "--count", str(count)]
         rec[f"cli_sample_{seed}"] = _run_cli(argv, csv_path)
         rec[f"cli_sample_{seed}_stdout"] = _run_cli(argv)
-    delta, gamma = concentration.build_mixing_matrices(m, "level-bound")
-    entries = np.array(delta.entries)
+    built = concentration.build_mixing_matrices(m, "level-bound")
+    entries = np.array(_delta(built).entries)
     entries[0, -1] = entries[-1, 0] = -0.0
-    signed = (SimpleNamespace(entries=entries), gamma)
+    signed = SimpleNamespace(entries=entries)
+    if isinstance(built, tuple):
+        signed = (signed, built[1])
     with mock.patch.object(cli, "build_mixing_matrices", return_value=signed):
         rec["cli_eta_signed_zero"] = _run_cli(["eta", path], csv_path)
     return rec
@@ -295,7 +309,7 @@ def _hash_lowered_cap(path: str) -> dict[str, str]:
 
 
 def _hash_model(path: str, csv_path: str, matrices: dict) -> dict[str, str]:
-    """Hashes of one model's outputs; its Delta/Gamma entries go into ``matrices``."""
+    """Hashes of one model's outputs; its Delta entries go into ``matrices``."""
     from treemix import cli, concentration, mixing, modelfile
 
     m, relabel = modelfile.parse_model_file(path)
@@ -320,9 +334,9 @@ def _hash_model(path: str, csv_path: str, matrices: dict) -> dict[str, str]:
     if m.table_cells() <= EXACT_MAX_CELLS:
         sources.insert(0, "exact")
     for source in sources:
-        delta, gamma = concentration.build_mixing_matrices(m, source)
-        rec[source] = _digest(delta.entries.tobytes() + gamma.entries.tobytes())
-        matrices[source] = [delta.entries.tolist(), gamma.entries.tolist()]
+        delta = _delta(concentration.build_mixing_matrices(m, source)).entries
+        rec[source] = _digest(delta.tobytes() + np.sqrt(delta).tobytes())
+        matrices[source] = delta.tolist()
     with contextlib.redirect_stdout(io.StringIO()):
         if cli.main(["coeffs", path, "--csv", csv_path]) != 0:
             raise RuntimeError(f"coeffs failed on {path}")
@@ -346,7 +360,7 @@ def _hash_model(path: str, csv_path: str, matrices: dict) -> dict[str, str]:
 
 
 def _hash_checkout(checkout: str) -> dict[str, dict]:
-    """``{"hashes": {model: {field: hash}}, "matrices": {model: {source: [delta, gamma]}}}``."""
+    """``{"hashes": {model: {field: hash}}, "matrices": {model: {source: delta}}}``."""
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
     out: dict[str, dict] = {"hashes": {}, "matrices": {}}
     with tempfile.TemporaryDirectory() as tmp:
@@ -367,14 +381,12 @@ def _gap(old: dict, new: dict, key: str, field: str) -> str:
     pair = old["matrices"].get(key, {}).get(field), new["matrices"].get(key, {}).get(field)
     if None in pair:
         return ""
-    (d_old, g_old), (d_new, g_new) = (
-        (np.array(d), np.array(g)) for d, g in pair
-    )
+    d_old, d_new = (np.array(d) for d in pair)
     if d_old.shape != d_new.shape:
         return f" (shape {d_old.shape} -> {d_new.shape})"
     return (
         f" (max |delta gap| {np.abs(d_old - d_new).max():.3e},"
-        f" max |gamma gap| {np.abs(g_old - g_new).max():.3e})"
+        f" max |gamma gap| {np.abs(np.sqrt(d_old) - np.sqrt(d_new)).max():.3e})"
     )
 
 
@@ -386,16 +398,19 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     # Each side runs in a fresh interpreter with a hash seed of its own.
-    old, new = (
-        json.loads(
-            subprocess.run(
-                [sys.executable, __file__, "--hash", checkout],
-                check=True, stdout=subprocess.PIPE, text=True,
-                env=dict(os.environ, PYTHONHASHSEED=str(side)),
-            ).stdout
+    sides = []
+    for side, checkout in enumerate(argv, start=1):
+        proc = subprocess.run(
+            [sys.executable, __file__, "--hash", checkout],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=str(side)),
         )
-        for side, checkout in enumerate(argv, start=1)
-    )
+        if proc.returncode != 0:
+            print(f"hashing {checkout} failed (exit {proc.returncode}):", file=sys.stderr)
+            print(proc.stderr, end="", file=sys.stderr)
+            return 3
+        sides.append(json.loads(proc.stdout))
+    old, new = sides
     old_h, new_h = old["hashes"], new["hashes"]
     differing = [
         f"{key} {field}" + _gap(old, new, key, field)
