@@ -241,9 +241,19 @@ def level_bound_row(m: MarkovTreeModel, i: int) -> np.ndarray:
     return _level_row(m, subtree_runs(m.tree, i))
 
 
+def _alpha_arguments(x: np.ndarray) -> np.ndarray:
+    """``x``, in place, range-checked and clamped as ``alpha`` does its
+    arguments: the input :func:`_alphas` expects."""
+    bad = (x < -_RANGE_ATOL) | (x > 1.0 + _RANGE_ATOL)
+    if bad.any():
+        raise ValueError(f"alpha argument {float(x[bad][0])} outside [0, 1]")
+    return np.clip(x, 0.0, 1.0, out=x)
+
+
 def _alphas(theta: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """``alpha`` of ``theta[lo[r]:hi[r]]`` for every run ``r``, where
-    ``theta`` is already range-checked and clamped as ``alpha`` does.
+    ``theta`` is already range-checked and clamped as ``alpha`` does
+    (:func:`_alpha_arguments`).
 
     Runs go in length classes (lengths within a factor 2).  In each class
     every run is gathered right-aligned into a row padded on the left with
@@ -336,10 +346,7 @@ def level_bound_rows(m: MarkovTreeModel) -> np.ndarray:
     theta[2:] = [m.edge_thetas[v] for v in range(2, n + 1)]
     # Every edge lies in the subtree of node 1, so row 1 alone would meet
     # any theta that alpha refuses.
-    bad = (theta < -_RANGE_ATOL) | (theta > 1.0 + _RANGE_ATOL)
-    if bad.any():
-        raise ValueError(f"alpha argument {float(theta[bad][0])} outside [0, 1]")
-    np.clip(theta, 0.0, 1.0, out=theta)
+    _alpha_arguments(theta)
     upper = np.empty(n * (n - 1) // 2)
     a, at = 1, 0
     while a < n:

@@ -253,17 +253,19 @@ class MarkovTreeModel:
 
     @cached_property
     def _joint_table(self) -> np.ndarray:
-        s, n = self.alphabet_size, self.n
-        table = np.ones((s,) * n)
-        shape = [1] * n
-        shape[0] = s
-        table *= self.root_dist.reshape(shape)
-        for u, v in sorted(self.tree.edges()):
-            shape = [1] * n
+        """The table of nodes ``1..v`` is that of ``1..v-1`` times node
+        ``v``'s kernel along its parent's axis, for ``v = 2..n`` in turn:
+        each cell is the product of its factors in node order.  Every
+        table is C-contiguous, which sets numpy's summation order."""
+        s = self.alphabet_size
+        table = self.root_dist.copy()
+        for u, v in self.tree.edges():
+            shape = [1] * v
             shape[u - 1] = s
             shape[v - 1] = s
             # matrix is [child, parent]; axis u-1 (parent) must index columns
-            table *= self.kernel_stack[v - 2].T.reshape(shape)
+            kernel = self.kernel_stack[v - 2].T.reshape(shape)
+            table = np.multiply(table[..., None], kernel, order="C")
         return table
 
     @cached_property

@@ -70,6 +70,23 @@ class _Skip(Exception):
 # frontier sweep against these tables.  It tabulates each pair (i, j)
 # once per run and holds one node's tables at a time.
 
+# numpy sums fewer than this many cells left to right from +0.0, and
+# more pairwise, in its own order.
+_PAIRWISE_FROM = 8
+
+
+def _sum_axis2(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=2)``, bit for bit, by whole-slab adds where that axis
+    is shorter than ``_PAIRWISE_FROM``: numpy would sum each line of so
+    few cells on its own, left to right, starting from +0.0."""
+    cells = a.shape[2]
+    if cells >= _PAIRWISE_FROM:
+        return a.sum(axis=2)
+    total = a[:, :, 0] + 0.0  # as from +0.0: a line of -0.0 sums to +0.0
+    for k in range(1, cells):
+        total += a[:, :, k]
+    return total
+
 
 def _tail_laws(m: MarkovTreeModel, i: int) -> Iterator[np.ndarray]:
     """Unnormalised laws of (x_{1..i-1}, x_i, x_{j..n}) for j = i+1, i+2, ...
@@ -81,33 +98,47 @@ def _tail_laws(m: MarkovTreeModel, i: int) -> Iterator[np.ndarray]:
     tail = m.joint_table().reshape(s ** (i - 1), s, -1)
     yield tail
     for _ in range(i + 1, m.n):
-        tail = tail.reshape(tail.shape[0], s, s, -1).sum(axis=2)
+        tail = _sum_axis2(tail.reshape(tail.shape[0], s, s, -1))
         yield tail
 
 
-def _tv_tables(tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tv_tables(tail: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All eta(i, j; y, w, w') from one tail law of :func:`_tail_laws`.
 
-    Returns ``(tv, feasible)`` where ``tv[y, w, w']`` is the coefficient
-    for prefix ``y`` (flat over nodes ``1..i-1``) and ``feasible[y, w]``
+    Returns ``(tv, feasible, mass)`` where ``tv[y, w, w']`` is the
+    coefficient for prefix ``y`` (flat over nodes ``1..i-1``),
+    ``mass[y, w]`` the probability of ``(y, w)`` and ``feasible[y, w]``
     marks prefixes with positive probability.  Infeasible entries of
     ``tv`` are zero.
+
+    Each TV sum is ``ndarray.sum``'s, bit for bit.  Over fewer than
+    ``_PAIRWISE_FROM`` tail cells, every pair ``(w, w')`` of one ``w`` is
+    summed at once, cell by cell from +0.0.  Longer laws are summed one
+    pair at a time, so no temporary holds more than one pair's gaps.
     """
-    s = tail.shape[1]
-    mass = tail.sum(axis=2)  # (prefix, w)
+    s, cells = tail.shape[1], tail.shape[2]
+    mass = _sum_axis2(tail)  # (prefix, w)
     feasible = mass > 0.0
     # An infeasible row is all zeros, so dividing it by 1 leaves it zero.
     laws = tail / np.where(feasible, mass, 1.0)[:, :, None]
     tv = np.zeros((tail.shape[0], s, s))
-    for w in range(s):
-        for wp in range(w + 1, s):
-            d = 0.5 * np.abs(laws[:, w, :] - laws[:, wp, :]).sum(axis=1)
-            both = feasible[:, w] & feasible[:, wp]
-            # Laws with disjoint supports can sum to just over 1 in rounding.
-            d = np.where(both, np.minimum(d, 1.0), 0.0)
-            tv[:, w, wp] = d
-            tv[:, wp, w] = d
-    return tv, feasible
+    for w in range(s - 1):
+        d = np.zeros((tail.shape[0], s - w - 1))
+        if cells < _PAIRWISE_FROM:
+            for c in range(cells):
+                gap = laws[:, w, c, None] - laws[:, w + 1 :, c]
+                d += np.abs(gap, out=gap)
+        else:
+            for wp in range(w + 1, s):
+                gap = laws[:, w, :] - laws[:, wp, :]
+                d[:, wp - w - 1] = np.abs(gap, out=gap).sum(axis=1)
+        d *= 0.5
+        # Laws with disjoint supports can sum to just over 1 in rounding.
+        np.minimum(d, 1.0, out=d)
+        d[~(feasible[:, w, None] & feasible[:, w + 1 :])] = 0.0
+        tv[:, w, w + 1 :] = d
+        tv[:, w + 1 :, w] = d
+    return tv, feasible, mass
 
 
 class _Run:
@@ -156,7 +187,7 @@ class _Run:
         reduction = worst = 0.0
         checked = 0
         for i in range(1, m.n):
-            tables = [_tv_tables(tail) for tail in _tail_laws(m, i)]
+            tables = [_tv_tables(tail)[:2] for tail in _tail_laws(m, i)]
             runs = subtree_runs(m.tree, i)
             levels = mixing._subtree_levels(m, runs)
             level_alpha = {run[-1]: alpha(thetas) for run, thetas in zip(runs, levels)}
@@ -283,7 +314,7 @@ def _stacked_trials(
             arrays = draw()
             groups.setdefault(tuple(a.shape for a in arrays), []).append(arrays)
         for group in groups.values():
-            yield tuple(np.stack(parts) for parts in zip(*group))
+            yield tuple(np.array(parts) for parts in zip(*group))
 
 
 def _suite_tv_contraction(run: _Run) -> tuple[float, int]:
@@ -321,7 +352,10 @@ def _suite_tensor_two_factor(run: _Run) -> tuple[float, int]:
         lhs = 0.5 * np.abs(outer).reshape(len(p), -1).sum(axis=1)
         dp = 0.5 * np.abs(p - pp).sum(axis=1)
         dq = 0.5 * np.abs(q - qq).sum(axis=1)
-        rhs = np.array([alpha(pair) for pair in zip(dp.tolist(), dq.tolist())])
+        # alpha([dp, dq]) for every trial, in alpha's float operations.
+        args = mixing._alpha_arguments(np.stack([dp, dq], axis=1).ravel())
+        starts = np.arange(0, len(args), 2)
+        rhs = mixing._alphas(args, starts, starts + 2)
         worst = max(worst, float((lhs - rhs).max()))
     return worst, run.trials
 

@@ -118,6 +118,23 @@ def oracle_joint(m) -> dict[tuple[int, ...], float]:
     return out
 
 
+def oracle_joint_table(m) -> np.ndarray:
+    """The joint table as one broadcast product: a table of ones times the
+    root law, then times each edge's kernel along its (parent, child)
+    axes, in child order."""
+    s, n = m.alphabet_size, m.n
+    table = np.ones((s,) * n)
+    shape = [1] * n
+    shape[0] = s
+    table *= m.root_dist.reshape(shape)
+    for u, v in sorted(m.tree.edges()):
+        shape = [1] * n
+        shape[u - 1] = s
+        shape[v - 1] = s
+        table *= m.kernel_stack[v - 2].T.reshape(shape)
+    return table
+
+
 def oracle_conditional(m, prefix, targets) -> dict[tuple[int, ...], float]:
     """Bayes-rule conditional law of the target nodes given a prefix."""
     prefix = tuple(prefix)
@@ -447,8 +464,10 @@ def _oracle_suite_result(name, worst, trials):
     return SuiteResult(name, "pass" if worst <= 1e-12 else "fail", worst, trials)
 
 
-def oracle_tv_tables(tail):
-    """``verification._tv_tables`` with the masked divide into ``zeros_like``."""
+def _oracle_tail_tables(tail):
+    """``(tv, feasible, mass)`` of one tail law, shaped ``(prefix, w,
+    tail configurations)``: the prefix mass by ``ndarray.sum``, the masked
+    divide into ``zeros_like`` and one TV sum per pair ``(w, w')``."""
     s = tail.shape[1]
     mass = tail.sum(axis=2)  # (prefix, w)
     feasible = mass > 0.0
@@ -462,26 +481,38 @@ def oracle_tv_tables(tail):
             d = np.where(both, np.minimum(d, 1.0), 0.0)
             tv[:, w, wp] = d
             tv[:, wp, w] = d
-    return tv, feasible
+    return tv, feasible, mass
+
+
+def oracle_tv_tables(m, i):
+    """``(tv, feasible, mass)`` of the law of (x_{1..i-1}, x_i, x_{j..n})
+    for j = i+1..n, as ``verification._tv_tables`` returns them: each
+    next tail law sums out one more node with ``ndarray.sum``."""
+    s = m.alphabet_size
+    tail = m.joint_table().reshape(s ** (i - 1), s, -1)
+    tables = [_oracle_tail_tables(tail)]
+    for _ in range(i + 1, m.n):
+        tail = tail.reshape(tail.shape[0], s, s, -1).sum(axis=2)
+        tables.append(_oracle_tail_tables(tail))
+    return tables
 
 
 def oracle_eta_tables(m, i, j):
-    """eta(i, j; y, w, w') for every prefix y, as :func:`oracle_tv_tables`
-    of the law of (x_{1..i-1}, x_i, x_{j..n}), the nodes between summed
-    out of the joint table in one step."""
+    """``(tv, feasible)``: eta(i, j; y, w, w') for every prefix y, from the
+    law of (x_{1..i-1}, x_i, x_{j..n}), the nodes between summed out of
+    the joint table in one step."""
     s = m.alphabet_size
     joint = m.joint_table().reshape(s ** (i - 1), s, s ** (j - i - 1), -1)
-    return oracle_tv_tables(joint.sum(axis=2))
+    return _oracle_tail_tables(joint.sum(axis=2))[:2]
 
 
 def oracle_j0_reduction_suite(m):
     """The j0-reduction suite, tabulating each node's tables on its own."""
     from treemix.treegraph import first_descendant_at_or_after
-    from treemix.verification import _tail_laws
 
     worst = 0.0
     for i in range(1, m.n):
-        tables = [oracle_tv_tables(tail)[0] for tail in _tail_laws(m, i)]
+        tables = [tv for tv, _, _ in oracle_tv_tables(m, i)]
         for j, tv in enumerate(tables, start=i + 1):
             j0 = first_descendant_at_or_after(m.tree, i, j)
             pivot = 0.0 if j0 is None else tables[j0 - i - 1]

@@ -29,6 +29,7 @@ from treemix.concentration import build_mixing_matrices
 from treemix.model import EnumerationLimitError, Kernel, MarkovTreeModel, max_contraction
 from treemix.modelfile import random_model
 from treemix.treegraph import build_tree, first_descendant_at_or_after
+from treemix.tvalgebra import alpha
 
 from conftest import (
     ROWS_05,
@@ -239,6 +240,20 @@ def test_all_rows_sweep_equals_one_row_sweeps(seed, shape, size):
         assert np.array_equal(level_bound_rows(m), rows)
     delta = build_mixing_matrices(m, "level-bound")
     assert np.array_equal(delta.entries[np.triu_indices(m.n, k=1)], rows)
+
+
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(_UNIT, _UNIT)
+@settings(max_examples=300, deadline=None)
+def test_pairwise_alpha_fold_is_alpha(x, y):
+    """``_alphas`` over two-element runs is ``alpha`` of the pair, bit for
+    bit, in both orders: the rule the tensor-two-factor suite checks."""
+    theta = mixing._alpha_arguments(np.array([x, y, y, x]))
+    lo = np.array([0, 2])
+    folded = mixing._alphas(theta, lo, lo + 2)
+    assert folded.tobytes() == np.array([alpha([x, y]), alpha([y, x])]).tobytes()
 
 
 def test_sweep_lists_at_most_a_block_of_runs(monkeypatch):

@@ -45,6 +45,7 @@ from conftest import (
     make_model,
     oracle_eta,
     oracle_joint,
+    oracle_joint_table,
     oracle_sample_paths,
     run_suite,
     sparsified,
@@ -239,6 +240,24 @@ class TestJointTable:
         for cfg, p in oracle_joint(chain3_07).items():
             assert table[cfg] == pytest.approx(p, abs=1e-15)
             assert joint_probability(chain3_07, cfg) == pytest.approx(p, abs=1e-15)
+
+    @given(
+        st.integers(1, 9),
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from([{"width": 1}, {"depth": 1}, {}, {"width": 2}]),
+        st.integers(0, 10**6),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_node_by_node_matches_broadcast_product(self, n, s, shape, seed, sparse):
+        """The node-by-node build gives the broadcast product's table, cell
+        for cell bit for bit, in the same C layout."""
+        m = random_model(seed, n=n, alphabet_size=s, **(shape if n > 1 else {}))
+        if sparse:
+            m = sparsified(m, seed, deterministic_root=True)
+        table, oracle = m.joint_table(), oracle_joint_table(m)
+        assert table.shape == oracle.shape and table.flags.c_contiguous
+        assert table.tobytes() == oracle.tobytes()
 
     def test_sums_to_one(self, binary7_05):
         assert float(binary7_05.joint_table().sum()) == pytest.approx(1.0, abs=1e-10)
