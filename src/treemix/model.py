@@ -377,6 +377,15 @@ def _int_arg(name: str, value) -> int:
     return int(value)
 
 
+def _root_states(m: MarkovTreeModel, u: np.ndarray) -> np.ndarray:
+    """The root states that uniforms ``u`` give, by the inversion
+    ``sample_paths`` applies to node 1: ``#{k < s - 1 : cdf[k] <= u}``."""
+    x = np.zeros(u.shape, dtype=np.int64)
+    for c in np.cumsum(m.root_dist)[:-1]:
+        x += c <= u
+    return x
+
+
 def sample_paths(
     m: MarkovTreeModel, seed: int, count: int, stream_offset: int = 0
 ) -> np.ndarray:
@@ -404,15 +413,13 @@ def sample_paths(
     # x_v = #{k < s - 1 : cdf[x_parent][k] <= u_v}, which is bisect_right
     # over the whole cdf clamped at s - 1, since the cdf is non-decreasing.
     # cdf_rows[v - 2][k] holds cdf[y][k] for every parent state y.
-    root_cdf = np.cumsum(m.root_dist)[:-1]
     cdf_rows = np.cumsum(m.kernel_stack, axis=1)[:, :-1]
     out = np.empty((count, n), dtype=np.int64)
     for start in range(0, count, _SAMPLE_BLOCK):
         size = min(_SAMPLE_BLOCK, count - start)
         u = _philox_uniforms(seed, stream_offset + start, size, n)
         x = np.zeros((n, size), dtype=np.int64)
-        for c in root_cdf:
-            x[0] += c <= u[0]
+        x[0] = _root_states(m, u[0])
         for v in range(2, n + 1):
             x_parent = x[parent[v] - 1]
             for c in cdf_rows[v - 2]:

@@ -24,6 +24,10 @@ depend on how the trials are checked.  They check them in array passes:
 the draws of each chunk of at most ``_TRIAL_CHUNK`` trials are stacked
 by shape and normalized and checked together, so memory stays bounded
 for any trial count.
+
+The sampling-frequency suite checks the root law on the roots alone: it
+draws one Philox block per stream, the first uniform of each stream
+``sample_paths`` would use, not whole paths.
 """
 
 from __future__ import annotations
@@ -41,7 +45,13 @@ from .concentration import (
     delta_inf_norm,
     linf_operator_norm,
 )
-from .model import EnumerationLimitError, MarkovTreeModel, sample_paths
+from .model import (
+    EnumerationLimitError,
+    MarkovTreeModel,
+    _philox_uniforms,
+    _root_states,
+    sample_paths,
+)
 from .treegraph import TreeTopology, subtree, subtree_runs
 from .tvalgebra import alpha, column_tv_norms
 
@@ -418,11 +428,13 @@ def _suite_sampling_frequency(run: _Run) -> tuple[float, int]:
     exact_root = table.sum(axis=tuple(range(1, m.n))) if m.n > 1 else table
     seed = int(run.rng.integers(0, 2**63))
     count = 20_000
-    batch = sample_paths(m, seed, count)
+    # Only the roots are drawn: stream p's first uniform, inverted as
+    # sample_paths inverts node 1, is root p of sample_paths(m, seed, count).
+    roots = _root_states(m, _philox_uniforms(seed, 0, count, 1)[0])
     worst = 0.0
     for state in range(m.alphabet_size):
         p = float(exact_root[state])
-        emp = float((batch[:, 0] == state).mean())
+        emp = float((roots == state).mean())
         slack = 6.0 * np.sqrt(max(p * (1 - p), 1e-12) / count) + 1.0 / count
         worst = max(worst, abs(emp - p) - slack)
     return max(worst, 0.0), count
