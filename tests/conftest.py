@@ -569,6 +569,28 @@ def oracle_tensor_two_factor_suite(m, trials, rng):
     return _oracle_suite_result("tensor-two-factor", worst, trials)
 
 
+# ------------------------------------------- whole-path sampling frequency
+
+
+def oracle_sampling_frequency_suite(m, rng):
+    """``(max_violation, trials)`` of the sampling-frequency suite as it was
+    when it drew 20,000 whole paths and read column 0, the root."""
+    from treemix.model import sample_paths
+
+    table = m.joint_table()
+    exact_root = table.sum(axis=tuple(range(1, m.n))) if m.n > 1 else table
+    seed = int(rng.integers(0, 2**63))
+    count = 20_000
+    batch = sample_paths(m, seed, count)
+    worst = 0.0
+    for state in range(m.alphabet_size):
+        p = float(exact_root[state])
+        emp = float((batch[:, 0] == state).mean())
+        slack = 6.0 * np.sqrt(max(p * (1 - p), 1e-12) / count) + 1.0 / count
+        worst = max(worst, abs(emp - p) - slack)
+    return max(worst, 0.0), count
+
+
 # ------------------------------------------------- per-cell table writers
 #
 # The `eta` matrix and `sample` writers as they were before they formatted

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treemix
@@ -14,6 +14,7 @@ from treemix.model import (
     Kernel,
     MarkovTreeModel,
     _philox_uniforms,
+    _root_states,
     contraction_coefficient,
     enumeration_cap,
     joint_probability,
@@ -507,6 +508,44 @@ def test_sampler_matches_oracle(model_seed, n, s, shape, support, seed, count, o
     np.testing.assert_array_equal(
         sample_paths(m, seed, count, offset), oracle_sample_paths(m, seed, count, offset)
     )
+
+
+@given(
+    model_seed=st.integers(min_value=0, max_value=10**6),
+    n=st.integers(min_value=1, max_value=10),
+    s=st.integers(min_value=1, max_value=5),
+    shape=st.sampled_from(["chain", "star", "full"]),
+    support=st.sampled_from(["full", "sparse", "sparse, deterministic root"]),
+    seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    count=st.sampled_from(
+        [1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 20_000]
+    ),
+    offset=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+)
+@example(model_seed=0, n=1, s=2, shape="chain", support="full", seed=0, count=20_000, offset=0)
+@example(
+    model_seed=1, n=6, s=1, shape="full", support="full",
+    seed=2**64 - 1, count=_SAMPLE_BLOCK + 1, offset=2**64 - 1,
+)
+@example(
+    model_seed=2, n=7, s=3, shape="star", support="sparse, deterministic root",
+    seed=2**64 - 1, count=20_000, offset=0,
+)
+@settings(max_examples=60, deadline=None)
+def test_root_draws_equal_first_column(model_seed, n, s, shape, support, seed, count, offset):
+    """The roots alone, one Philox block per stream inverted by
+    ``_root_states``, are column 0 of ``sample_paths`` bit for bit; verify's
+    sampling-frequency suite draws them so."""
+    caps = {"chain": {"width": 1}, "star": {"depth": 1}, "full": {}}[shape]
+    m = random_model(model_seed, n=n, alphabet_size=max(s, 2), **caps)
+    if support != "full":
+        m = sparsified(m, model_seed, support.endswith("root"))
+    if s == 1:
+        m = MarkovTreeModel(m.tree, 1, np.ones(1), np.ones((n - 1, 1, 1)))
+    offset = min(offset, 2**64 - count)
+    roots = _root_states(m, _philox_uniforms(seed, offset, count, 1)[0])
+    assert roots.dtype == np.int64
+    np.testing.assert_array_equal(roots, sample_paths(m, seed, count, offset)[:, 0])
 
 
 class TestMarkovProperty:

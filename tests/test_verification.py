@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treemix import MarkovTreeModel, mixing, treegraph, tvalgebra, verification
+from treemix import MarkovTreeModel, mixing, model, treegraph, tvalgebra, verification
 from treemix.concentration import SOURCES, build_mixing_matrices
 from treemix.mixing import eta_bar_bound_levels, eta_factorization, eta_report
 from treemix.modelfile import parse_model_file, random_model, serialize_model
@@ -19,9 +19,11 @@ from treemix.tvalgebra import alpha
 from treemix.verification import _SUITES, SuiteResult, run_verification
 
 from conftest import (
+    ROWS_07,
     make_model,
     oracle_eta_tables,
     oracle_j0_reduction_suite,
+    oracle_sampling_frequency_suite,
     oracle_tensor_two_factor_suite,
     oracle_tv_contraction_suite,
     oracle_tv_tables,
@@ -511,3 +513,81 @@ def test_trial_suites_hold_one_chunk():
     peak(1)  # numpy's one-time allocations land here
     one = peak(verification._TRIAL_CHUNK)
     assert peak(4 * verification._TRIAL_CHUNK) < 1.5 * one
+
+
+def _sampling_frequency(m, rng):
+    return verification._suite_sampling_frequency(verification._Run(m, 1, rng))
+
+
+# Root laws with zero entries, a one-point root, s = 1 and n = 1 included.
+_ROOT_MODELS = {
+    "chain": lambda: random_model(11, n=6, alphabet_size=3, width=1),
+    "star": lambda: random_model(12, n=7, alphabet_size=4, depth=1),
+    "sparse": lambda: sparsified(random_model(13, n=8, alphabet_size=3), 13, False),
+    "one-point-root": lambda: sparsified(random_model(14, n=5, alphabet_size=5), 14, True),
+    "one-state": lambda: make_model(
+        3, [(1, 2), (2, 3)], 1, [1.0], {(1, 2): [[1.0]], (2, 3): [[1.0]]}
+    ),
+    "one-node": lambda: random_model(15, n=1, alphabet_size=3),
+    "asymmetric": lambda: make_model(2, [(1, 2)], 2, [0.9, 0.1], {(1, 2): ROWS_07}),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("shifted", [False, True], ids=["exact-law", "shifted-law"])
+@pytest.mark.parametrize("name", list(_ROOT_MODELS))
+def test_sampling_frequency_matches_whole_path_oracle(monkeypatch, name, shifted, seed):
+    """The roots-only suite returns the whole-path suite's result, bit for
+    bit, and leaves ``run.rng`` where it left it.  With the root law
+    read off a table rolled by one state, the violation is not 0, so the
+    empirical frequencies themselves are compared."""
+    m = _ROOT_MODELS[name]()
+    if shifted:
+        honest = MarkovTreeModel.joint_table
+        monkeypatch.setattr(
+            MarkovTreeModel, "joint_table", lambda self: np.roll(honest(self), 1, axis=0)
+        )
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = _sampling_frequency(m, rng), oracle_sampling_frequency_suite(m, oracle_rng)
+    assert _bits(got) == _bits(want)
+    assert (got[0] > 0.0) == (shifted and name != "one-state")
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_sampling_frequency_catches_reversed_root_inversion(monkeypatch):
+    """Roots inverted through the reversed law's CDF, on a root law of
+    [0.9, 0.1], make the suite fail."""
+    m = _ROOT_MODELS["asymmetric"]()
+    assert run_suite(m, "sampling-frequency", rng=np.random.default_rng(42)).status == "pass"
+
+    def reversed_cdf(m, u):
+        x = np.zeros(u.shape, dtype=np.int64)
+        for c in np.cumsum(m.root_dist[::-1])[:-1]:
+            x += c <= u
+        return x
+
+    monkeypatch.setattr(model, "_root_states", reversed_cdf)
+    monkeypatch.setattr(verification, "_root_states", reversed_cdf)
+    assert run_suite(m, "sampling-frequency", rng=np.random.default_rng(42)).status == "fail"
+
+
+def test_sampling_frequency_draws_only_roots(monkeypatch):
+    """The suite never draws whole paths: it makes no ``sample_paths`` call
+    and asks ``_philox_uniforms`` for one node of each of its streams."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampling-frequency drew whole paths")
+
+    honest, calls = model._philox_uniforms, []
+
+    def spy(seed, first, count, n):
+        calls.append((first, count, n))
+        return honest(seed, first, count, n)
+
+    for module in (model, verification):
+        monkeypatch.setattr(module, "sample_paths", refuse)
+        monkeypatch.setattr(module, "_philox_uniforms", spy)
+    m = random_model(16, n=9, alphabet_size=3)
+    _, trials = _sampling_frequency(m, np.random.default_rng(0))
+    assert {n for _, _, n in calls} == {1}
+    streams = sorted(p for first, count, _ in calls for p in range(first, first + count))
+    assert streams == list(range(trials))
