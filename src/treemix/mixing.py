@@ -24,8 +24,10 @@ one process.  Three computations are provided, cheapest last:
   one node at a time, and takes its largest TV over the state pairs a
   positive-probability prefix admits; no joint table is built.  The
   per-pair ``eta_bar_exact`` reads its entry of the row, as
-  ``eta_bar_bound_levels`` reads ``level_bound_row``.
-  ``eta_exact`` (one given prefix) reads the joint table;
+  ``eta_bar_bound_levels`` reads ``level_bound_row``.  ``eta_exact``
+  (one given prefix) reads the same sweep: the TV between the two rows
+  of the frontier law, once every factor of each extended prefix's
+  product formula is positive;
 * the level product bound (``eta_bar_bound_levels``): only the subtree
   of ``i`` matters, only down to the depth of the first subtree node
   ``j0`` numbered at or after ``j``, and each level contributes the
@@ -66,7 +68,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .model import EnumerationLimitError, MarkovTreeModel, max_contraction
+from .model import EnumerationLimitError, MarkovTreeModel, _path_factors, max_contraction
 from .treegraph import cut_sets, first_descendant_at_or_after, subtree_runs
 from .treegraph import subtree  # unused here; perfbench/test_perfbench.py patches this binding
 from .tvalgebra import (
@@ -97,10 +99,15 @@ def eta_exact(
     w: int = 0,
     w_prime: int = 0,
 ) -> float:
-    """eta(i, j; prefix, w, w') by enumeration.
+    """eta(i, j; prefix, w, w') from the frontier sweep.
 
     ``prefix`` fixes nodes ``1..i-1`` (empty when ``i == 1``); both
-    extended prefixes must have positive probability.
+    extended prefixes must have positive probability: every factor of
+    their product formula positive.  Given the prefix, the tail feels
+    ``x_i`` only through the frontier ``F_j``, so the value is the TV
+    between rows ``w`` and ``w'`` of the frontier law that
+    :func:`_frontier_laws` yields for ``j``, whatever the prefix; 0 when
+    the subtree of ``i`` ends before ``j``.
     """
     i, j = _check_pair(m, i, j)
     if len(prefix) != i - 1:
@@ -108,19 +115,18 @@ def eta_exact(
             f"prefix must fix nodes 1..{i - 1} ({i - 1} states), got {len(prefix)}"
         )
     s = m.alphabet_size
-    between = tuple(range(j - i - 1))
-    laws = []
     for state in (w, w_prime):
         px = [int(x) for x in (*prefix, state)]
         if any(not 0 <= x < s for x in px):
             raise ValueError(f"prefix states must lie in 0..{s - 1}, got {px}")
-        block = m.joint_table()[tuple(px)]
-        total = float(block.sum())
-        if total <= 0.0:
+        m.check_table_cap()
+        # Each factor, not their product, which can underflow to 0.0.
+        if not all(factor > 0.0 for factor in _path_factors(m, px)):
             raise ValueError(f"conditioning event x[1..{i}] = {px} has zero probability")
-        law = block.sum(axis=between) if between else block
-        laws.append(law.reshape(-1) / total)
-    return min(1.0, 0.5 * float(np.abs(laws[0] - laws[1]).sum()))
+    for js, laws in _frontier_laws(m, i):
+        if j in js:
+            return float(_pair_tvs(laws, ([int(w)], [int(w_prime)]))[0])
+    return 0.0
 
 
 def _feasible_pairs(m: MarkovTreeModel, i: int) -> tuple[np.ndarray, np.ndarray]:

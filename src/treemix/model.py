@@ -20,11 +20,13 @@ the edge contraction coefficients (``edge_thetas``), the node marginals
 of one forward pass (``node_marginals``) and the joint table behind
 ``joint_table()``.
 
-``eta_exact`` (one given prefix) and the verification oracles enumerate
-the joint table.  Exact mixing coefficients do not build it: they sweep
-small frontier laws down the tree (:mod:`treemix.mixing`), reading the
-node marginals.  Every exact computation is still admitted by one
-rule, ``check_table_cap``: ``alphabet_size ** n`` must not exceed
+The verification oracles and the exact mean of the Monte Carlo harness
+enumerate the joint table.  Exact mixing coefficients do not build it:
+they sweep small frontier laws down the tree (:mod:`treemix.mixing`),
+reading the node marginals, and ``eta_exact`` admits its prefix by the
+factors of the product formula, as ``joint_probability`` multiplies
+them.  Every exact computation is still admitted by one rule,
+``check_table_cap``: ``alphabet_size ** n`` must not exceed
 ``enumeration_cap()``, which is 1e7 unless the ``TREEMIX_MAX_ENUM``
 environment variable sets it.  Each exact entry point asks it before any
 work, and every read of the joint table asks it again, cached or not, so
@@ -295,6 +297,18 @@ class MarkovTreeModel:
         return marginals
 
 
+def _path_factors(m: MarkovTreeModel, x: Sequence[int]) -> Iterator[float]:
+    """The factors of P(x_1..x_k) for the states ``x`` of nodes ``1..k``:
+    the root entry, then the kernel entry of each node ``2..k`` given its
+    parent.  Nodes ``1..k`` are closed under parents in the breadth-first
+    numbering, so the product of these factors is the probability of the
+    partial configuration."""
+    yield float(m.root_dist[x[0]])
+    parent = m.tree.parent
+    for v in range(2, len(x) + 1):
+        yield float(m.kernel_stack[v - 2, x[v - 1], x[parent[v] - 1]])
+
+
 def joint_probability(m: MarkovTreeModel, x: Sequence[int]) -> float:
     """Probability of one full configuration (product formula, no table)."""
     x = [int(xv) for xv in x]
@@ -304,9 +318,9 @@ def joint_probability(m: MarkovTreeModel, x: Sequence[int]) -> float:
     for v, xv in enumerate(x, start=1):
         if not 0 <= xv < s:
             raise ValueError(f"state {xv} at node {v} outside 0..{s - 1}")
-    p = float(m.root_dist[x[0]])
-    for u, v in m.tree.edges():
-        p *= float(m.kernel_stack[v - 2, x[v - 1], x[u - 1]])
+    p = 1.0
+    for factor in _path_factors(m, x):
+        p *= factor
     return p
 
 

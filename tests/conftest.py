@@ -184,6 +184,43 @@ def oracle_eta_bar(m, i, j) -> float:
     return best
 
 
+def oracle_chain_delta(m) -> np.ndarray:
+    """The exact Delta of a chain, from the paper's chain case.
+
+    On a chain the frontier ``F_j`` is ``{j}``, so eta_bar(i, j) is the
+    largest TV between rows ``w`` and ``w'`` of the product kernel
+    ``K_(i+1) ... K_j`` (row-stochastic steps ``kernel_stack[v - 2].T``),
+    over the pairs that some positive-probability prefix admits together:
+    both root entries positive for ``i == 1``, else one state of
+    ``x_(i-1)`` with positive marginal that steps to both.  The marginals
+    come from the same steps, one matrix product per node.
+    """
+    n, s = m.n, m.alphabet_size
+    assert all(m.tree.parent[v] == v - 1 for v in range(2, n + 1)), "not a chain"
+    steps = [None, None] + [m.kernel_stack[v - 2].T for v in range(2, n + 1)]
+    delta = np.eye(n)
+    before = None  # marginal of x_(i-1)
+    for i in range(1, n):
+        if i == 1:
+            reach = [m.root_dist > 0.0]
+        else:
+            reach = [steps[i][a] > 0.0 for a in range(s) if before[a] > 0.0]
+        pairs = [
+            (w, wp)
+            for w, wp in itertools.combinations(range(s), 2)
+            if any(r[w] and r[wp] for r in reach)
+        ]
+        product = np.eye(s)
+        for j in range(i + 1, n + 1):
+            product = product @ steps[j]
+            delta[i - 1, j - 1] = max(
+                (0.5 * float(np.abs(product[w] - product[wp]).sum()) for w, wp in pairs),
+                default=0.0,
+            )
+        before = m.root_dist if i == 1 else before @ steps[i]
+    return delta
+
+
 def oracle_theta(mat) -> float:
     """Largest TV between two columns of ``mat``, one column pair at a
     time in plain Python."""

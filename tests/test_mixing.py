@@ -1,12 +1,14 @@
 import functools
+import itertools
 import math
+import os
 import re
 from types import MappingProxyType
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treemix import mixing
@@ -36,6 +38,7 @@ from conftest import (
     ROWS_07,
     chain_model,
     make_model,
+    oracle_chain_delta,
     oracle_eta,
     oracle_eta_bar,
     oracle_eta_tables,
@@ -72,6 +75,53 @@ class TestEtaExact:
     def test_pair_order_enforced(self, chain3_07):
         with pytest.raises(ValueError, match="i < j"):
             eta_exact(chain3_07, 3, 1, (), 0, 1)
+
+    def test_prefix_admitted_by_its_factors_not_their_product(self):
+        # P(x_1 = 0, x_2 = 0) = 1e-200 * 1e-200 underflows to 0.0, yet
+        # both factors are positive: the prefix is feasible, as
+        # eta_bar_exact and _feasible_pairs say.
+        m = chain_model(
+            [[[1e-200, 1 - 1e-200], [0.2, 0.8]], ROWS_07], root_dist=[1e-200, 1 - 1e-200]
+        )
+        assert [p.tolist() for p in mixing._feasible_pairs(m, 2)] == [[0], [1]]
+        assert eta_bar_exact(m, 2, 3) == pytest.approx(0.7, abs=1e-15)
+        assert eta_exact(m, 2, 3, (0,), 0, 1) == eta_bar_exact(m, 2, 3)
+
+    def test_builds_no_joint_table(self, monkeypatch):
+        def no_table(self):
+            raise AssertionError("joint table read")
+
+        monkeypatch.setattr(MarkovTreeModel, "joint_table", no_table)
+        m = random_model(3, n=6, alphabet_size=3)
+        for i, j in itertools.combinations(range(1, m.n + 1), 2):
+            assert eta_exact(m, i, j, (0,) * (i - 1), 0, 1) == pytest.approx(
+                oracle_eta(m, i, j, (0,) * (i - 1), 0, 1), abs=1e-13
+            )
+        assert "_joint_table" not in m.__dict__
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    n=st.integers(min_value=2, max_value=6),
+    s=st.integers(min_value=2, max_value=4),
+    support=st.sampled_from(["full", "sparse", "sparse, deterministic root"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_eta_bar_exact_is_the_max_of_eta_exact(seed, n, s, support):
+    """One engine: the supremum over feasible prefixes and state pairs of
+    the per-prefix coefficient is the exact entry, bit for bit."""
+    m = random_model(seed, n=n, alphabet_size=s)
+    if support != "full":
+        m = sparsified(m, seed, support.endswith("root"))
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        best = 0.0
+        for prefix in itertools.product(range(s), repeat=i - 1):
+            for w, w_prime in itertools.combinations(range(s), 2):
+                try:
+                    best = max(best, eta_exact(m, i, j, prefix, w, w_prime))
+                except ValueError as exc:
+                    assert "zero probability" in str(exc)
+        assert best == eta_bar_exact(m, i, j), (i, j)
 
 
 class TestEtaBarExact:
@@ -324,6 +374,41 @@ def test_exact_sweep_matches_oracle(seed, n, s, shape, support):
         # the whole row: one pair per row suffices.
         j = i + 1 + (seed + i) % (n - i)
         assert exact_row(m, i)[j - i - 1] == eta_bar_exact(m, i, j)
+
+
+def _check_chain_case(m):
+    """The exact Delta of the chain ``m`` is the paper's chain case
+    (:func:`conftest.oracle_chain_delta`), and its level rung is the
+    running product of theta along the chain, each theta clamped to 1 as
+    ``alpha`` clamps it (a column TV can round to just past 1)."""
+    with mock.patch.dict(os.environ, {"TREEMIX_MAX_ENUM": str(m.table_cells())}):
+        exact = build_mixing_matrices(m, "exact").entries
+    assert np.abs(exact - oracle_chain_delta(m)).max() <= 1e-12
+    level = build_mixing_matrices(m, "level-bound").entries
+    for i in range(1, m.n):
+        product = 1.0
+        for j in range(i + 1, m.n + 1):
+            product *= min(m.edge_thetas[j], 1.0)
+            assert level[i - 1, j - 1] == product, (i, j)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    n=st.integers(min_value=2, max_value=60),
+    s=st.integers(min_value=2, max_value=4),
+    support=st.sampled_from(["full", "sparse", "sparse, deterministic root"]),
+)
+@settings(max_examples=30, deadline=None)
+@example(seed=36, n=18, s=4, support="sparse")  # theta of edge 18 rounds to 1 + 2**-52
+def test_exact_chain_matches_product_kernel_oracle(seed, n, s, support):
+    m = random_model(seed, n=n, alphabet_size=s, width=1)
+    if support != "full":
+        m = sparsified(m, seed, support.endswith("root"))
+    _check_chain_case(m)
+
+
+def test_exact_chain_of_200_nodes_matches_product_kernel_oracle():
+    _check_chain_case(random_model(3, n=200, alphabet_size=3, width=1))
 
 
 def test_exact_rows_vanish_on_one_state_alphabet():

@@ -352,8 +352,9 @@ class TestContraction:
 
 
 class TestConditionalFutureLaw:
-    """The two conditional future laws ``eta_exact`` reads off the joint
-    table, against the Bayes-rule oracle."""
+    """``eta_exact``, read off the frontier sweep once every factor of each
+    extended prefix is positive, against the Bayes-rule oracle, which
+    enumerates configurations one by one."""
 
     @staticmethod
     def _check_against_oracle(model):
@@ -393,6 +394,12 @@ class TestConditionalFutureLaw:
         )
         zero = sum(self._check_against_oracle(model) for model in (m, sparsified(m, 3, False)))
         assert zero > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_and_sparsified_oracle(self, seed):
+        m = random_model(seed, n=5 - seed % 2, alphabet_size=2 + seed % 2)
+        models = (m, sparsified(m, seed, False), sparsified(m, seed, True))
+        assert sum(self._check_against_oracle(model) for model in models) > 0
 
     def test_zero_probability_prefix_rejected(self):
         m = chain_model([[[1.0, 0.0], [0.0, 1.0]]], root_dist=[1.0, 0.0])

@@ -43,8 +43,9 @@ and hashes the same for the commands that ask for exact values, and
 the 5,000-sample Monte Carlo estimates again, now with a sampled mean
 on every model over the lowered cap.  Prints
 the differing entries, with the largest entrywise gap of each differing
-Delta/Gamma, and exits 1 if there are any.  If hashing either checkout
-fails, it prints that side's stderr and exits 3.
+Delta/Gamma and the largest gap between the values of each differing
+``eta_exact`` record, and exits 1 if there are any.  If hashing either
+checkout fails, it prints that side's stderr and exits 3.
 
 ``build_mixing_matrices`` returns Delta alone, or a (Delta, Gamma) pair
 in checkouts from before Gamma was formed only by ``gamma_l2_norm``; both
@@ -215,18 +216,21 @@ def _hash_cli(path: str, csv_path: str, m) -> dict[str, str]:
     return rec
 
 
-def _hash_eta_exact(m) -> str:
+def _hash_eta_exact(m, matrices: dict) -> str:
     """Hash of ``eta_exact`` on the pair spread at a prefix of zeros, for
-    the state pairs (0, 1) and (0, s - 1); a raising call gives its text."""
+    the state pairs (0, 1) and (0, s - 1); a raising call gives its text.
+    The values and texts go into ``matrices["eta_exact"]``."""
     from treemix import mixing
 
-    texts = []
+    values = []
     for i, j in _pairs(m.n):
         for w_prime in (1, m.alphabet_size - 1):
             try:
-                texts.append(repr(mixing.eta_exact(m, i, j, (0,) * (i - 1), 0, w_prime)))
+                values.append(mixing.eta_exact(m, i, j, (0,) * (i - 1), 0, w_prime))
             except ValueError as exc:
-                texts.append(f"ValueError: {exc}")
+                values.append(f"ValueError: {exc}")
+    matrices["eta_exact"] = values
+    texts = [v if isinstance(v, str) else repr(v) for v in values]
     return _digest("\n".join(texts).encode())
 
 
@@ -353,7 +357,7 @@ def _hash_model(path: str, csv_path: str, matrices: dict) -> dict[str, str]:
     rec.update(_hash_writers(path, csv_path, m))
     if m.table_cells() <= CLI_MAX_CELLS:
         rec.update(_hash_cli(path, csv_path, m))
-        rec["eta_exact"] = _hash_eta_exact(m)
+        rec["eta_exact"] = _hash_eta_exact(m, matrices)
     if m.table_cells() <= MC_MAX_CELLS:
         rec.update(_hash_monte_carlo(m))
     return rec
@@ -377,10 +381,18 @@ def _hash_checkout(checkout: str) -> dict[str, dict]:
 
 
 def _gap(old: dict, new: dict, key: str, field: str) -> str:
-    """Largest entrywise Delta and Gamma gaps of one differing source."""
+    """Largest entrywise Delta and Gamma gaps of one differing source, or
+    the largest gap between the ``eta_exact`` values of a differing
+    ``eta_exact`` record."""
     pair = old["matrices"].get(key, {}).get(field), new["matrices"].get(key, {}).get(field)
     if None in pair:
         return ""
+    if field == "eta_exact":
+        gaps = [
+            abs(a - b) for a, b in zip(*pair) if not isinstance(a, str) and not isinstance(b, str)
+        ]
+        raising = sum(a != b for a, b in zip(*pair) if isinstance(a, str) or isinstance(b, str))
+        return f" (max |eta_exact gap| {max(gaps, default=0.0):.3e}, {raising} raising calls differ)"
     d_old, d_new = (np.array(d) for d in pair)
     if d_old.shape != d_new.shape:
         return f" (shape {d_old.shape} -> {d_new.shape})"
