@@ -76,6 +76,22 @@ class TestEtaExact:
         with pytest.raises(ValueError, match="i < j"):
             eta_exact(chain3_07, 3, 1, (), 0, 1)
 
+    def test_errors_in_order(self, monkeypatch):
+        # Prefix length, then for w and then w': state range, cell cap,
+        # zero probability.  Only x_1 = 0 has positive probability.
+        m = chain_model([[[1.0, 0.0], [0.0, 1.0]]], root_dist=[1.0, 0.0])
+        with pytest.raises(ValueError, match="prefix must fix"):
+            eta_exact(m, 1, 2, (5,), 2, 1)
+        with pytest.raises(ValueError, match=r"x\[1\.\.1\] = \[1\] has zero"):
+            eta_exact(m, 1, 2, (), 1, 2)
+        with pytest.raises(ValueError, match=r"must lie in 0\.\.1, got \[2\]"):
+            eta_exact(m, 1, 2, (), 0, 2)
+        monkeypatch.setenv("TREEMIX_MAX_ENUM", "3")
+        with pytest.raises(ValueError, match=r"must lie in 0\.\.1, got \[2\]"):
+            eta_exact(m, 1, 2, (), 2, 1)
+        with pytest.raises(EnumerationLimitError):
+            eta_exact(m, 1, 2, (), 1, 2)
+
     def test_prefix_admitted_by_its_factors_not_their_product(self):
         # P(x_1 = 0, x_2 = 0) = 1e-200 * 1e-200 underflows to 0.0, yet
         # both factors are positive: the prefix is feasible, as
